@@ -433,47 +433,60 @@ class CorpusReader:
 
 
 def load_corpus(path) -> CorpusReader:
+    """Read a store; any short or garbled file raises CorpusError."""
     blob = Path(path).read_bytes()
     if blob[:4] != STORE_MAGIC:
         raise CorpusError(f"{path} is not a corpus store (bad magic)")
+    if len(blob) < 48:
+        raise CorpusError(f"{path}: truncated header")
     (version,) = struct.unpack_from("<I", blob, 4)
     if version != STORE_VERSION:
-        raise CorpusError(f"unsupported store version {version}")
+        raise CorpusError(f"{path}: unsupported store version {version}")
     (doc_count,) = struct.unpack_from("<Q", blob, 8)
     vocab_hash = blob[16:48]
     pos = 48
     documents: list[StoredDocument] = []
     for _ in range(doc_count):
+        if pos + 4 > len(blob):
+            raise CorpusError(f"{path}: truncated before record {len(documents)}")
         (rec_len,) = struct.unpack_from("<I", blob, pos)
         pos += 4
-        rec = memoryview(blob)[pos:pos + rec_len]
+        if pos + rec_len > len(blob):
+            raise CorpusError(f"{path}: truncated inside record {len(documents)}")
+        try:
+            documents.append(_parse_record(memoryview(blob)[pos:pos + rec_len]))
+        except (ValueError, struct.error) as exc:
+            raise CorpusError(
+                f"{path}: corrupt record {len(documents)} ({exc})") from None
         pos += rec_len
-        (id_len,) = struct.unpack_from("<H", rec, 0)
-        off = 2
-        doc_id = bytes(rec[off:off + id_len]).decode("utf-8")
-        off += id_len
-        n_sent, n_tok = struct.unpack_from("<II", rec, off)
-        off += 8
-        offsets = np.frombuffer(rec, dtype="<u4", count=n_sent + 1,
-                                offset=off).astype(np.int32)
-        off += 4 * (n_sent + 1)
-        ids = np.frombuffer(rec, dtype="<u4", count=n_tok,
-                            offset=off).astype(np.int32)
-        off += 4 * n_tok
-        tf = np.frombuffer(rec, dtype="<f4", count=n_tok,
-                           offset=off).astype(np.float32)
-        off += 4 * n_tok
-        tfidf = np.frombuffer(rec, dtype="<f4", count=n_tok,
-                              offset=off).astype(np.float32)
-        off += 4 * n_tok
-        flags = np.frombuffer(rec, dtype=np.uint8, count=n_tok,
-                              offset=off).copy()
-        off += n_tok
-        if off != rec_len:
-            raise CorpusError(f"corrupt record for document {doc_id}")
-        documents.append(StoredDocument(
-            id=doc_id, token_ids=ids, sentence_offsets=offsets,
-            tf=tf, tfidf=tfidf, flags=flags))
     if pos != len(blob):
-        raise CorpusError("trailing bytes after final record")
+        raise CorpusError(f"{path}: trailing bytes after final record")
     return CorpusReader(documents, vocab_hash)
+
+
+def _parse_record(rec: memoryview) -> StoredDocument:
+    (id_len,) = struct.unpack_from("<H", rec, 0)
+    off = 2
+    doc_id = bytes(rec[off:off + id_len]).decode("utf-8")
+    off += id_len
+    n_sent, n_tok = struct.unpack_from("<II", rec, off)
+    off += 8
+    if off + 4 * (n_sent + 1) + 13 * n_tok != len(rec):
+        raise CorpusError(f"document {doc_id}: record length does not match "
+                          f"its counts")
+    offsets = np.frombuffer(rec, dtype="<u4", count=n_sent + 1,
+                            offset=off).astype(np.int32)
+    off += 4 * (n_sent + 1)
+    ids = np.frombuffer(rec, dtype="<u4", count=n_tok,
+                        offset=off).astype(np.int32)
+    off += 4 * n_tok
+    tf = np.frombuffer(rec, dtype="<f4", count=n_tok,
+                       offset=off).astype(np.float32)
+    off += 4 * n_tok
+    tfidf = np.frombuffer(rec, dtype="<f4", count=n_tok,
+                          offset=off).astype(np.float32)
+    off += 4 * n_tok
+    flags = np.frombuffer(rec, dtype=np.uint8, count=n_tok,
+                          offset=off).copy()
+    return StoredDocument(id=doc_id, token_ids=ids, sentence_offsets=offsets,
+                          tf=tf, tfidf=tfidf, flags=flags)

@@ -168,7 +168,8 @@ class Model:
 
     # ------------------------------------------------------------- forward
     def _dense(self, x: Tensor, prefix: str) -> Tensor:
-        return x @ self.params[f"{prefix}.weight"] + self.params[f"{prefix}.bias"]
+        return tz.linear(x, self.params[f"{prefix}.weight"],
+                         self.params[f"{prefix}.bias"])
 
     def _norm(self, x: Tensor, prefix: str) -> Tensor:
         return tz.layer_norm(x, self.params[f"{prefix}.gamma"],
@@ -190,12 +191,16 @@ class Model:
         b, seq = ids.shape
         if seq > cfg.max_seq_len:
             raise ValueError(f"sequence length {seq} > {cfg.max_seq_len}")
-        positions = np.broadcast_to(np.arange(seq), (b, seq))
         x = tz.index_rows(self.params["embeddings.token"], ids)
-        x = x + tz.index_rows(self.params["embeddings.position"], positions)
-        x = x + tz.index_rows(self.params["embeddings.type"], types)
-        task_ids = np.full((b, seq), batch.task_id)
-        x = x + tz.index_rows(self.params["embeddings.task"], task_ids)
+        # The position, type and task tables get their gradients from sums
+        # over the batch rather than a scatter over every slot: positions
+        # repeat across rows, a step has one task id, and the few type rows
+        # are a one-hot product.
+        one_hot = types.reshape(-1, 1) == np.arange(cfg.type_vocab)
+        type_rows = tz.constant(one_hot) @ self.params["embeddings.type"]
+        x = x + type_rows.reshape(b, seq, -1)
+        x = x + (tz.index_rows(self.params["embeddings.position"], np.arange(seq))
+                 + tz.index_rows(self.params["embeddings.task"], [batch.task_id]))
         x = self._norm(x, "embeddings.norm")
         if training and cfg.dropout > 0:
             x = tz.dropout(x, cfg.dropout, rng)
@@ -219,7 +224,7 @@ class Model:
             k = k.reshape(b, seq, heads, d).transpose(0, 2, 3, 1)
             v = v.reshape(b, seq, heads, d).transpose(0, 2, 1, 3)
             scores = (q @ k) * scale + bias
-            probs = tz.softmax(scores, axis=-1)
+            probs = tz.softmax(scores)
             if training and cfg.dropout > 0:
                 probs = tz.dropout(probs, cfg.dropout, rng)
             ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(b * seq, h)
@@ -247,7 +252,7 @@ class Model:
 
     def _vocab_logits(self, states: Tensor, bias_name: str) -> Tensor:
         table = self.params["embeddings.token"]
-        return states @ table.transpose() + self.params[bias_name]
+        return tz.linear(states, table.transpose(), self.params[bias_name])
 
     def head_forward(self, task: str, hidden: Tensor, batch,
                      pooled: "Tensor | None" = None):

@@ -3,21 +3,39 @@
 Everything is numpy under the hood. Training runs in float32; gradient
 checking switches the whole stack to float64 via set_default_dtype so
 central differences have enough headroom.
+
+Every op records one node on the tape. `linear` (x @ W + b), `layer_norm`,
+`gelu`, `softmax`, `dropout` and `cross_entropy` are single nodes, each
+with a closed-form backward pass; the arithmetic operators, reshape,
+transpose, sum, matmul, index_rows and concat are the primitives between
+them.
+
+Gradient buffers: a node's first gradient write takes ownership of the
+array it is handed instead of copying it into a zeroed buffer. Every
+backward therefore hands over either an array it has just allocated, or
+the upstream buffer itself when the op only passes it on (add, sub,
+reshape, transpose, concat). An upstream buffer passed to two different
+parents is copied for the second one. A node drops its own gradient once
+its backward has run, so after `backward()` only leaves hold a `.grad`.
+
+Constants get no gradient: an input that neither requires a gradient nor
+has parents (the attention-mask bias, dropout masks, regression targets)
+is skipped, and its backward term is never computed.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 _DEFAULT_DTYPE = np.float32
 
 GELU_COEFF = 0.7978845608028654  # sqrt(2 / pi)
+GELU_CUBIC = 0.044715
 
 
 def set_default_dtype(dtype) -> None:
@@ -50,6 +68,27 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _rows_dot(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Every last-axis row of a dotted with w, keeping that axis. One
+    matrix-vector product runs several times faster than a numpy
+    reduction along short rows."""
+    return (a.reshape(-1, a.shape[-1]) @ w).reshape(a.shape[:-1] + (1,))
+
+
+def _rows_max(a: np.ndarray) -> np.ndarray:
+    """The max over the last axis, keeping it. Taken over the first axis of
+    a transposed copy it is an elementwise maximum of whole rows, several
+    times faster than numpy's reduction along short rows."""
+    rows = np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T)
+    return rows.max(axis=0).reshape(a.shape[:-1] + (1,))
+
+
+def _sum_leading(a: np.ndarray) -> np.ndarray:
+    """a summed over every axis but the last, as a vector-matrix product."""
+    rows = a.reshape(-1, a.shape[-1])
+    return np.ones(rows.shape[0], a.dtype) @ rows
+
+
 class Tensor:
     """A numpy array plus an optional gradient and backward closure."""
 
@@ -71,30 +110,28 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def size(self):
         return self.data.size
 
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, grad={self.grad is not None}{tag})"
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
+        """Add g into .grad. The first write keeps g itself when it already
+        has this tensor's shape and dtype, so g must be an array that no
+        other node will write to."""
+        if self.grad is not None:
+            self.grad += g
+        elif (isinstance(g, np.ndarray) and g.shape == self.data.shape
+              and g.dtype == self.data.dtype):
+            self.grad = g
+        else:
             self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad += g
 
     # ----------------------------------------------------------- backward
     def backward(self) -> None:
@@ -121,6 +158,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # ------------------------------------------------------- op plumbing
     @staticmethod
@@ -130,8 +168,7 @@ class Tensor:
         out.data = data
         out.grad = None
         out.name = ""
-        needs = any(p.requires_grad or p.parents for p in parents)
-        if needs:
+        if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out.parents = tuple(parents)
             out._backward = backward
@@ -160,8 +197,13 @@ class Tensor:
         data = self.data + other.data
 
         def backward(g):
-            self._accumulate(_unbroadcast(g, self.data.shape))
-            other._accumulate(_unbroadcast(g, other.data.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g, self.data.shape))
+            if other.requires_grad:
+                go = _unbroadcast(g, other.data.shape)
+                if go is g and self.requires_grad and other is not self:
+                    go = g.copy()
+                other._accumulate(go)
 
         return Tensor._result(data, (self, other), backward)
 
@@ -172,39 +214,26 @@ class Tensor:
         data = self.data - other.data
 
         def backward(g):
-            self._accumulate(_unbroadcast(g, self.data.shape))
-            other._accumulate(_unbroadcast(-g, other.data.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(-g, other.data.shape))
 
         return Tensor._result(data, (self, other), backward)
-
-    def __rsub__(self, other):
-        return Tensor._wrap(other, self) - self
 
     def __mul__(self, other):
         other = Tensor._wrap(other, self)
         data = self.data * other.data
 
         def backward(g):
-            self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-            other._accumulate(_unbroadcast(g * self.data, other.data.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
 
         return Tensor._result(data, (self, other), backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = Tensor._wrap(other, self)
-        data = self.data / other.data
-
-        def backward(g):
-            self._accumulate(_unbroadcast(g / other.data, self.data.shape))
-            other._accumulate(_unbroadcast(
-                -g * self.data / (other.data * other.data), other.data.shape))
-
-        return Tensor._result(data, (self, other), backward)
-
-    def __rtruediv__(self, other):
-        return Tensor._wrap(other, self) / self
 
     def __neg__(self):
         data = -self.data
@@ -224,14 +253,6 @@ class Tensor:
         return Tensor._result(data, (self,), backward)
 
     # ------------------------------------------------------ elementwise fns
-    def exp(self):
-        data = np.exp(self.data)
-
-        def backward(g):
-            self._accumulate(g * data)
-
-        return Tensor._result(data, (self,), backward)
-
     def log(self):
         data = np.log(self.data)
 
@@ -312,10 +333,12 @@ class Tensor:
 
         def backward(g):
             a, b = self.data, other.data
-            ga = np.matmul(g, np.swapaxes(b, -1, -2))
-            gb = np.matmul(np.swapaxes(a, -1, -2), g)
-            self._accumulate(_unbroadcast(ga, a.shape))
-            other._accumulate(_unbroadcast(gb, b.shape))
+            if self.requires_grad:
+                ga = np.matmul(g, np.swapaxes(b, -1, -2))
+                self._accumulate(_unbroadcast(ga, a.shape))
+            if other.requires_grad:
+                gb = np.matmul(np.swapaxes(a, -1, -2), g)
+                other._accumulate(_unbroadcast(gb, b.shape))
 
         return Tensor._result(data, (self, other), backward)
 
@@ -340,7 +363,8 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 
     def backward(g):
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            t._accumulate(piece)
+            if t.requires_grad:
+                t._accumulate(piece)
 
     return Tensor._result(data, tensors, backward)
 
@@ -353,14 +377,38 @@ def index_rows(table: Tensor, indices) -> Tensor:
     data = table.data[idx]
 
     def backward(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, g)
+        # One 1-D add.at over flat element offsets: the same additions in
+        # the same order as a row-wise add.at, several times faster.
+        width = table.data[0].size
+        flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        grad = np.zeros_like(table.data)
+        np.add.at(grad.reshape(-1), flat, g.reshape(-1))
+        table._accumulate(grad)
 
     return Tensor._result(data, (table,), backward)
 
 
-embedding_lookup = index_rows
+# ------------------------------------------------------------ fused nodes
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """x @ weight + bias over the last axis of x."""
+    try:
+        data = np.matmul(x.data, weight.data)
+    except ValueError as exc:
+        raise ShapeError(
+            f"linear shapes {x.data.shape} x {weight.data.shape}") from exc
+    data += bias.data
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(np.matmul(g, weight.data.T))
+        if weight.requires_grad:
+            rows = x.data.reshape(-1, x.data.shape[-1])
+            weight._accumulate(np.matmul(rows.T, g.reshape(-1, g.shape[-1])))
+        if bias.requires_grad:
+            bias._accumulate(_sum_leading(g))
+
+    return Tensor._result(data, (x, weight, bias), backward)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
@@ -376,38 +424,101 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         raise ShapeError(
             f"cross_entropy targets {t.shape} vs logits {logits.data.shape}")
     n = logits.data.shape[0]
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
+    rows = np.arange(n)
+    expd = logits.data - logits.data.max(axis=1, keepdims=True)
+    picked = expd[rows, t]
+    np.exp(expd, out=expd)
     denom = expd.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(denom)
-    data = np.asarray(-log_probs[np.arange(n), t].mean(), dtype=logits.data.dtype)
+    data = np.asarray((np.log(denom[:, 0]) - picked).mean(),
+                      dtype=logits.data.dtype)
 
     def backward(g):
         probs = expd / denom
-        probs[np.arange(n), t] -= 1.0
-        logits._accumulate(probs * (g / n))
+        probs[rows, t] -= 1.0
+        probs *= g / n
+        logits._accumulate(probs)
 
     return Tensor._result(data, (logits,), backward)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shift = constant(x.data.max(axis=axis, keepdims=True))
-    e = (x - shift).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    ones = np.ones(x.data.shape[-1], x.data.dtype)
+    probs = x.data - _rows_max(x.data)
+    np.exp(probs, out=probs)
+    probs /= _rows_dot(probs, ones)
+
+    def backward(g):
+        # p * (g - sum(g * p)): exactly 0 wherever p underflowed to 0
+        gx = g * probs
+        np.subtract(g, _rows_dot(gx, ones), out=gx)
+        gx *= probs
+        x._accumulate(gx)
+
+    return Tensor._result(probs, (x,), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-               axis: int = -1, eps: float = 1e-12) -> Tensor:
-    mu = x.mean(axis=axis, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=axis, keepdims=True)
-    inv = (var + eps) ** -0.5
-    return centered * inv * gamma + beta
+               eps: float = 1e-12) -> Tensor:
+    """Normalise over the last axis, then scale by gamma and shift by beta."""
+    n = x.data.shape[-1]
+    avg = np.full(n, 1.0 / n, x.data.dtype)
+    xhat = x.data - _rows_dot(x.data, avg)
+    inv = _rows_dot(xhat * xhat, avg)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    xhat *= inv
+    data = xhat * gamma.data
+    data += beta.data
+
+    def backward(g):
+        g_xhat = g * xhat
+        if gamma.requires_grad:
+            gamma._accumulate(_sum_leading(g_xhat))
+        if beta.requires_grad:
+            beta._accumulate(_sum_leading(g))
+        if x.requires_grad:
+            # inv * (d - mean(d) - xhat * mean(d * xhat)) with d = g * gamma
+            scaled = gamma.data / n
+            proj = _rows_dot(g_xhat, scaled)
+            gx = g * gamma.data
+            gx -= _rows_dot(g, scaled)
+            np.multiply(xhat, proj, out=g_xhat)
+            gx -= g_xhat
+            gx *= inv
+            x._accumulate(gx)
+
+    return Tensor._result(data, (x, gamma, beta), backward)
 
 
 def gelu(x: Tensor) -> Tensor:
-    inner = GELU_COEFF * (x + 0.044715 * x * x * x)
-    return 0.5 * x * (1.0 + inner.tanh())
+    """The tanh approximation 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
+    xd = x.data
+    # half = 0.5 (1 + tanh(u)), u = c x (1 + 0.044715 x^2)
+    half = np.multiply(xd, xd, out=np.empty_like(xd))
+    half *= GELU_CUBIC
+    half += 1.0
+    half *= xd
+    half *= GELU_COEFF
+    np.tanh(half, out=half)
+    half += 1.0
+    half *= 0.5
+
+    def backward(g):
+        # half + x * half * (1 - half) * 2c (1 + 3 * 0.044715 x^2)
+        d = xd * xd
+        d *= 3.0 * GELU_CUBIC
+        d += 1.0
+        d *= xd
+        d *= 2.0 * GELU_COEFF
+        d *= half
+        d *= 1.0 - half
+        d += half
+        d *= g
+        x._accumulate(d)
+
+    return Tensor._result(xd * half, (x,), backward)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator,
@@ -415,14 +526,13 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator,
     if not training or p <= 0.0:
         return x
     keep = 1.0 - p
-    mask = (rng.random(x.data.shape) < keep).astype(x.data.dtype) / keep
-    return x * constant(mask)
+    mask = (rng.random(x.data.shape) < keep).astype(x.data.dtype)
+    mask /= keep
 
+    def backward(g):
+        x._accumulate(g * mask)
 
-def mse(pred: Tensor, target) -> Tensor:
-    target = Tensor._wrap(target, pred)
-    diff = pred - target
-    return (diff * diff).mean()
+    return Tensor._result(x.data * mask, (x,), backward)
 
 
 def normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
@@ -607,20 +717,36 @@ def save_checkpoint(path, params: "dict[str, Tensor]", config: dict,
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; any short or garbled file raises CheckpointError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
+    if len(raw) < 16:
+        raise CheckpointError(f"{path}: truncated header")
     version, header_len = struct.unpack_from("<IQ", raw, 4)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
     off = 4 + 12
+    if off + header_len > len(raw):
+        raise CheckpointError(f"{path}: truncated header")
+    try:
+        return _parse_checkpoint(raw, off, header_len)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CheckpointError(f"{path}: corrupt header ({exc!r})") from None
+
+
+def _parse_checkpoint(raw: bytes, off: int, header_len: int) -> Checkpoint:
     header = json.loads(raw[off:off + header_len].decode("utf-8"))
     off += header_len
 
     def read_block(shape):
         nonlocal off
         n = int(np.prod(shape)) if shape else 1
+        if n < 0 or off + 4 * n > len(raw):
+            raise CheckpointError("data blocks run past the end of the file")
         arr = np.frombuffer(raw, dtype="<f4", count=n, offset=off)
         off += 4 * n
         return arr.reshape(shape).copy()
@@ -633,7 +759,7 @@ def load_checkpoint(path) -> Checkpoint:
         adam_m = {m["name"]: read_block(m["shape"]) for m in header["params"]}
         adam_v = {m["name"]: read_block(m["shape"]) for m in header["params"]}
     if off != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes")
+        raise CheckpointError(f"{len(raw) - off} trailing bytes")
     return Checkpoint(config=header["config"], train_state=header["train_state"],
                       params=params, adam_m=adam_m, adam_v=adam_v,
                       adam_t=int(header.get("adam_t", 0)))

@@ -165,6 +165,26 @@ def _batch_stream(reader, vocab, steps, config):
     thread.join()
 
 
+def _truncate_metrics(path, last_step: int) -> None:
+    """Keep the metrics lines up to last_step, the step of the checkpoint
+    being resumed; later lines were written by the run that stopped and
+    are about to be written again. A torn final line is dropped too."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines(True)
+    except FileNotFoundError:
+        return
+    kept = []
+    for line in lines:
+        if not line.endswith("\n"):
+            continue
+        try:
+            if json.loads(line)["step"] <= last_step:
+                kept.append(line)
+        except (ValueError, KeyError, TypeError):
+            continue
+    Path(path).write_text("".join(kept), encoding="utf-8")
+
+
 def build_model(config: TrainConfig, vocab, n_task_ids: int) -> Model:
     mc = ModelConfig(vocab=len(vocab.id_to_token), layers=config.layers,
                      hidden=config.hidden, heads=config.heads,
@@ -206,6 +226,8 @@ def train(config: TrainConfig) -> TrainResult:
     ckpt_path = config.checkpoint_path or "model.mtpt"
     metrics_fh = None
     if config.metrics_path:
+        if start_step:
+            _truncate_metrics(config.metrics_path, start_step - 1)
         mode = "a" if start_step else "w"
         metrics_fh = open(config.metrics_path, mode, encoding="utf-8")
 
@@ -250,6 +272,8 @@ def train(config: TrainConfig) -> TrainResult:
                     "lr": record.lr, "losses": record.losses,
                     "wall": round(record.wall, 3)}) + "\n")
             if tokens_seen - last_checkpoint >= interval:
+                if metrics_fh is not None:
+                    metrics_fh.flush()
                 write_checkpoint(step.index)
                 last_checkpoint = tokens_seen
         write_checkpoint(len(schedule.steps) - 1)

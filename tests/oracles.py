@@ -2,13 +2,19 @@
 
 Everything here is deliberately written from scratch with different
 machinery than the library (plain loops, collections.Counter, quadrature)
-so that agreement is meaningful.
+so that agreement is meaningful. The fused tensor ops are checked against
+chains of the library's primitive ops instead.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+
+import numpy as np
+
+from mtpretrain import tensor as tz
+from mtpretrain.tensor import Tensor
 
 
 def brute_force_tf(token_ids) -> dict[int, float]:
@@ -73,3 +79,46 @@ def student_t_two_sided_p_quadrature(t_stat, df, n_points=2_000_001) -> float:
 
 def adjacent_pair_accuracy_chance() -> float:
     return 0.5
+
+
+# ------------------------------------------------------- fused tensor ops
+# The fused tape nodes of mtpretrain.tensor written as chains of primitive
+# nodes, the way the library built them before fusion. Their gradients come
+# from the primitives' backward passes, not from the closed forms.
+
+def _primitive_exp(x):
+    data = np.exp(x.data)
+
+    def backward(g):
+        x._accumulate(g * data)
+
+    return Tensor._result(data, (x,), backward)
+
+
+def primitive_linear(x, weight, bias):
+    return x @ weight + bias
+
+
+def primitive_softmax(x):
+    shift = tz.constant(x.data.max(axis=-1, keepdims=True))
+    e = _primitive_exp(x - shift)
+    return e * e.sum(axis=-1, keepdims=True) ** -1.0
+
+
+def primitive_layer_norm(x, gamma, beta, eps=1e-12):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = (var + eps) ** -0.5
+    return centered * inv * gamma + beta
+
+
+def primitive_gelu(x):
+    inner = 0.7978845608028654 * (x + 0.044715 * x * x * x)
+    return 0.5 * x * (1.0 + inner.tanh())
+
+
+def primitive_dropout(x, p, rng):
+    keep = 1.0 - p
+    mask = (rng.random(x.data.shape) < keep).astype(x.data.dtype) / keep
+    return x * tz.constant(mask)

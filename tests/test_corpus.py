@@ -350,6 +350,30 @@ def test_store_roundtrip_values(tmp_path, word_vocab):
                 == tok.source_capitalized
 
 
+def test_truncated_or_garbled_store_raises_corpus_error(tmp_path, word_vocab):
+    rng = np.random.default_rng(19)
+    src = tmp_path / "docs.txt"
+    src.write_text("\n\n".join(corpus_block(rng) for _ in range(2)),
+                   encoding="utf-8")
+    out = tmp_path / "out.mtpc"
+    cp.build_corpus([src], out, word_vocab)
+    blob = out.read_bytes()
+    assert len(cp.load_corpus(out).documents) == 2
+    cut = tmp_path / "cut.mtpc"
+    for n in range(len(blob)):
+        cut.write_bytes(blob[:n])
+        with pytest.raises(cp.CorpusError, match="cut.mtpc"):
+            cp.load_corpus(cut)
+    # a flipped byte either still parses (no checksum yet) or is refused
+    for i in range(len(blob)):
+        for bits in (0x01, 0xFF):
+            cut.write_bytes(blob[:i] + bytes([blob[i] ^ bits]) + blob[i + 1:])
+            try:
+                cp.load_corpus(cut)
+            except cp.CorpusError as exc:
+                assert "cut.mtpc" in str(exc)
+
+
 def test_store_vocab_mismatch(tmp_path, word_vocab):
     rng = np.random.default_rng(17)
     src = tmp_path / "docs.txt"

@@ -1,0 +1,216 @@
+"""The fused tape nodes against primitive-op chains, and gradient-buffer
+ownership: a buffer handed to two parents must not be shared."""
+
+import numpy as np
+import pytest
+
+import oracles
+from mtpretrain import tensor as tz
+from mtpretrain.model import MASK_BIAS
+from mtpretrain.tensor import Tensor
+
+
+@pytest.fixture(autouse=True)
+def float64_mode():
+    tz.set_default_dtype("float64")
+    yield
+    tz.set_default_dtype("float32")
+
+
+def param(rng, *shape, scale=1.0, shift=0.0):
+    return tz.parameter(rng.normal(size=shape) * scale + shift)
+
+
+def run(fn, inputs, upstream):
+    """fn's output, and the gradients of sum(fn(*inputs) * upstream)."""
+    for t in inputs:
+        t.grad = None
+    out = fn(*inputs)
+    (out * tz.constant(upstream)).sum().backward()
+    return out.data, [t.grad for t in inputs]
+
+
+def assert_matches_oracle(fused, oracle, inputs, rng):
+    upstream = rng.normal(size=fused(*inputs).shape)
+    got, got_grads = run(fused, inputs, upstream)
+    want, want_grads = run(oracle, inputs, upstream)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+    for k, (g, w) in enumerate(zip(got_grads, want_grads)):
+        np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-12,
+                                   err_msg=f"input {k}")
+
+
+# ----------------------------------------------------------- oracles
+
+def test_linear_matches_primitive_chain():
+    rng = np.random.default_rng(20)
+    inputs = [param(rng, 2, 3, 5), param(rng, 5, 4), param(rng, 4)]
+    assert_matches_oracle(tz.linear, oracles.primitive_linear, inputs, rng)
+
+
+def test_layer_norm_matches_primitive_chain():
+    rng = np.random.default_rng(21)
+    inputs = [param(rng, 3, 4, 6, scale=2.0, shift=1.5),
+              param(rng, 6, scale=0.3, shift=1.0), param(rng, 6, scale=0.3)]
+    assert_matches_oracle(tz.layer_norm, oracles.primitive_layer_norm,
+                          inputs, rng)
+    # gamma and beta gradients sum over both leading axes
+    assert inputs[1].grad.shape == inputs[2].grad.shape == (6,)
+
+
+def test_gelu_matches_primitive_chain():
+    rng = np.random.default_rng(22)
+    inputs = [param(rng, 2, 3, 7, scale=3.0)]
+    assert_matches_oracle(tz.gelu, oracles.primitive_gelu, inputs, rng)
+
+
+def test_softmax_matches_primitive_chain():
+    rng = np.random.default_rng(23)
+    inputs = [param(rng, 2, 3, 5, scale=4.0)]
+    assert_matches_oracle(tz.softmax, oracles.primitive_softmax, inputs, rng)
+
+
+def test_softmax_under_mask_bias_is_exactly_zero():
+    rng = np.random.default_rng(24)
+    masked = np.zeros((2, 1, 6), dtype=bool)
+    masked[0, 0, 4:] = True
+    masked[1, 0, 1] = True
+    bias = tz.constant(np.where(masked, MASK_BIAS, 0.0))
+    scores = param(rng, 2, 3, 6, scale=3.0)
+
+    def fused(x):
+        return tz.softmax(x + bias)
+
+    def oracle(x):
+        return oracles.primitive_softmax(x + bias)
+
+    assert_matches_oracle(fused, oracle, [scores], rng)
+    full = np.broadcast_to(masked, (2, 3, 6))
+    probs, (grad,) = run(fused, [scores], rng.normal(size=(2, 3, 6)))
+    assert np.all(probs[full] == 0.0)
+    assert np.all(grad[full] == 0.0)
+    assert np.all(grad[~full] != 0.0)
+
+
+def test_dropout_draws_the_same_mask_as_the_primitive_chain():
+    rng = np.random.default_rng(25)
+    x = param(rng, 3, 4, 5)
+    upstream = rng.normal(size=(3, 4, 5))
+    got, (got_grad,) = run(
+        lambda t: tz.dropout(t, 0.3, np.random.default_rng(7)), [x], upstream)
+    want, (want_grad,) = run(
+        lambda t: oracles.primitive_dropout(t, 0.3, np.random.default_rng(7)),
+        [x], upstream)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got_grad, want_grad)
+    assert (got == 0.0).any() and (got != 0.0).any()
+
+
+def test_dropout_consumes_the_same_generator_stream():
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    x = Tensor(np.ones((4, 6)), requires_grad=True)
+    tz.dropout(x, 0.5, a)
+    oracles.primitive_dropout(x, 0.5, b)
+    assert a.random() == b.random()
+
+
+# ------------------------------------------------- buffer ownership
+
+def test_constants_get_no_gradient():
+    rng = np.random.default_rng(26)
+    w = param(rng, 4, 3)
+    x = tz.constant(rng.normal(size=(5, 4)))
+    bias = tz.constant(rng.normal(size=3))
+    tz.cross_entropy(tz.linear(x, w, bias), np.arange(5) % 3).backward()
+    assert w.grad is not None
+    assert x.grad is None and bias.grad is None
+
+
+@pytest.mark.parametrize("order", ["x_plus_x_first", "x_plus_y_first"])
+def test_gradient_through_x_plus_x(order):
+    rng = np.random.default_rng(27)
+    x, y = param(rng, 3, 4), param(rng, 3, 4)
+    c, d = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    doubled = ((x + x) * tz.constant(c)).sum()
+    mixed = ((x + y) * tz.constant(d)).sum()
+    loss = doubled + mixed if order == "x_plus_x_first" else mixed + doubled
+    loss.backward()
+    np.testing.assert_allclose(x.grad, 2 * c + d, rtol=1e-12)
+    np.testing.assert_allclose(y.grad, d, rtol=1e-12)
+
+
+def test_gradient_through_residual():
+    rng = np.random.default_rng(28)
+    params = {"x": param(rng, 2, 3, 4), "w": param(rng, 4, 4, scale=0.5),
+              "b": param(rng, 4), "gamma": param(rng, 4, shift=1.0),
+              "beta": param(rng, 4)}
+    c = tz.constant(rng.normal(size=(2, 3, 4)))
+
+    def loss_fn():
+        x = params["x"]
+        y = tz.layer_norm(x + tz.linear(x, params["w"], params["b"]),
+                          params["gamma"], params["beta"])
+        return (tz.gelu(y) * c).sum()
+
+    assert tz.check_gradients(loss_fn, params).max_error < 1e-6
+
+
+@pytest.mark.parametrize("order", ["reshape_head_first", "dense_head_first"])
+def test_gradient_through_state_shared_by_two_heads(order):
+    rng = np.random.default_rng(29)
+    params = {"x": param(rng, 6, 4), "w": param(rng, 4, 4, scale=0.5),
+              "b": param(rng, 4), "w1": param(rng, 4, 4), "b1": param(rng, 4)}
+    c = tz.constant(rng.normal(size=(6, 4)))
+
+    def loss_fn():
+        hidden = tz.linear(params["x"], params["w"], params["b"])
+        plain = hidden.reshape(2, 3, 4).reshape(6, 4)
+        dense = tz.linear(hidden, params["w1"], params["b1"])
+        both = plain + dense if order == "reshape_head_first" else dense + plain
+        return (tz.softmax(both) * c).sum()
+
+    assert tz.check_gradients(loss_fn, params).max_error < 1e-6
+
+
+def test_two_backward_calls_accumulate_through_fused_nodes():
+    rng = np.random.default_rng(30)
+    params = {"a": param(rng, 5, 4), "b": param(rng, 5, 4),
+              "w": param(rng, 4, 3), "bias": param(rng, 3),
+              "gamma": param(rng, 4, shift=1.0), "beta": param(rng, 4)}
+    targets = np.array([0, 2, 1, 1, 0])
+    c = tz.constant(rng.normal(size=(5, 3)))
+
+    def loss():
+        h = tz.layer_norm(params["a"] + params["b"], params["gamma"],
+                          params["beta"])
+        logits = tz.linear(tz.gelu(h), params["w"], params["bias"])
+        return tz.cross_entropy(logits, targets) + (tz.softmax(logits) * c).sum()
+
+    loss().backward()
+    once = {k: p.grad.copy() for k, p in params.items()}
+    for p in params.values():
+        p.grad = None
+    loss().backward()
+    loss().backward()
+    for k, p in params.items():
+        np.testing.assert_allclose(p.grad, 2 * once[k], rtol=1e-12,
+                                   err_msg=k)
+
+
+def test_backward_from_a_second_root_over_a_shared_graph():
+    rng = np.random.default_rng(31)
+    x, w, b = param(rng, 4, 3), param(rng, 3, 3), param(rng, 3)
+    c1 = tz.constant(rng.normal(size=(4, 3)))
+    c2 = tz.constant(rng.normal(size=(4, 3)))
+
+    def hidden():
+        return tz.gelu(tz.linear(x, w, b))
+
+    shared = hidden()
+    (shared * c1).sum().backward()
+    w.grad = None
+    (shared * c2).sum().backward()
+    via_shared = w.grad
+    w.grad = None
+    (hidden() * c2).sum().backward()
+    np.testing.assert_array_equal(via_shared, w.grad)

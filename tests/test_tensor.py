@@ -67,7 +67,7 @@ def test_softmax_uniform():
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(4, 7)) * 30)
-    out = tz.softmax(x, axis=-1)
+    out = tz.softmax(x)
     np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(4), atol=1e-6)
 
 
@@ -125,18 +125,6 @@ def test_sum_gradient_is_ones():
     w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     w.sum().backward()
     np.testing.assert_array_equal(w.grad, np.ones((2, 3)))
-
-
-def test_mse_scalar_gradient():
-    w = Tensor(np.array(1.5), requires_grad=True)
-    tz.mse(w, 0.0).backward()
-    assert w.grad == pytest.approx(2 * 1.5)
-
-
-def test_mse_mean_convention():
-    w = Tensor(np.array([1.0, 2.0, 3.0, 4.0]), requires_grad=True)
-    tz.mse(w, 0.0).backward()
-    np.testing.assert_allclose(w.grad, 2 * w.data / 4)
 
 
 def test_backward_accumulates_without_zeroing():
@@ -205,7 +193,7 @@ def test_softmax_cosine_clamp_concat_gradcheck():
     }
 
     def loss_fn():
-        s = tz.softmax(params["a"] * 2.0, axis=-1)
+        s = tz.softmax(params["a"] * 2.0)
         c = tz.cosine_similarity(params["a"], params["b"])
         cl = ((params["b"] * 0.3).clamp(-0.5, 0.5) ** 2.0).sum()
         cat = concat_loss(params)
@@ -357,3 +345,28 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(tz.CheckpointError, match="not a checkpoint"):
         tz.load_checkpoint(path)
+
+
+def test_truncated_or_garbled_checkpoint_raises_checkpoint_error(tmp_path):
+    params = {
+        "w.weight": Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True),
+        "w.bias": Tensor(np.ones(3), requires_grad=True),
+    }
+    path = tmp_path / "full.mtpt"
+    tz.save_checkpoint(path, params, config={"layers": 1},
+                       train_state={"step": 0}, optimizer=tz.Adam(params))
+    raw = path.read_bytes()
+    tz.load_checkpoint(path)
+    cut = tmp_path / "cut.mtpt"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(tz.CheckpointError, match="cut.mtpt"):
+            tz.load_checkpoint(cut)
+    # a flipped byte either still parses (no checksum yet) or is refused
+    for i in range(len(raw)):
+        for bits in (0x01, 0xFF):
+            cut.write_bytes(raw[:i] + bytes([raw[i] ^ bits]) + raw[i + 1:])
+            try:
+                tz.load_checkpoint(cut)
+            except tz.CheckpointError as exc:
+                assert "cut.mtpt" in str(exc)

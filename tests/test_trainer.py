@@ -185,6 +185,47 @@ def test_resume_is_bit_identical(small_store, word_vocab_path, tmp_path,
     assert b.train_state == {"step": 9, "tokens_seen": 1920}
 
 
+def test_resume_after_crash_logs_each_step_once(small_store, word_vocab_path,
+                                                tmp_path, monkeypatch):
+    full = tr.train(make_config(small_store, word_vocab_path, tmp_path,
+                                checkpoint_interval=5 * 192,
+                                checkpoint_path=str(tmp_path / "full.mtpt")))
+
+    metrics = tmp_path / "metrics.jsonl"
+    cfg = make_config(small_store, word_vocab_path, tmp_path,
+                      checkpoint_interval=5 * 192, metrics_path=str(metrics),
+                      checkpoint_path=str(tmp_path / "crash.mtpt"))
+    real_losses = tr.ls.batch_losses
+    calls = []
+
+    def crash_in_step_7(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 8:
+            raise RuntimeError("crash inside step 7")
+        return real_losses(*args, **kwargs)
+
+    monkeypatch.setattr(tr.ls, "batch_losses", crash_in_step_7)
+    with pytest.raises(RuntimeError, match="step 7"):
+        tr.train(cfg)
+    monkeypatch.setattr(tr.ls, "batch_losses", real_losses)
+    assert tz.load_checkpoint(cfg.checkpoint_path).train_state["step"] == 4
+    assert len(metrics.read_text().splitlines()) == 7
+
+    cfg.resume_from = cfg.checkpoint_path
+    resumed = tr.train(cfg)
+    rows = [json.loads(line) for line in metrics.read_text().splitlines()]
+    assert [row["step"] for row in rows] == list(range(10))
+    assert [row["losses"] for row in rows] == [r.losses for r in full.records]
+    assert [r.step for r in resumed.records] == list(range(5, 10))
+    a = tz.load_checkpoint(full.checkpoint_path)
+    b = tz.load_checkpoint(resumed.checkpoint_path)
+    for k in a.params:
+        assert np.array_equal(a.params[k], b.params[k])
+        assert np.array_equal(a.adam_m[k], b.adam_m[k])
+        assert np.array_equal(a.adam_v[k], b.adam_v[k])
+    assert a.adam_t == b.adam_t == 10
+
+
 def test_resume_requires_optimizer_state(small_store, word_vocab_path,
                                          tmp_path):
     cfg = make_config(small_store, word_vocab_path, tmp_path)
