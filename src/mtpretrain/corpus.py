@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +81,6 @@ class Document:
 class DocumentStats:
     tf_scaled: dict[int, float]
     tfidf_scaled: dict[int, float]
-    raw_tf: dict[int, int]
 
 
 @dataclass
@@ -262,14 +261,8 @@ def compute_tfidf(doc: Document, corpus: CorpusStats) -> dict[int, float]:
 
 
 def document_stats(doc: Document, corpus: CorpusStats) -> DocumentStats:
-    counts: dict[int, int] = {}
-    for token_id in doc.all_token_ids():
-        counts[token_id] = counts.get(token_id, 0) + 1
-    return DocumentStats(
-        tf_scaled=compute_tf(doc),
-        tfidf_scaled=compute_tfidf(doc, corpus),
-        raw_tf=counts,
-    )
+    return DocumentStats(tf_scaled=compute_tf(doc),
+                         tfidf_scaled=compute_tfidf(doc, corpus))
 
 
 def parse_blocks(text: str) -> list[str]:
@@ -405,12 +398,30 @@ def build_corpus(input_paths, output_path, vocab: Vocabulary,
 
 
 class CorpusReader:
-    """In-memory view of a corpus store."""
+    """In-memory view of a corpus store.
+
+    The token ids, TF and TF-IDF labels and flags of all documents sit in
+    four reader-wide arrays, one document after another; document i starts
+    at ``doc_starts[i]``, and its own arrays are views into these.
+    """
 
     def __init__(self, documents: list[StoredDocument], vocab_hash: bytes):
         if not documents:
             raise CorpusError("corpus store holds no documents")
-        self.documents = documents
+        self.doc_starts = np.zeros(len(documents) + 1, dtype=np.int64)
+        np.cumsum([d.n_tokens for d in documents], out=self.doc_starts[1:])
+        self.token_ids = np.concatenate([d.token_ids for d in documents],
+                                        dtype=np.int32)
+        self.tf = np.concatenate([d.tf for d in documents], dtype=np.float32)
+        self.tfidf = np.concatenate([d.tfidf for d in documents],
+                                    dtype=np.float32)
+        self.flags = np.concatenate([d.flags for d in documents],
+                                    dtype=np.uint8)
+        bounds = zip(self.doc_starts[:-1].tolist(), self.doc_starts[1:].tolist())
+        self.documents = [
+            replace(d, token_ids=self.token_ids[a:b], tf=self.tf[a:b],
+                    tfidf=self.tfidf[a:b], flags=self.flags[a:b])
+            for d, (a, b) in zip(documents, bounds)]
         self.vocab_hash = vocab_hash
 
     def __len__(self) -> int:
@@ -418,7 +429,7 @@ class CorpusReader:
 
     @property
     def total_tokens(self) -> int:
-        return sum(d.n_tokens for d in self.documents)
+        return int(self.doc_starts[-1])
 
     def check_vocab(self, vocab: Vocabulary) -> None:
         if vocab.content_hash != self.vocab_hash:
@@ -477,16 +488,13 @@ def _parse_record(rec: memoryview) -> StoredDocument:
     offsets = np.frombuffer(rec, dtype="<u4", count=n_sent + 1,
                             offset=off).astype(np.int32)
     off += 4 * (n_sent + 1)
-    ids = np.frombuffer(rec, dtype="<u4", count=n_tok,
-                        offset=off).astype(np.int32)
+    # views into the file's bytes: CorpusReader copies them into its arrays
+    ids = np.frombuffer(rec, dtype="<u4", count=n_tok, offset=off)
     off += 4 * n_tok
-    tf = np.frombuffer(rec, dtype="<f4", count=n_tok,
-                       offset=off).astype(np.float32)
+    tf = np.frombuffer(rec, dtype="<f4", count=n_tok, offset=off)
     off += 4 * n_tok
-    tfidf = np.frombuffer(rec, dtype="<f4", count=n_tok,
-                          offset=off).astype(np.float32)
+    tfidf = np.frombuffer(rec, dtype="<f4", count=n_tok, offset=off)
     off += 4 * n_tok
-    flags = np.frombuffer(rec, dtype=np.uint8, count=n_tok,
-                          offset=off).copy()
+    flags = np.frombuffer(rec, dtype=np.uint8, count=n_tok, offset=off)
     return StoredDocument(id=doc_id, token_ids=ids, sentence_offsets=offsets,
                           tf=tf, tfidf=tfidf, flags=flags)

@@ -43,9 +43,6 @@ def loss_token_ce(task: str, logits: "Tensor | None", targets) -> TaskLoss:
     return TaskLoss(task, tz.cross_entropy(logits, targets), int(targets.size))
 
 
-loss_sentence_ce = loss_token_ce
-
-
 def loss_regression(task: str, preds: Tensor, values, weights) -> TaskLoss:
     values = np.asarray(values)
     weights = np.asarray(weights)
@@ -172,7 +169,7 @@ def batch_losses(model, batch, tasks=None, training: bool = False,
             if pooled is None:
                 pooled = model.pool(hidden)
             logits = model.head_forward(task, hidden, batch, pooled)
-            out[task] = loss_sentence_ce(task, logits, labels[task])
+            out[task] = loss_token_ce(task, logits, labels[task])
         elif task == "qt":
             cls = model.head_forward(task, hidden, batch)
             out[task] = loss_qt(cls)

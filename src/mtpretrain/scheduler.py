@@ -215,14 +215,6 @@ def make_schedule(strategy: str, tasks, total_tokens: int,
                     batch_tokens=batch_tokens, steps=steps)
 
 
-def next_step(schedule: Schedule, step_index: int):
-    if not 0 <= step_index < len(schedule.steps):
-        raise SchedulerError(
-            f"step {step_index} out of range [0, {len(schedule.steps)})")
-    step = schedule.steps[step_index]
-    return step.tasks, step.task_id
-
-
 def token_accounting(schedule: Schedule) -> "dict[str, int]":
     totals = {t: 0 for t in schedule.tasks}
     for step in schedule.steps:
@@ -230,44 +222,3 @@ def token_accounting(schedule: Schedule) -> "dict[str, int]":
             totals[t] += step.tokens
     return totals
 
-
-# ------------------------------------------------------------ serialization
-
-def schedule_to_text(schedule: Schedule) -> str:
-    lines = [
-        f"# strategy: {schedule.strategy}",
-        f"# tasks: {','.join(schedule.tasks)}",
-        f"# batch_tokens: {schedule.batch_tokens}",
-    ]
-    for s in schedule.steps:
-        lines.append(f"{s.index}, {','.join(s.tasks)}, {s.tokens}, {s.task_id}")
-    return "\n".join(lines) + "\n"
-
-
-def schedule_from_text(text: str) -> Schedule:
-    header: "dict[str, str]" = {}
-    steps = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if ":" in line:
-                key, _, value = line[1:].partition(":")
-                header[key.strip()] = value.strip()
-            continue
-        parts = [p.strip() for p in line.split(", ")]
-        if len(parts) != 4:
-            raise SchedulerError(f"line {lineno}: expected 4 fields, got "
-                                 f"{len(parts)}")
-        index, tasks, tokens, task_id = parts
-        steps.append(ScheduleStep(index=int(index),
-                                  tasks=tuple(tasks.split(",")),
-                                  tokens=int(tokens), task_id=int(task_id)))
-    for want, got in zip(range(len(steps)), (s.index for s in steps)):
-        if want != got:
-            raise SchedulerError(f"step indices not consecutive at {got}")
-    return Schedule(strategy=header.get("strategy", "sum"),
-                    tasks=tuple(header.get("tasks", "").split(",")),
-                    batch_tokens=int(header.get("batch_tokens", "1")),
-                    steps=steps)

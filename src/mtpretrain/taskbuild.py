@@ -1,6 +1,18 @@
 """Training example construction and fixed-shape batch assembly.
 
-A batch is built in stages, each rewriting a per-row list of token slots:
+A row is a (3, n) int64 array with one column per token slot:
+
+- ``row[POS]`` is the slot's position in the reader-wide token table
+  (``CorpusReader.token_ids``), or a negative code: ``SPECIAL`` for [CLS]
+  and [SEP], ``FRESH`` for a token that corruption inserted or substituted.
+  A slot's TF, TF-IDF, capitalization and piece-length labels follow its
+  position, so a moved slot keeps them and a fresh or special slot has none.
+- ``row[ID]`` is the slot's current input id.
+- ``row[CORRUPT]`` is 1 where corruption inserted, replaced or moved the slot.
+
+A batch is built in stages. Stage 1 draws the text of every row; stages
+2-4 then permute, insert into or overwrite the columns of one row, all
+three before the next row starts:
 
 1. topology: draw text spans per row. Sets containing qt/fs use the
    continuation layout (row i + B/2 holds the exact token continuation of
@@ -13,9 +25,15 @@ A batch is built in stages, each rewriting a per-row list of token slots:
    replacement split, recording targets against the visible (post-stage-3)
    stream.
 
+After the last row the (B, L) grids are filled in one pass each, and the
+token labels are gathered for the whole batch from the grid of positions.
+
 Each stage sees the previous stage's output as ground truth, so jointly
 scheduled tasks stay mutually consistent. All randomness flows from one
 generator seeded by (seed, step), making batches pure functions of those.
+The order of the draws and their arguments are part of that contract: a
+change to either changes every later batch (tests/test_taskbuild.py pins
+digests of assembled batches).
 """
 
 from __future__ import annotations
@@ -38,24 +56,15 @@ MAX_DRAW_TRIES = 200
 # the six trigram permutations in lexicographic one-line order
 TRIGRAM_PERMS = list(itertools.permutations(range(3)))
 
+# the sequences of a row, and the negative position codes
+POS, ID, CORRUPT = 0, 1, 2
+SPECIAL, FRESH = -1, -2
+# corruption ops, in the order their draws index them
+INSERT, REPLACE, PERMUTE = 0, 1, 2
+
 
 class TaskBuildError(ValueError):
     pass
-
-
-@dataclass
-class TokenSlot:
-    input_id: int
-    orig_id: int
-    special: bool = False
-    seg: int = 0
-    from_source: bool = True
-    capitalized: bool = False
-    tf: float = 0.0
-    tfidf: float = 0.0
-    corrupted: bool = False
-    masked: bool = False
-    mask_target: int = -1
 
 
 @dataclass
@@ -63,14 +72,6 @@ class MaskedSequence:
     input_ids: "list[int]"
     mlm_targets: "dict[int, int]"
     mask_positions: "list[int]"
-
-
-@dataclass
-class SegmentPair:
-    tokens_a: "list[int]"
-    tokens_b: "list[int]"
-    pair_label: int
-    pair_mode: str
 
 
 @dataclass
@@ -118,128 +119,135 @@ class TrainingBatch:
         return self.input_ids.shape[1]
 
 
-# ------------------------------------------------------------- slot stages
+# -------------------------------------------------------------- row stages
 
-def _mask_slots(slots: "list[TokenSlot]", rng, vocab) -> None:
-    maskable = [i for i, s in enumerate(slots) if not s.special]
-    if not maskable:
-        return
-    draws = rng.random(len(maskable))
-    chosen = [i for i, r in zip(maskable, draws) if r < MLM_RATE]
-    if not chosen:
-        chosen = [maskable[int(rng.integers(len(maskable)))]]
-    for i in chosen:
-        slot = slots[i]
-        slot.masked = True
-        slot.mask_target = slot.orig_id
+def _mask(row: np.ndarray, rng, vocab) -> "tuple[np.ndarray, np.ndarray]":
+    """Stage 4: overwrite the ids of chosen non-special slots in place.
+
+    Returns the chosen columns and their ids before masking."""
+    maskable = (row[POS] != SPECIAL).nonzero()[0]
+    if not maskable.size:
+        return maskable, maskable
+    chosen = maskable[rng.random(maskable.size) < MLM_RATE]
+    if not chosen.size:
+        chosen = maskable[[int(rng.integers(maskable.size))]]
+    targets = row[ID, chosen]
+    ids = row[ID]
+    # one split draw per slot, each followed by its random id if it needs
+    # one: the draws interleave, so they cannot be taken as one array
+    for i in chosen.tolist():
         r = rng.random()
         if r < MASK_SPLIT[0]:
-            slot.input_id = vocab.mask_id
+            ids[i] = vocab.mask_id
         elif r < MASK_SPLIT[0] + MASK_SPLIT[1]:
-            slot.input_id = int(vocab.random_regular_id(rng))
+            ids[i] = vocab.random_regular_id(rng)
         # else: keep the original id, target still recorded
+    return chosen, targets
 
 
-def _replacement_slot(seg: int, new_id: int) -> TokenSlot:
-    return TokenSlot(input_id=new_id, orig_id=new_id, seg=seg,
-                     from_source=False, corrupted=True)
+def _corrupt(row: np.ndarray, rng, vocab, rate: float,
+             trim_to: "int | None") -> np.ndarray:
+    """Stage 2 on one segment: returns the corrupted, trimmed row.
 
-
-def _corrupt_slots(segment: "list[TokenSlot]", rng, vocab,
-                   rate: float, trim_to: "int | None") -> "list[TokenSlot]":
+    Draws, in order: one uniform per slot, one op per selected slot, one
+    partner per permutation, one random id per replaced or inserted slot.
+    """
     if not 0 < rate <= 0.5:
         raise TaskBuildError(f"corruption rate {rate} outside (0, 0.5]")
-    n = len(segment)
-    draws = rng.random(n)
-    selected = [i for i in range(n)
-                if draws[i] < rate and not segment[i].special]
-    ops = {i: ("insert", "replace", "permute")[int(rng.integers(3))]
-           for i in selected}
-    work = list(segment)
-    for i in selected:
-        if ops[i] != "permute":
+    n = row.shape[1]
+    special = row[POS] == SPECIAL
+    selected = ((rng.random(n) < rate) & ~special).nonzero()[0].tolist()
+    if not selected:
+        return row[:, :trim_to]
+    ops = rng.integers(3, size=len(selected)).tolist()
+    take = list(range(n))  # the source column of each output column
+    moved = []
+    for k, i in enumerate(selected):
+        if ops[k] != PERMUTE:
             continue
         candidates = [j for j in selected if j != i]
         for j in (i - 1, i + 1):
-            if 0 <= j < n and not work[j].special and j not in candidates:
+            if 0 <= j < n and not special[j] and j not in candidates:
                 candidates.append(j)
         if not candidates:
-            ops[i] = "replace"
+            ops[k] = REPLACE
             continue
         j = candidates[int(rng.integers(len(candidates)))]
-        work[i], work[j] = work[j], work[i]
-        work[i].corrupted = True
-        work[j].corrupted = True
-    out = []
-    for i, slot in enumerate(work):
-        op = ops.get(i)
-        if op == "replace":
-            slot = _replacement_slot(slot.seg, int(vocab.random_regular_id(rng)))
-        out.append(slot)
-        if op == "insert":
-            out.append(_replacement_slot(slot.seg,
-                                         int(vocab.random_regular_id(rng))))
-    if trim_to is not None:
-        out = out[:trim_to]
-    return out
+        take[i], take[j] = take[j], take[i]
+        moved += [take[i], take[j]]
+    row[CORRUPT, moved] = 1
+    fresh = [(i, op) for i, op in zip(selected, ops) if op != PERMUTE]
+    if fresh:
+        # one random id per replaced or inserted slot, in column order
+        cols = np.empty((3, len(fresh)), dtype=np.int64)
+        cols[POS] = FRESH
+        cols[ID] = vocab.random_regular_id(rng, size=len(fresh))
+        cols[CORRUPT] = 1
+        row = np.concatenate([row, cols], axis=1)
+        # from the right, so an insertion shifts no column still to come
+        for k in reversed(range(len(fresh))):
+            i, op = fresh[k]
+            if op == REPLACE:
+                take[i] = n + k
+            else:
+                take.insert(i + 1, n + k)
+    return row[:, take[:trim_to]]
 
 
-def _shuffle_trigram_slots(slots: "list[TokenSlot]", rng):
-    starts = [i for i in range(len(slots) - 2)
-              if not (slots[i].special or slots[i + 1].special
-                      or slots[i + 2].special)]
-    if not starts:
+def _shuffle_trigram(row: np.ndarray, rng) -> "tuple[int, int] | None":
+    """Stage 3: permute one trigram of non-special slots in place."""
+    ok = row[POS] != SPECIAL
+    starts = (ok[:-2] & ok[1:-1] & ok[2:]).nonzero()[0]
+    if not starts.size:
         return None
-    s = starts[int(rng.integers(len(starts)))]
+    s = int(starts[int(rng.integers(starts.size))])
     klass = int(rng.integers(6))
-    perm = TRIGRAM_PERMS[klass]
-    original = [slots[s], slots[s + 1], slots[s + 2]]
-    for offset in range(3):
-        slots[s + offset] = original[perm[offset]]
+    row[:, s:s + 3] = row[:, [s + k for k in TRIGRAM_PERMS[klass]]]
     return s, klass
 
 
 # ---------------------------------------------------------- public wrappers
 
-def _slots_from_ids(ids, vocab) -> "list[TokenSlot]":
-    return [TokenSlot(input_id=int(i), orig_id=int(i),
-                      special=int(i) in vocab.special_ids) for i in ids]
+def _row_from_ids(ids, vocab) -> np.ndarray:
+    """A row over a raw id sequence: special ids get the SPECIAL code, the
+    rest their index in the sequence."""
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    row = np.zeros((3, ids.size), dtype=np.int64)
+    row[POS] = np.where(np.isin(ids, list(vocab.special_ids)), SPECIAL,
+                        np.arange(ids.size))
+    row[ID] = ids
+    return row
 
 
 def apply_mlm_mask(ids, rng, vocab) -> MaskedSequence:
     """Mask a raw id sequence (specials included) per the 15% protocol."""
-    slots = _slots_from_ids(ids, vocab)
-    _mask_slots(slots, rng, vocab)
-    targets = {i: s.mask_target for i, s in enumerate(slots) if s.masked}
-    return MaskedSequence(input_ids=[s.input_id for s in slots],
-                          mlm_targets=targets,
-                          mask_positions=sorted(targets))
+    row = _row_from_ids(ids, vocab)
+    cols, targets = _mask(row, rng, vocab)
+    positions = cols.tolist()
+    return MaskedSequence(input_ids=row[ID].tolist(),
+                          mlm_targets=dict(zip(positions, targets.tolist())),
+                          mask_positions=positions)
 
 
 def corrupt_tokens(ids, rng, vocab, rate: float = CORRUPTION_RATE,
                    max_len: "int | None" = None) -> CorruptionRecord:
-    slots = _corrupt_slots(_slots_from_ids(ids, vocab), rng, vocab, rate,
-                           trim_to=max_len)
-    labels = [s.corrupted for s in slots]
-    return CorruptionRecord(corrupted_ids=[s.input_id for s in slots],
+    row = _corrupt(_row_from_ids(ids, vocab), rng, vocab, rate,
+                   trim_to=max_len)
+    labels = row[CORRUPT].astype(bool).tolist()
+    return CorruptionRecord(corrupted_ids=row[ID].tolist(),
                             token_labels=labels, sentence_label=any(labels))
 
 
 def shuffle_trigram(ids, rng, vocab) -> "TrigramShuffle | None":
-    slots = _slots_from_ids(ids, vocab)
-    hit = _shuffle_trigram_slots(slots, rng)
+    row = _row_from_ids(ids, vocab)
+    hit = _shuffle_trigram(row, rng)
     if hit is None:
         return None
     start, klass = hit
-    return TrigramShuffle(ids=[s.input_id for s in slots], start=start,
-                          perm_class=klass)
+    return TrigramShuffle(ids=row[ID].tolist(), start=start, perm_class=klass)
 
 
 # ------------------------------------------------------------ span drawing
-
-def _sentence_counts(doc) -> np.ndarray:
-    return np.diff(doc.sentence_offsets)
-
 
 def _run_forward(doc, s0: int, budget: int, max_sentence_end: "int | None" = None):
     """Greedy whole-sentence run from s0; mid-sentence truncation fallback.
@@ -379,14 +387,6 @@ def _draw_pair(reader, mode: str, rng, max_seq_len: int) -> _PairDraw:
                          f"{MAX_DRAW_TRIES} attempts")
 
 
-def build_sentence_pair(reader, mode: str, rng, max_seq_len: int = 128) -> SegmentPair:
-    draw = _draw_pair(reader, mode, rng, max_seq_len)
-    docs = reader.documents
-    a = docs[draw.a_doc].token_ids[draw.a_span[0]:draw.a_span[1]]
-    b = docs[draw.b_doc].token_ids[draw.b_span[0]:draw.b_span[1]]
-    return SegmentPair(tokens_a=[int(t) for t in a], tokens_b=[int(t) for t in b],
-                       pair_label=draw.label, pair_mode=mode)
-
 
 @dataclass
 class _ContinuationDraw:
@@ -451,49 +451,23 @@ def _draw_continuation(reader, rng, capacity: int,
 
 # ------------------------------------------------------------ row assembly
 
-def _slots_from_span(doc, start: int, end: int, seg: int) -> "list[TokenSlot]":
-    ids = doc.token_ids[start:end]
-    tf = doc.tf[start:end]
-    tfidf = doc.tfidf[start:end]
-    flags = doc.flags[start:end]
-    return [TokenSlot(input_id=int(t), orig_id=int(t), seg=seg,
-                      capitalized=bool(flags[k] & FLAG_CAPITALIZED),
-                      tf=float(tf[k]), tfidf=float(tfidf[k]))
-            for k, t in enumerate(ids)]
-
-
-def _special_slot(token_id: int, seg: int) -> TokenSlot:
-    return TokenSlot(input_id=token_id, orig_id=token_id, special=True, seg=seg)
-
-
-def _assemble_row(segments: "list[list[TokenSlot]]", vocab) -> "list[TokenSlot]":
-    row = [_special_slot(vocab.cls_id, 0)]
-    for seg_index, seg in enumerate(segments):
-        for slot in seg:
-            slot.seg = seg_index
-        row.extend(seg)
-        row.append(_special_slot(vocab.sep_id, seg_index))
-    return row
-
-
-class _RowDraft:
-    __slots__ = ("segments", "meta", "labels", "row", "tgs_start", "tgs_class")
-
-    def __init__(self, segments, meta):
-        self.segments = segments
-        self.meta = meta
-        self.labels: dict = {}
-        self.row: "list[TokenSlot]" = []
-        self.tgs_start = -1
-        self.tgs_class = -1
+def _table_span(reader, doc_index: int, start: int, end: int):
+    """A document's [start, end) token span in the reader-wide table."""
+    base = int(reader.doc_starts[doc_index])
+    return base + start, base + end
 
 
 def _draw_rows(reader, names, rng, batch_size, max_seq_len):
-    """Stage 1: choose text and build per-row segment lists."""
+    """Stage 1: choose text.
+
+    Returns one (segments, meta, pair label) tuple per row, where segments
+    are [start, end) spans of the reader-wide token table and the pair
+    label is None for sets without a pair task, and the continuation flag.
+    """
     continuation = bool(CONTINUATION_TASKS & set(names))
     pair_mode = next((t for t in ("nsp", "asp", "sdp", "so") if t in names), None)
     docs = reader.documents
-    rows: "list[_RowDraft]" = []
+    rows = []
 
     if continuation:
         if batch_size % 2 != 0:
@@ -502,8 +476,7 @@ def _draw_rows(reader, names, rng, batch_size, max_seq_len):
         with_so = "so" in names
         capacity = max_seq_len - (3 if with_so else 2)
         min_sentences = 2 if with_so else 1
-        firsts: "list[_RowDraft]" = []
-        seconds: "list[_RowDraft]" = []
+        firsts, seconds = [], []
         for _ in range(batch_size // 2):
             draw = _draw_continuation(reader, rng, capacity, min_sentences)
             doc = docs[draw.doc]
@@ -515,31 +488,26 @@ def _draw_rows(reader, names, rng, batch_size, max_seq_len):
                     s_lo, s_hi = sents
                     split = s_lo + 1 + int(rng.integers(s_hi - s_lo - 1))
                     cut = int(doc.sentence_offsets[split])
-                    seg_a = _slots_from_span(doc, span[0], cut, 0)
-                    seg_b = _slots_from_span(doc, cut, span[1], 1)
+                    seg_a = _table_span(reader, draw.doc, span[0], cut)
+                    seg_b = _table_span(reader, draw.doc, cut, span[1])
                     swapped = int(rng.random() < 0.5)
                     segments = [seg_b, seg_a] if swapped else [seg_a, seg_b]
-                    draft = _RowDraft(segments, meta)
-                    draft.labels["so"] = swapped
+                    bucket.append((segments, meta, swapped))
                 else:
-                    draft = _RowDraft([_slots_from_span(doc, span[0], span[1], 0)],
-                                      meta)
-                bucket.append(draft)
-        rows = firsts + seconds
-        return rows, True
+                    bucket.append(([_table_span(reader, draw.doc, *span)],
+                                   meta, None))
+        return firsts + seconds, True
 
     if pair_mode is not None:
         for _ in range(batch_size):
             draw = _draw_pair(reader, pair_mode, rng, max_seq_len)
-            seg_a = _slots_from_span(docs[draw.a_doc], *draw.a_span, 0)
-            seg_b = _slots_from_span(docs[draw.b_doc], *draw.b_span, 1)
             meta = RowMeta(doc_index=draw.a_doc, token_start=draw.a_span[0],
                            token_end=draw.a_span[1], b_doc_index=draw.b_doc,
                            b_token_start=draw.b_span[0],
                            b_token_end=draw.b_span[1])
-            draft = _RowDraft([seg_a, seg_b], meta)
-            draft.labels[pair_mode] = draw.label
-            rows.append(draft)
+            segments = [_table_span(reader, draw.a_doc, *draw.a_span),
+                        _table_span(reader, draw.b_doc, *draw.b_span)]
+            rows.append((segments, meta, draw.label))
         return rows, False
 
     budget = max_seq_len - 2
@@ -549,8 +517,22 @@ def _draw_rows(reader, names, rng, batch_size, max_seq_len):
         s0 = int(rng.integers(doc.n_sentences))
         a0, a1, _ = _run_forward(doc, s0, budget)
         meta = RowMeta(doc_index=di, token_start=a0, token_end=a1)
-        rows.append(_RowDraft([_slots_from_span(doc, a0, a1, 0)], meta))
+        rows.append(([_table_span(reader, di, a0, a1)], meta, None))
     return rows, False
+
+
+def _type_ids(segments) -> np.ndarray:
+    """Segment index of each slot of a [CLS] A [SEP] (B [SEP]) row."""
+    sizes = [end - start + 1 for start, end in segments]
+    sizes[0] += 1  # [CLS]
+    return np.repeat(np.arange(len(sizes)), sizes)
+
+
+def _grid(where: np.ndarray, values, fill, dtype) -> np.ndarray:
+    """values at the true cells of where, in row-major order; fill elsewhere."""
+    grid = np.full(where.shape, fill, dtype=dtype)
+    grid[where] = values
+    return grid
 
 
 def assemble_batch(reader, vocab, task_set, batch_size: int, max_seq_len: int,
@@ -571,101 +553,88 @@ def assemble_batch(reader, vocab, task_set, batch_size: int, max_seq_len: int,
                                     max_seq_len)
 
     corrupt = bool(CORRUPTION_TASKS & name_set)
-    for draft in rows:
-        if corrupt:
-            draft.segments = [
-                _corrupt_slots(seg, rng, vocab, CORRUPTION_RATE,
-                               trim_to=len(seg))
-                for seg in draft.segments]
-        draft.row = _assemble_row(draft.segments, vocab)
+    masking = bool(MASKING_TASKS & name_set)
+    cls = np.array([[SPECIAL], [vocab.cls_id], [0]], dtype=np.int64)
+    sep = np.array([[SPECIAL], [vocab.sep_id], [0]], dtype=np.int64)
+    built = []
+    tgs_starts = np.full(batch_size, -1, dtype=np.int64)
+    tgs_classes = np.full(batch_size, -1, dtype=np.int64)
+    mask_cols, mask_targets = [], []
+    for r, (segments, _, _) in enumerate(rows):
+        parts = [cls]
+        for start, end in segments:
+            seg = np.zeros((3, end - start), dtype=np.int64)
+            seg[POS] = np.arange(start, end)
+            seg[ID] = reader.token_ids[start:end]
+            if corrupt:
+                seg = _corrupt(seg, rng, vocab, CORRUPTION_RATE,
+                               trim_to=end - start)
+            parts += [seg, sep]
+        row = np.concatenate(parts, axis=1)
         if "tgs" in name_set:
-            hit = _shuffle_trigram_slots(draft.row, rng)
+            hit = _shuffle_trigram(row, rng)
             if hit is not None:
-                draft.tgs_start, draft.tgs_class = hit
-        if MASKING_TASKS & name_set:
-            _mask_slots(draft.row, rng, vocab)
+                tgs_starts[r], tgs_classes[r] = hit
+        if masking:
+            cols, targets = _mask(row, rng, vocab)
+            mask_cols.append(cols)
+            mask_targets.append(targets)
+        built.append(row)
 
     b, seq = batch_size, max_seq_len
-    input_ids = np.full((b, seq), vocab.pad_id, dtype=np.int64)
-    type_ids = np.zeros((b, seq), dtype=np.int64)
-    attention = np.zeros((b, seq), dtype=bool)
-    special = np.ones((b, seq), dtype=bool)
-    for r, draft in enumerate(rows):
-        if len(draft.row) > seq:
-            raise TaskBuildError(
-                f"row length {len(draft.row)} exceeds max_seq_len {seq}")
-        for c, slot in enumerate(draft.row):
-            input_ids[r, c] = slot.input_id
-            type_ids[r, c] = slot.seg
-            attention[r, c] = True
-            special[r, c] = slot.special
+    lengths = np.array([row.shape[1] for row in built])
+    too_long = np.flatnonzero(lengths > seq)
+    if too_long.size:
+        raise TaskBuildError(f"row length {lengths[too_long[0]]} exceeds "
+                             f"max_seq_len {seq}")
+    flat = np.concatenate(built, axis=1)
+    attention = np.arange(seq) < lengths[:, None]
+    input_ids = _grid(attention, flat[ID], vocab.pad_id, np.int64)
+    type_ids = _grid(attention,
+                     np.concatenate([_type_ids(segs) for segs, _, _ in rows]),
+                     0, np.int64)
+    position = _grid(attention, flat[POS], SPECIAL, np.int64)
+    special = position == SPECIAL
 
     labels: dict = {}
-    if MASKING_TASKS & name_set:
-        positions, targets = [], []
-        for r, draft in enumerate(rows):
-            for c, slot in enumerate(draft.row):
-                if slot.masked:
-                    positions.append((r, c))
-                    targets.append(slot.mask_target)
-        positions = np.asarray(positions, dtype=np.int64).reshape(-1, 2)
+    if masking:
+        counts = [cols.size for cols in mask_cols]
+        positions = np.empty((sum(counts), 2), dtype=np.int64)
+        positions[:, 0] = np.repeat(np.arange(b), counts)
+        positions[:, 1] = np.concatenate(mask_cols)
         labels["mlm"] = {
             "positions": positions,
-            "targets": np.asarray(targets, dtype=np.int64),
+            "targets": np.concatenate(mask_targets),
             "left": positions - np.array([0, 1], dtype=np.int64),
             "right": positions + np.array([0, 1], dtype=np.int64),
         }
+    source = position >= 0
+    at = position[source]
     for task in ("tf", "tfidf", "tlp"):
         if task not in name_set:
             continue
-        values = np.zeros((b, seq))
-        weights = np.zeros((b, seq))
-        for r, draft in enumerate(rows):
-            for c, slot in enumerate(draft.row):
-                if slot.special or not slot.from_source:
-                    continue
-                weights[r, c] = 1.0
-                if task == "tf":
-                    values[r, c] = slot.tf
-                elif task == "tfidf":
-                    values[r, c] = slot.tfidf
-                else:
-                    values[r, c] = float(vocab.piece_char_lengths[slot.orig_id])
-        labels[task] = {"values": values, "weights": weights}
+        values = vocab.piece_char_lengths[reader.token_ids[at]] \
+            if task == "tlp" else getattr(reader, task)[at]
+        labels[task] = {"values": _grid(source, values, 0.0, np.float64),
+                        "weights": source.astype(np.float64)}
     if "cap" in name_set:
-        grid = np.zeros((b, seq), dtype=np.int64)
-        weights = np.zeros((b, seq))
-        for r, draft in enumerate(rows):
-            for c, slot in enumerate(draft.row):
-                if not slot.special and slot.from_source:
-                    weights[r, c] = 1.0
-                    grid[r, c] = int(slot.capitalized)
-        labels["cap"] = {"labels": grid, "weights": weights}
+        capitalized = (reader.flags[at] & FLAG_CAPITALIZED) != 0
+        labels["cap"] = {"labels": _grid(source, capitalized, 0, np.int64),
+                         "weights": source.astype(np.float64)}
+    corrupted = _grid(attention, flat[CORRUPT], 0, np.int64)
     if "tcp" in name_set:
-        grid = np.zeros((b, seq), dtype=np.int64)
-        weights = np.zeros((b, seq))
-        for r, draft in enumerate(rows):
-            for c, slot in enumerate(draft.row):
-                if not slot.special:
-                    weights[r, c] = 1.0
-                    grid[r, c] = int(slot.corrupted)
-        labels["tcp"] = {"labels": grid, "weights": weights}
+        labels["tcp"] = {"labels": corrupted,
+                         "weights": (~special).astype(np.float64)}
     if "scp" in name_set:
-        labels["scp"] = np.asarray(
-            [int(any(s.corrupted for s in draft.row)) for draft in rows],
-            dtype=np.int64)
+        labels["scp"] = corrupted.any(axis=1).astype(np.int64)
     if "tgs" in name_set:
-        labels["tgs"] = {
-            "starts": np.asarray([d.tgs_start for d in rows], dtype=np.int64),
-            "labels": np.asarray([d.tgs_class for d in rows], dtype=np.int64),
-        }
-    for task in PAIR_TASKS:
-        if task in name_set:
-            labels[task] = np.asarray(
-                [draft.labels[task] for draft in rows], dtype=np.int64)
+        labels["tgs"] = {"starts": tgs_starts, "labels": tgs_classes}
+    for task in PAIR_TASKS & name_set:
+        labels[task] = np.asarray([label for _, _, label in rows],
+                                  dtype=np.int64)
 
     return TrainingBatch(input_ids=input_ids, type_ids=type_ids,
                          attention_mask=attention, special_mask=special,
                          task_id=task_id, task_set=tuple(names),
                          continuation_paired=continuation, labels=labels,
-                         meta=[draft.meta for draft in rows])
+                         meta=[meta for _, meta, _ in rows])

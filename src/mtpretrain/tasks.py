@@ -80,21 +80,6 @@ def canonical_task(name: str) -> str:
     return key
 
 
-def parse_task_list(spec) -> "list[str]":
-    """Parse a comma-separated string (or iterable) into canonical task names."""
-    if isinstance(spec, str):
-        parts = [p for p in spec.split(",") if p.strip()]
-    else:
-        parts = list(spec)
-    names = [canonical_task(p) for p in parts]
-    if not names:
-        raise TaskError("empty task list")
-    dupes = {n for n in names if names.count(n) > 1}
-    if dupes:
-        raise TaskError(f"duplicate tasks: {', '.join(sorted(dupes))}")
-    return names
-
-
 def validate_compatibility(task_set) -> None:
     """Reject task sets whose input structures cannot coexist in one batch.
 

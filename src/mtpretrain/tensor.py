@@ -26,8 +26,10 @@ is skipped, and its backward term is never computed.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -700,20 +702,25 @@ def save_checkpoint(path, params: "dict[str, Tensor]", config: dict,
         "adam_t": optimizer.t if optimizer is not None else 0,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
-        fh.write(blob)
-        for m in manifest:
-            fh.write(np.ascontiguousarray(
-                params[m["name"]].data, dtype="<f4").tobytes())
-        if optimizer is not None:
-            for m in manifest:
-                fh.write(np.ascontiguousarray(
-                    optimizer.m[m["name"]], dtype="<f4").tobytes())
-            for m in manifest:
-                fh.write(np.ascontiguousarray(
-                    optimizer.v[m["name"]], dtype="<f4").tobytes())
+    # written beside the target and renamed over it, so a write that stops
+    # partway leaves the previous checkpoint in place
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
+            fh.write(blob)
+            arrays = [params[m["name"]].data for m in manifest]
+            if optimizer is not None:
+                arrays += [optimizer.m[m["name"]] for m in manifest]
+                arrays += [optimizer.v[m["name"]] for m in manifest]
+            for arr in arrays:
+                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

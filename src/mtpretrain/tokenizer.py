@@ -84,11 +84,15 @@ class Vocabulary:
     def is_special(self, token_id: int) -> bool:
         return token_id in self.special_ids
 
-    def random_regular_id(self, rng: np.random.Generator) -> int:
-        """Uniform draw over non-special vocabulary ids."""
-        if len(self.sampleable_ids) == 0:
+    def random_regular_id(self, rng: np.random.Generator, size=None):
+        """Uniform draw over non-special vocabulary ids. With size, an array
+        of that many ids, equal to what as many scalar calls would return."""
+        n = len(self.sampleable_ids)
+        if n == 0:
             raise VocabError("vocabulary has no non-special tokens to sample")
-        return int(self.sampleable_ids[rng.integers(0, len(self.sampleable_ids))])
+        if size is None:
+            return int(self.sampleable_ids[rng.integers(0, n)])
+        return self.sampleable_ids[rng.integers(0, n, size=size)]
 
 
 def load_vocab(path) -> Vocabulary:

@@ -113,6 +113,24 @@ def load_config(path) -> TrainConfig:
     return parse_config_text(Path(path).read_text(encoding="utf-8"))
 
 
+# fields that define the schedule, the model and the learning rate: a run
+# resumes only under the values its checkpoint was written with
+_RESUME_FIELDS = ("total_tokens", "tasks", "strategy", "batch_size",
+                  "max_seq_len", "seed", "layers", "hidden", "heads",
+                  "dropout", "task_vocab", "base_lr", "warmup_frac")
+
+
+def _check_resume_config(config: TrainConfig, stored, path) -> None:
+    if not isinstance(stored, dict):
+        raise TrainingError(f"{path} holds no training config to resume from")
+    current = config.to_dict()
+    for key in _RESUME_FIELDS:
+        if stored.get(key) != current[key]:
+            raise TrainingError(
+                f"cannot resume from {path}: it was written with "
+                f"{key}={stored.get(key)!r}, this run has {key}={current[key]!r}")
+
+
 @dataclass
 class StepRecord:
     step: int
@@ -210,10 +228,12 @@ def train(config: TrainConfig) -> TrainResult:
     tokens_seen = 0
     if config.resume_from:
         ck = tz.load_checkpoint(config.resume_from)
-        model.load_values(ck.params)
         if ck.adam_m is None:
             raise TrainingError(
                 f"{config.resume_from} has no optimizer state to resume from")
+        _check_resume_config(config, ck.config.get("train"),
+                             config.resume_from)
+        model.load_values(ck.params)
         optimizer.m = {k: v.astype(tz.default_dtype()) for k, v in ck.adam_m.items()}
         optimizer.v = {k: v.astype(tz.default_dtype()) for k, v in ck.adam_v.items()}
         optimizer.t = ck.adam_t

@@ -400,3 +400,19 @@ def test_stored_documents_pass_filter_invariants(small_reader):
         assert doc.sentence_offsets[0] == 0
         assert doc.sentence_offsets[-1] == doc.n_tokens
         assert (np.diff(doc.sentence_offsets) > 0).all()
+
+
+def test_reader_arrays_hold_every_document_as_views(small_reader):
+    r = small_reader
+    assert r.doc_starts[0] == 0
+    assert r.doc_starts[-1] == r.total_tokens == r.token_ids.size
+    for i, doc in enumerate(r.documents):
+        a, b = r.doc_starts[i], r.doc_starts[i + 1]
+        for name in ("token_ids", "tf", "tfidf", "flags"):
+            table = getattr(r, name)
+            assert np.shares_memory(getattr(doc, name), table)
+            assert np.array_equal(getattr(doc, name), table[a:b])
+    sub = r.subset([3, 1])
+    assert np.array_equal(sub.token_ids, np.concatenate(
+        [r.documents[3].token_ids, r.documents[1].token_ids]))
+    assert not np.shares_memory(sub.token_ids, r.token_ids)

@@ -181,32 +181,6 @@ def test_materialization_guard():
         sd.make_schedule("sum", ["mlm"], 10**9, 1)
 
 
-def test_next_step_bounds():
-    sch = sd.make_schedule("sum", ["mlm"], 300, 100)
-    assert sd.next_step(sch, 0) == (("mlm",), 0)
-    with pytest.raises(SchedulerError):
-        sd.next_step(sch, 3)
-
-
-# ----------------------------------------------------------- serialization
-
-def test_schedule_text_roundtrip():
-    sch = sd.make_schedule("cmtl_plus", ["mlm", "tf", "qt"], 1200, 100)
-    text = sd.schedule_to_text(sch)
-    back = sd.schedule_from_text(text)
-    assert back.strategy == sch.strategy
-    assert back.tasks == sch.tasks
-    assert back.batch_tokens == sch.batch_tokens
-    assert back.steps == sch.steps
-
-
-def test_schedule_from_text_rejects_bad_lines():
-    with pytest.raises(SchedulerError):
-        sd.schedule_from_text("0, mlm, 100\n")
-    with pytest.raises(SchedulerError):
-        sd.schedule_from_text("1, mlm, 100, 0\n")
-
-
 @settings(max_examples=30, deadline=None)
 @given(strategy=st.sampled_from(["sum", "inc", "alt"]),
        n_steps=st.integers(1, 60), batch=st.integers(1, 256))

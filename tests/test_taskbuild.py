@@ -1,4 +1,5 @@
-import itertools
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -485,3 +486,97 @@ def test_padding_rows_marked_special_and_unattended(small_reader, word_vocab):
     assert pad.any()
     assert batch.special_mask[pad].all()
     assert np.all(batch.input_ids[pad] == word_vocab.pad_id)
+
+
+# ----------------------------------------------------------- golden batches
+
+GOLDEN_SETS = [
+    ("mlm", "sbo", "tf", "tfidf", "tlp", "cap"),
+    ("tcp", "scp", "tgs"),
+    ("nsp",),
+    ("asp",),
+    ("sdp",),
+    ("so",),
+    ("qt", "fs"),
+    ("mlm", "sbo", "tcp", "scp", "tgs", "cap", "tfidf", "tlp"),
+    ("qt", "fs", "mlm", "tcp", "tgs"),
+]
+GOLDEN_SHAPES = [(8, 24), (16, 64)]
+GOLDEN_STEPS = [0, 3]
+
+
+def _digest_array(h, arr):
+    arr = np.ascontiguousarray(arr)
+    h.update(f"{arr.dtype.str}{arr.shape}".encode())
+    h.update(arr.tobytes())
+
+
+def batch_digest(batch) -> str:
+    """sha256 over every array, label, row provenance and flag of a batch."""
+    h = hashlib.sha256()
+    for arr in (batch.input_ids, batch.type_ids, batch.attention_mask,
+                batch.special_mask):
+        _digest_array(h, arr)
+    for task in sorted(batch.labels):
+        h.update(task.encode())
+        lab = batch.labels[task]
+        for key in sorted(lab) if isinstance(lab, dict) else [None]:
+            h.update(str(key).encode())
+            _digest_array(h, lab if key is None else lab[key])
+    for m in batch.meta:
+        h.update(repr(dataclasses.astuple(m)).encode())
+    h.update(repr((batch.task_set, batch.continuation_paired)).encode())
+    return h.hexdigest()[:16]
+
+
+# digests of the batches built before the array-row rewrite of taskbuild;
+# every stage must keep its draws and its output bit for bit
+GOLDEN_DIGESTS = {
+    ("mlm,sbo,tf,tfidf,tlp,cap", 8, 24, 0): "6f8b292953ee5bc4",
+    ("mlm,sbo,tf,tfidf,tlp,cap", 8, 24, 3): "f0ecf6e33986fb1c",
+    ("mlm,sbo,tf,tfidf,tlp,cap", 16, 64, 0): "41e1769637210081",
+    ("mlm,sbo,tf,tfidf,tlp,cap", 16, 64, 3): "887843969d17e846",
+    ("tcp,scp,tgs", 8, 24, 0): "cbfbbb90f8e8b81b",
+    ("tcp,scp,tgs", 8, 24, 3): "0163d8ac46cd1ee2",
+    ("tcp,scp,tgs", 16, 64, 0): "fa204703b1795e17",
+    ("tcp,scp,tgs", 16, 64, 3): "56dd166103e07c9e",
+    ("nsp", 8, 24, 0): "a64c04010c699535",
+    ("nsp", 8, 24, 3): "9467d7d44e340b76",
+    ("nsp", 16, 64, 0): "18d605f4364233ad",
+    ("nsp", 16, 64, 3): "66d2160f494f62a2",
+    ("asp", 8, 24, 0): "016a96cf9116f95f",
+    ("asp", 8, 24, 3): "384f27b722c60f35",
+    ("asp", 16, 64, 0): "202dda3ace63a510",
+    ("asp", 16, 64, 3): "54b1120f67ddda71",
+    ("sdp", 8, 24, 0): "cb8cae1942b683a1",
+    ("sdp", 8, 24, 3): "ec16e3c2d85672f2",
+    ("sdp", 16, 64, 0): "3b6f9abc17310ed1",
+    ("sdp", 16, 64, 3): "b20f08bd3e8c0a2a",
+    ("so", 8, 24, 0): "a5dd76d64a13639b",
+    ("so", 8, 24, 3): "20c397ba93469f79",
+    ("so", 16, 64, 0): "f7ebb6dff7c09f5e",
+    ("so", 16, 64, 3): "6a7034371d96b583",
+    ("qt,fs", 8, 24, 0): "b9a611dbceccbb3b",
+    ("qt,fs", 8, 24, 3): "b82f0df31730d663",
+    ("qt,fs", 16, 64, 0): "f1a1fa137be168be",
+    ("qt,fs", 16, 64, 3): "23f14c59c12fc075",
+    ("mlm,sbo,tcp,scp,tgs,cap,tfidf,tlp", 8, 24, 0): "62892f38d1474704",
+    ("mlm,sbo,tcp,scp,tgs,cap,tfidf,tlp", 8, 24, 3): "f51cc09b07e55a1b",
+    ("mlm,sbo,tcp,scp,tgs,cap,tfidf,tlp", 16, 64, 0): "54b197f84ca23334",
+    ("mlm,sbo,tcp,scp,tgs,cap,tfidf,tlp", 16, 64, 3): "4a51e2c77245e22a",
+    ("qt,fs,mlm,tcp,tgs", 8, 24, 0): "155b69655cee807f",
+    ("qt,fs,mlm,tcp,tgs", 8, 24, 3): "df319743ced7721f",
+    ("qt,fs,mlm,tcp,tgs", 16, 64, 0): "57d69da72709dbb8",
+    ("qt,fs,mlm,tcp,tgs", 16, 64, 3): "ce745586a5273f5b",
+}
+
+
+def test_golden_batch_digests(small_reader, word_vocab):
+    got = {}
+    for task_set in GOLDEN_SETS:
+        for b, seq in GOLDEN_SHAPES:
+            for step in GOLDEN_STEPS:
+                batch = tb.assemble_batch(small_reader, word_vocab, task_set,
+                                          b, seq, seed=31, step=step)
+                got[(",".join(task_set), b, seq, step)] = batch_digest(batch)
+    assert got == GOLDEN_DIGESTS

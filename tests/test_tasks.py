@@ -38,15 +38,6 @@ def test_canonical_task_aliases_and_case():
         tasks.canonical_task("mlmx")
 
 
-def test_parse_task_list_string_and_iterable():
-    assert tasks.parse_task_list("mlm,qt, so") == ["mlm", "qt", "so"]
-    assert tasks.parse_task_list(["nsp"]) == ["nsp"]
-    with pytest.raises(tasks.TaskError):
-        tasks.parse_task_list("mlm,mlm")
-    with pytest.raises(tasks.TaskError):
-        tasks.parse_task_list("")
-
-
 def test_so_rejects_every_randomized_pair_task():
     for other in ("nsp", "asp", "sdp"):
         with pytest.raises(tasks.TaskError):

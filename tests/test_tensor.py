@@ -340,6 +340,47 @@ def test_checkpoint_roundtrip(tmp_path):
     tz.set_default_dtype("float64")
 
 
+class _FailingFile:
+    """A writable file that raises once more than `limit` bytes were written."""
+
+    def __init__(self, fh, limit):
+        self.fh, self.limit, self.written = fh, limit, 0
+
+    def write(self, data):
+        self.written += len(data)
+        if self.written > self.limit:
+            raise OSError("disk full")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_interrupted_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
+    params = {"w.weight": Tensor(np.arange(6.0).reshape(2, 3),
+                                 requires_grad=True)}
+    path = tmp_path / "ck.mtpt"
+    tz.save_checkpoint(path, params, config={"run": 1},
+                       train_state={"step": 4}, optimizer=tz.Adam(params))
+    before = path.read_bytes()
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        return _FailingFile(open(file, mode, *args, **kwargs), limit=40)
+
+    monkeypatch.setattr(tz, "open", failing_open, raising=False)
+    params["w.weight"].data += 1.0
+    with pytest.raises(OSError, match="disk full"):
+        tz.save_checkpoint(path, params, config={"run": 1},
+                           train_state={"step": 9}, optimizer=tz.Adam(params))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert tz.load_checkpoint(path).train_state == {"step": 4}
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.mtpt"]
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.mtpt"
     path.write_bytes(b"NOPE" + b"\x00" * 16)

@@ -226,6 +226,41 @@ def test_resume_after_crash_logs_each_step_once(small_store, word_vocab_path,
     assert a.adam_t == b.adam_t == 10
 
 
+@pytest.fixture(scope="module")
+def mlm_checkpoint(small_store, word_vocab_path, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("resume")
+    cfg = make_config(small_store, word_vocab_path, tmp,
+                      checkpoint_interval=5 * 192)
+    tr.train(cfg)
+    return cfg.checkpoint_path
+
+
+@pytest.mark.parametrize("field, value", [
+    ("total_tokens", 20 * 8 * 24), ("tasks", ["so", "mlm"]),
+    ("strategy", "alt"), ("batch_size", 16), ("max_seq_len", 32),
+    ("seed", 1), ("layers", 2), ("hidden", 16), ("heads", 4),
+    ("dropout", 0.2), ("task_vocab", 8), ("base_lr", 2e-3),
+    ("warmup_frac", 0.2),
+])
+def test_resume_under_changed_config_refused(small_store, word_vocab_path,
+                                             tmp_path, mlm_checkpoint,
+                                             field, value):
+    cfg = make_config(small_store, word_vocab_path, tmp_path,
+                      resume_from=mlm_checkpoint, **{field: value})
+    with pytest.raises(tr.TrainingError, match=f"written with {field}="):
+        tr.train(cfg)
+    assert not (tmp_path / "ck.mtpt").exists()
+
+
+def test_resume_refuses_schedule_change_naming_first_field(
+        small_store, word_vocab_path, tmp_path, mlm_checkpoint):
+    cfg = make_config(small_store, word_vocab_path, tmp_path,
+                      resume_from=mlm_checkpoint, tasks=["so", "mlm"],
+                      strategy="alt", total_tokens=20 * 8 * 24)
+    with pytest.raises(tr.TrainingError, match="total_tokens=1920"):
+        tr.train(cfg)
+
+
 def test_resume_requires_optimizer_state(small_store, word_vocab_path,
                                          tmp_path):
     cfg = make_config(small_store, word_vocab_path, tmp_path)
