@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "max_seq_len, seed, layers, hidden, heads, dropout, "
                         "task_vocab, base_lr, warmup_frac, "
                         "checkpoint_interval, checkpoint_path, metrics_path, "
-                        "resume_from, prefetch")
+                        "resume_from")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("gradcheck",

@@ -108,10 +108,6 @@ class StoredDocument:
     def n_sentences(self) -> int:
         return int(self.sentence_offsets.shape[0]) - 1
 
-    def sentence_ids(self, index: int) -> np.ndarray:
-        a, b = self.sentence_offsets[index], self.sentence_offsets[index + 1]
-        return self.token_ids[a:b]
-
 
 def _ends_sentence(word: str, next_word: str | None) -> bool:
     core = word.rstrip(_TRAILING_CLOSERS)
@@ -487,6 +483,10 @@ def _parse_record(rec: memoryview) -> StoredDocument:
                           f"its counts")
     offsets = np.frombuffer(rec, dtype="<u4", count=n_sent + 1,
                             offset=off).astype(np.int32)
+    if n_sent < 1 or offsets[0] != 0 or offsets[-1] != n_tok \
+            or (np.diff(offsets) < 0).any():
+        raise CorpusError(f"document {doc_id}: sentence offsets do not run "
+                          f"from 0 up to its {n_tok} tokens")
     off += 4 * (n_sent + 1)
     # views into the file's bytes: CorpusReader copies them into its arrays
     ids = np.frombuffer(rec, dtype="<u4", count=n_tok, offset=off)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .tasks import TASKS, TaskError
+from .tasks import TaskError
 from .tensor import Tensor
 
 QT_TEMPERATURE = 0.1
@@ -124,7 +124,8 @@ def combine_losses(losses: "dict[str, TaskLoss]", task_set) -> Tensor:
     return total
 
 
-def _selected_token_ce(task: str, grid: Tensor, labels, weights) -> TaskLoss:
+def selected_token_ce(task: str, grid: Tensor, labels, weights) -> TaskLoss:
+    """Cross-entropy over the (B, L, k) grid cells with positive weight."""
     b, seq, k = grid.shape
     flat = grid.reshape(b * seq, k)
     w = np.asarray(weights).reshape(-1)
@@ -138,44 +139,19 @@ def _selected_token_ce(task: str, grid: Tensor, labels, weights) -> TaskLoss:
 
 def batch_losses(model, batch, tasks=None, training: bool = False,
                  rng=None) -> "dict[str, TaskLoss]":
-    """Full forward pass: embed, encode, run each task head and its loss."""
+    """Full forward pass: embed, encode, run each task head and its loss.
+
+    The heads come from the model's head table (`model.heads`)."""
     names = list(tasks) if tasks is not None else list(batch.task_set)
     for t in names:
-        if t not in TASKS:
+        if t not in model.heads:
             raise TaskError(f"unknown task {t!r}")
     emb = model.embed(batch, training=training, rng=rng)
     hidden = model.encode(emb, batch.attention_mask, training=training, rng=rng)
-    pooled = None
+    pooled = model.pool(hidden) \
+        if any(model.heads[t].pooled for t in names) else None
     out: "dict[str, TaskLoss]" = {}
-    labels = batch.labels
-    for task in names:
-        if task in ("mlm", "sbo"):
-            logits = model.head_forward(task, hidden, batch)
-            out[task] = loss_token_ce(task, logits, labels["mlm"]["targets"])
-        elif task in ("tf", "tfidf", "tlp"):
-            preds = model.head_forward(task, hidden, batch)
-            out[task] = loss_regression(task, preds, labels[task]["values"],
-                                        labels[task]["weights"])
-        elif task in ("cap", "tcp"):
-            grid = model.head_forward(task, hidden, batch)
-            out[task] = _selected_token_ce(task, grid, labels[task]["labels"],
-                                           labels[task]["weights"])
-        elif task == "tgs":
-            logits = model.head_forward(task, hidden, batch)
-            starts = labels["tgs"]["starts"]
-            valid = labels["tgs"]["labels"][starts >= 0]
-            out[task] = loss_token_ce(task, logits, valid)
-        elif task in ("nsp", "asp", "so", "sdp", "scp"):
-            if pooled is None:
-                pooled = model.pool(hidden)
-            logits = model.head_forward(task, hidden, batch, pooled)
-            out[task] = loss_token_ce(task, logits, labels[task])
-        elif task == "qt":
-            cls = model.head_forward(task, hidden, batch)
-            out[task] = loss_qt(cls)
-        elif task == "fs":
-            cls, hid = model.head_forward(task, hidden, batch)
-            content = np.asarray(batch.attention_mask, dtype=bool) \
-                & ~np.asarray(batch.special_mask, dtype=bool)
-            out[task] = loss_fs(cls, hid, content)
+    for t in names:
+        preds = model.head_forward(t, hidden, batch, pooled)
+        out[t] = model.heads[t].loss(t, preds, batch)
     return out

@@ -6,15 +6,22 @@ post-norm stack: self-attention + residual + norm, then a 4x feed-forward
 with gelu + residual + norm. Sentence heads read a tanh pooler over the
 [CLS] position; the two similarity tasks read the raw [CLS] state instead
 so their geometry is not squashed through an extra affinity layer.
+
+Every head is one entry of `HEADS`: the label key it reads, the width of
+its dense layer, its forward and loss functions and whether it reads the
+pooler. Parameter shapes and counts, `head_forward` and
+`losses.batch_losses` all read that table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from . import losses as ls
 from . import tensor as tz
 from .tasks import TASKS, TaskError
 from .tensor import Tensor
@@ -52,11 +59,6 @@ class ModelConfig:
             "type_vocab", "task_vocab", "dropout")})
 
 
-SENTENCE_HEAD_CLASSES = {"nsp": 2, "asp": 3, "so": 2, "sdp": 3, "scp": 2}
-TOKEN_REGRESSION_HEADS = ("tf", "tfidf", "tlp")
-TOKEN_CLASS_HEADS = {"cap": 2, "tcp": 2}
-
-
 def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02):
     """Normal(0, std) with values beyond two deviations resampled."""
     out = rng.normal(0.0, std, size=shape)
@@ -67,87 +69,190 @@ def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02):
     return out
 
 
-def parameter_count(config: ModelConfig) -> int:
-    """Closed-form parameter count for the full model with all 15 heads.
+# ------------------------------------------------------------------ heads
+#
+# A head's forward takes (model, task, hidden, flat, batch, pooled), where
+# flat is hidden reshaped to (B*L, H) once per call and pooled is the tanh
+# pooler output for heads that read it; its loss takes (task, predictions,
+# batch) and returns a TaskLoss.
 
-    embeddings: (V + P + type_vocab + task_vocab) * H + 2H norm
-    per layer: 4 attention projections (H^2 + H) + 2H attn norm
-               + feed-forward H*4H + 4H and 4H*H + H + 2H ff norm
-    pooler:    H^2 + H
-    heads:     mlm transform H^2 + H + 2H norm + V bias (token table tied)
-               sbo dense 2H*H + H + V bias
-               3 regressions (H + 1); cap/tcp (2H + 2); tgs 3H*6 + 6
-               nsp/so/scp (2H + 2); asp/sdp (3H + 3)
-    """
+def _mlm_forward(model, task, hidden, flat, batch, pooled):
+    seq = hidden.shape[1]
+    pos = batch.labels["mlm"]["positions"]
+    states = tz.index_rows(flat, pos[:, 0] * seq + pos[:, 1])
+    states = model._dense(states, "heads.mlm.transform")
+    states = model._norm(tz.gelu(states), "heads.mlm.norm")
+    return model._vocab_logits(states, "heads.mlm.vocab_bias")
+
+
+def _sbo_forward(model, task, hidden, flat, batch, pooled):
+    seq = hidden.shape[1]
+    lab = batch.labels["mlm"]
+    left = tz.index_rows(flat, lab["left"][:, 0] * seq + lab["left"][:, 1])
+    right = tz.index_rows(flat, lab["right"][:, 0] * seq + lab["right"][:, 1])
+    states = tz.gelu(model._dense(tz.concat([left, right], axis=-1),
+                                  "heads.sbo.dense"))
+    return model._vocab_logits(states, "heads.sbo.vocab_bias")
+
+
+def _token_regression(model, task, hidden, flat, batch, pooled):
+    b, seq, _ = hidden.shape
+    return model._dense(flat, f"heads.{task}").reshape(b, seq)
+
+
+def _token_class(model, task, hidden, flat, batch, pooled):
+    b, seq, _ = hidden.shape
+    return model._dense(flat, f"heads.{task}").reshape(
+        b, seq, TASKS[task].num_classes)
+
+
+def _tgs_forward(model, task, hidden, flat, batch, pooled):
+    seq = hidden.shape[1]
+    starts = batch.labels["tgs"]["starts"]
+    rows = np.nonzero(starts >= 0)[0]
+    if rows.size == 0:
+        return None
+    base = rows * seq + starts[rows]
+    parts = [tz.index_rows(flat, base + j) for j in range(3)]
+    return model._dense(tz.concat(parts, axis=-1), "heads.tgs")
+
+
+def _sentence_class(model, task, hidden, flat, batch, pooled):
+    return model._dense(pooled, f"heads.{task}")
+
+
+def _cls_forward(model, task, hidden, flat, batch, pooled):
+    return model.cls_rows(hidden)
+
+
+def _fs_forward(model, task, hidden, flat, batch, pooled):
+    return model.cls_rows(hidden), hidden
+
+
+def _vocab_loss(task, logits, batch):
+    return ls.loss_token_ce(task, logits, batch.labels["mlm"]["targets"])
+
+
+def _regression_loss(task, preds, batch):
+    lab = batch.labels[task]
+    return ls.loss_regression(task, preds, lab["values"], lab["weights"])
+
+
+def _token_class_loss(task, grid, batch):
+    lab = batch.labels[task]
+    return ls.selected_token_ce(task, grid, lab["labels"], lab["weights"])
+
+
+def _tgs_loss(task, logits, batch):
+    lab = batch.labels["tgs"]
+    return ls.loss_token_ce(task, logits, lab["labels"][lab["starts"] >= 0])
+
+
+def _sentence_loss(task, logits, batch):
+    return ls.loss_token_ce(task, logits, batch.labels[task])
+
+
+def _qt_loss(task, cls, batch):
+    return ls.loss_qt(cls)
+
+
+def _fs_loss(task, preds, batch):
+    cls, hidden = preds
+    content = np.asarray(batch.attention_mask, dtype=bool) \
+        & ~np.asarray(batch.special_mask, dtype=bool)
+    return ls.loss_fs(cls, hidden, content)
+
+
+def _dense_shapes(prefix: str, n_in: int, n_out: int):
+    return [(f"{prefix}.weight", (n_in, n_out)), (f"{prefix}.bias", (n_out,))]
+
+
+def _norm_shapes(prefix: str, h: int):
+    return [(f"{prefix}.gamma", (h,)), (f"{prefix}.beta", (h,))]
+
+
+@dataclass(frozen=True)
+class Head:
+    labels: "str | None"  # the batch label key the head reads
+    width: int            # heads.<task>.weight has width*H input rows (0: none)
+    forward: Callable
+    loss: Callable
+    pooled: bool = False  # reads the tanh pooler over [CLS]
+    # parameters beyond the dense head, as (name below heads.<task>, shape)
+    shapes: Callable = lambda h, v: []
+
+
+# one entry per task, in parameter order; a dense head's output width is
+# the task's class count, or 1 for a regression
+HEADS: "dict[str, Head]" = {
+    "mlm": Head("mlm", 0, _mlm_forward, _vocab_loss, shapes=lambda h, v: (
+        _dense_shapes("transform", h, h) + _norm_shapes("norm", h)
+        + [("vocab_bias", (v,))])),
+    "sbo": Head("mlm", 0, _sbo_forward, _vocab_loss, shapes=lambda h, v: (
+        _dense_shapes("dense", 2 * h, h) + [("vocab_bias", (v,))])),
+    "tf": Head("tf", 1, _token_regression, _regression_loss),
+    "tfidf": Head("tfidf", 1, _token_regression, _regression_loss),
+    "tlp": Head("tlp", 1, _token_regression, _regression_loss),
+    "cap": Head("cap", 1, _token_class, _token_class_loss),
+    "tcp": Head("tcp", 1, _token_class, _token_class_loss),
+    "tgs": Head("tgs", 3, _tgs_forward, _tgs_loss),
+    "nsp": Head("nsp", 1, _sentence_class, _sentence_loss, pooled=True),
+    "asp": Head("asp", 1, _sentence_class, _sentence_loss, pooled=True),
+    "so": Head("so", 1, _sentence_class, _sentence_loss, pooled=True),
+    "sdp": Head("sdp", 1, _sentence_class, _sentence_loss, pooled=True),
+    "scp": Head("scp", 1, _sentence_class, _sentence_loss, pooled=True),
+    "qt": Head(None, 0, _cls_forward, _qt_loss),
+    "fs": Head(None, 0, _fs_forward, _fs_loss),
+}
+
+
+def param_shapes(config: ModelConfig) -> "list[tuple[str, tuple[int, ...]]]":
+    """Every parameter's name and shape, in the order the model holds them."""
     h, v = config.hidden, config.vocab
-    emb = (v + config.max_seq_len + config.type_vocab + config.task_vocab) * h
-    emb += 2 * h
-    per_layer = 4 * (h * h + h) + 2 * h
-    per_layer += h * 4 * h + 4 * h + 4 * h * h + h + 2 * h
-    pooler = h * h + h
-    heads = (h * h + h + 2 * h + v)                    # mlm
-    heads += 2 * h * h + h + v                         # sbo
-    heads += 3 * (h + 1)                               # tf, tfidf, tlp
-    heads += 2 * (2 * h + 2)                           # cap, tcp
-    heads += 3 * h * 6 + 6                             # tgs
-    heads += sum(k * h + k for k in SENTENCE_HEAD_CLASSES.values())
-    return emb + config.layers * per_layer + pooler + heads
+    shapes = [("embeddings.token", (v, h)),
+              ("embeddings.position", (config.max_seq_len, h)),
+              ("embeddings.type", (config.type_vocab, h)),
+              ("embeddings.task", (config.task_vocab, h))]
+    shapes += _norm_shapes("embeddings.norm", h)
+    for i in range(config.layers):
+        for proj in ("q", "k", "v", "out"):
+            shapes += _dense_shapes(f"layers.{i}.attn.{proj}", h, h)
+        shapes += _norm_shapes(f"layers.{i}.attn_norm", h)
+        shapes += _dense_shapes(f"layers.{i}.ff.w1", h, 4 * h)
+        shapes += _dense_shapes(f"layers.{i}.ff.w2", 4 * h, h)
+        shapes += _norm_shapes(f"layers.{i}.ff_norm", h)
+    shapes += _dense_shapes("pooler.dense", h, h)
+    for task, head in HEADS.items():
+        shapes += [(f"heads.{task}.{name}", shape)
+                   for name, shape in head.shapes(h, v)]
+        if head.width:
+            shapes += _dense_shapes(f"heads.{task}", head.width * h,
+                                    max(1, TASKS[task].num_classes))
+    return shapes
+
+
+def parameter_count(config: ModelConfig) -> int:
+    """Parameter count of the full model with all 15 heads."""
+    return sum(math.prod(shape) for _, shape in param_shapes(config))
 
 
 class Model:
     """Encoder plus every task head; parameters in a flat name->Tensor map."""
 
+    # losses reads the table through the model: this module imports losses
+    heads = HEADS
+
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
         self.params: "dict[str, Tensor]" = {}
-        h = config.hidden
-        add = self._add_param
-
-        add("embeddings.token", truncated_normal(rng, (config.vocab, h)))
-        add("embeddings.position", truncated_normal(rng, (config.max_seq_len, h)))
-        add("embeddings.type", truncated_normal(rng, (config.type_vocab, h)))
-        add("embeddings.task", truncated_normal(rng, (config.task_vocab, h)))
-        add("embeddings.norm.gamma", np.ones(h))
-        add("embeddings.norm.beta", np.zeros(h))
-
-        for i in range(config.layers):
-            for proj in ("q", "k", "v", "out"):
-                add(f"layers.{i}.attn.{proj}.weight", truncated_normal(rng, (h, h)))
-                add(f"layers.{i}.attn.{proj}.bias", np.zeros(h))
-            add(f"layers.{i}.attn_norm.gamma", np.ones(h))
-            add(f"layers.{i}.attn_norm.beta", np.zeros(h))
-            add(f"layers.{i}.ff.w1.weight", truncated_normal(rng, (h, 4 * h)))
-            add(f"layers.{i}.ff.w1.bias", np.zeros(4 * h))
-            add(f"layers.{i}.ff.w2.weight", truncated_normal(rng, (4 * h, h)))
-            add(f"layers.{i}.ff.w2.bias", np.zeros(h))
-            add(f"layers.{i}.ff_norm.gamma", np.ones(h))
-            add(f"layers.{i}.ff_norm.beta", np.zeros(h))
-
-        add("pooler.dense.weight", truncated_normal(rng, (h, h)))
-        add("pooler.dense.bias", np.zeros(h))
-
-        add("heads.mlm.transform.weight", truncated_normal(rng, (h, h)))
-        add("heads.mlm.transform.bias", np.zeros(h))
-        add("heads.mlm.norm.gamma", np.ones(h))
-        add("heads.mlm.norm.beta", np.zeros(h))
-        add("heads.mlm.vocab_bias", np.zeros(config.vocab))
-        add("heads.sbo.dense.weight", truncated_normal(rng, (2 * h, h)))
-        add("heads.sbo.dense.bias", np.zeros(h))
-        add("heads.sbo.vocab_bias", np.zeros(config.vocab))
-        for name in TOKEN_REGRESSION_HEADS:
-            add(f"heads.{name}.weight", truncated_normal(rng, (h, 1)))
-            add(f"heads.{name}.bias", np.zeros(1))
-        for name, k in TOKEN_CLASS_HEADS.items():
-            add(f"heads.{name}.weight", truncated_normal(rng, (h, k)))
-            add(f"heads.{name}.bias", np.zeros(k))
-        add("heads.tgs.weight", truncated_normal(rng, (3 * h, 6)))
-        add("heads.tgs.bias", np.zeros(6))
-        for name, k in SENTENCE_HEAD_CLASSES.items():
-            add(f"heads.{name}.weight", truncated_normal(rng, (h, k)))
-            add(f"heads.{name}.bias", np.zeros(k))
-
-    def _add_param(self, name: str, values) -> None:
-        self.params[name] = tz.parameter(values, name=name)
+        for name, shape in param_shapes(config):
+            if name.endswith(".gamma"):
+                values = np.ones(shape)
+            elif name.endswith(("bias", ".beta")):
+                values = np.zeros(shape)
+            else:
+                values = truncated_normal(rng, shape)
+            self.params[name] = tz.parameter(values, name=name)
 
     def parameter_total(self) -> int:
         return sum(p.size for p in self.params.values())
@@ -262,52 +367,14 @@ class Model:
         (B, L) and (B, L, 2); tgs (n_valid_rows, 6); sentence heads (B, k);
         qt the raw [CLS] rows (B, H); fs the ([CLS] rows, hidden) pair.
         """
-        if task not in TASKS:
+        head = self.heads.get(task)
+        if head is None:
             raise TaskError(f"unknown task {task!r}")
+        if head.labels is not None and head.labels not in batch.labels:
+            raise TaskError(
+                f"batch carries no {head.labels} labels for task {task}")
         b, seq, h = hidden.shape
         flat = hidden.reshape(b * seq, h)
-        labels = batch.labels
-
-        if task in ("mlm", "sbo") and "mlm" not in labels:
-            raise TaskError(f"batch carries no masking labels for task {task}")
-        if task in SENTENCE_HEAD_CLASSES and task != "scp" and task not in labels:
-            raise TaskError(f"batch carries no labels for task {task}")
-        if task in ("tf", "tfidf", "tlp", "cap", "tcp", "tgs", "scp") \
-                and task not in labels:
-            raise TaskError(f"batch carries no labels for task {task}")
-
-        if task == "mlm":
-            pos = labels["mlm"]["positions"]
-            states = tz.index_rows(flat, pos[:, 0] * seq + pos[:, 1])
-            states = self._dense(states, "heads.mlm.transform")
-            states = self._norm(tz.gelu(states), "heads.mlm.norm")
-            return self._vocab_logits(states, "heads.mlm.vocab_bias")
-        if task == "sbo":
-            lab = labels["mlm"]
-            left = tz.index_rows(flat, lab["left"][:, 0] * seq + lab["left"][:, 1])
-            right = tz.index_rows(flat, lab["right"][:, 0] * seq + lab["right"][:, 1])
-            states = tz.gelu(self._dense(tz.concat([left, right], axis=-1),
-                                         "heads.sbo.dense"))
-            return self._vocab_logits(states, "heads.sbo.vocab_bias")
-        if task in TOKEN_REGRESSION_HEADS:
-            return self._dense(flat, f"heads.{task}").reshape(b, seq)
-        if task in TOKEN_CLASS_HEADS:
-            k = TOKEN_CLASS_HEADS[task]
-            return self._dense(flat, f"heads.{task}").reshape(b, seq, k)
-        if task == "tgs":
-            starts = labels["tgs"]["starts"]
-            rows = np.nonzero(starts >= 0)[0]
-            if rows.size == 0:
-                return None
-            base = rows * seq + starts[rows]
-            parts = [tz.index_rows(flat, base + j) for j in range(3)]
-            return self._dense(tz.concat(parts, axis=-1), "heads.tgs")
-        if task in SENTENCE_HEAD_CLASSES:
-            if pooled is None:
-                pooled = self.pool(hidden)
-            return self._dense(pooled, f"heads.{task}")
-        if task == "qt":
-            return self.cls_rows(hidden)
-        if task == "fs":
-            return self.cls_rows(hidden), hidden
-        raise TaskError(f"no head for task {task!r}")
+        if head.pooled and pooled is None:
+            pooled = self.pool(hidden)
+        return head.forward(self, task, hidden, flat, batch, pooled)

@@ -112,9 +112,6 @@ class Schedule:
     def total_tokens(self) -> int:
         return sum(s.tokens for s in self.steps)
 
-    def task_ids(self) -> "dict[tuple[str, ...], int]":
-        return {s.tasks: s.task_id for s in self.steps}
-
 
 def _assign_task_ids(step_sets: "list[tuple[str, ...]]") -> "list[int]":
     ids: "dict[tuple[str, ...], int]" = {}

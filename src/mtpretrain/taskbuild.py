@@ -68,27 +68,6 @@ class TaskBuildError(ValueError):
 
 
 @dataclass
-class MaskedSequence:
-    input_ids: "list[int]"
-    mlm_targets: "dict[int, int]"
-    mask_positions: "list[int]"
-
-
-@dataclass
-class CorruptionRecord:
-    corrupted_ids: "list[int]"
-    token_labels: "list[bool]"
-    sentence_label: bool
-
-
-@dataclass
-class TrigramShuffle:
-    ids: "list[int]"
-    start: int
-    perm_class: int
-
-
-@dataclass
 class RowMeta:
     doc_index: int = -1
     token_start: int = -1
@@ -145,18 +124,16 @@ def _mask(row: np.ndarray, rng, vocab) -> "tuple[np.ndarray, np.ndarray]":
     return chosen, targets
 
 
-def _corrupt(row: np.ndarray, rng, vocab, rate: float,
-             trim_to: "int | None") -> np.ndarray:
+def _corrupt(row: np.ndarray, rng, vocab, trim_to: int) -> np.ndarray:
     """Stage 2 on one segment: returns the corrupted, trimmed row.
 
     Draws, in order: one uniform per slot, one op per selected slot, one
     partner per permutation, one random id per replaced or inserted slot.
     """
-    if not 0 < rate <= 0.5:
-        raise TaskBuildError(f"corruption rate {rate} outside (0, 0.5]")
     n = row.shape[1]
     special = row[POS] == SPECIAL
-    selected = ((rng.random(n) < rate) & ~special).nonzero()[0].tolist()
+    selected = ((rng.random(n) < CORRUPTION_RATE)
+                & ~special).nonzero()[0].tolist()
     if not selected:
         return row[:, :trim_to]
     ops = rng.integers(3, size=len(selected)).tolist()
@@ -206,47 +183,6 @@ def _shuffle_trigram(row: np.ndarray, rng) -> "tuple[int, int] | None":
     return s, klass
 
 
-# ---------------------------------------------------------- public wrappers
-
-def _row_from_ids(ids, vocab) -> np.ndarray:
-    """A row over a raw id sequence: special ids get the SPECIAL code, the
-    rest their index in the sequence."""
-    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-    row = np.zeros((3, ids.size), dtype=np.int64)
-    row[POS] = np.where(np.isin(ids, list(vocab.special_ids)), SPECIAL,
-                        np.arange(ids.size))
-    row[ID] = ids
-    return row
-
-
-def apply_mlm_mask(ids, rng, vocab) -> MaskedSequence:
-    """Mask a raw id sequence (specials included) per the 15% protocol."""
-    row = _row_from_ids(ids, vocab)
-    cols, targets = _mask(row, rng, vocab)
-    positions = cols.tolist()
-    return MaskedSequence(input_ids=row[ID].tolist(),
-                          mlm_targets=dict(zip(positions, targets.tolist())),
-                          mask_positions=positions)
-
-
-def corrupt_tokens(ids, rng, vocab, rate: float = CORRUPTION_RATE,
-                   max_len: "int | None" = None) -> CorruptionRecord:
-    row = _corrupt(_row_from_ids(ids, vocab), rng, vocab, rate,
-                   trim_to=max_len)
-    labels = row[CORRUPT].astype(bool).tolist()
-    return CorruptionRecord(corrupted_ids=row[ID].tolist(),
-                            token_labels=labels, sentence_label=any(labels))
-
-
-def shuffle_trigram(ids, rng, vocab) -> "TrigramShuffle | None":
-    row = _row_from_ids(ids, vocab)
-    hit = _shuffle_trigram(row, rng)
-    if hit is None:
-        return None
-    start, klass = hit
-    return TrigramShuffle(ids=row[ID].tolist(), start=start, perm_class=klass)
-
-
 # ------------------------------------------------------------ span drawing
 
 def _run_forward(doc, s0: int, budget: int, max_sentence_end: "int | None" = None):
@@ -282,14 +218,30 @@ def _run_backward(doc, s_end: int, budget: int):
     return end - total, end, s
 
 
-def _pick_other_doc(reader, rng, exclude: int) -> int:
+def _a_then_next(doc, rng, budget_a: int, total_budget: int):
+    """A from a sentence before the last, ending before the last sentence;
+    B the run that follows A in the same document."""
+    n = doc.n_sentences
+    a0, a1, a_end = _run_forward(doc, int(rng.integers(n - 1)), budget_a,
+                                 max_sentence_end=n - 1)
+    b0, b1, _ = _run_forward(doc, a_end, total_budget - (a1 - a0))
+    return (a0, a1), (b0, b1)
+
+
+def _foreign_b(reader, rng, exclude: int, budget: int):
+    """B from a uniformly drawn sentence of another document than exclude;
+    returns that document's index and B's span."""
     n = len(reader.documents)
     if n < 2:
         raise TaskBuildError(
             "task needs a segment from a different document but the corpus "
             "has a single document")
-    j = int(rng.integers(n - 1))
-    return j if j < exclude else j + 1
+    dj = int(rng.integers(n - 1))
+    dj = dj if dj < exclude else dj + 1
+    other = reader.documents[dj]
+    b0, b1, _ = _run_forward(other, int(rng.integers(other.n_sentences)),
+                             budget)
+    return dj, (b0, b1)
 
 
 @dataclass
@@ -303,6 +255,8 @@ class _PairDraw:
 
 
 def _draw_pair(reader, mode: str, rng, max_seq_len: int) -> _PairDraw:
+    if mode not in PAIR_TASKS:
+        raise TaskError(f"unknown pair mode {mode!r}")
     total_budget = max_seq_len - 3
     if total_budget < 2:
         raise TaskBuildError(f"max_seq_len {max_seq_len} too small for pairs")
@@ -314,78 +268,44 @@ def _draw_pair(reader, mode: str, rng, max_seq_len: int) -> _PairDraw:
         n = doc.n_sentences
         if mode == "nsp":
             label = int(rng.random() < 0.5)
-            s0 = int(rng.integers(n - 1))
-            a0, a1, a_end = _run_forward(doc, s0, budget_a,
-                                         max_sentence_end=n - 1)
-            budget_b = total_budget - (a1 - a0)
+            a, b = _a_then_next(doc, rng, budget_a, total_budget)
             if label == 1:
-                b0, b1, _ = _run_forward(doc, a_end, budget_b)
-                return _PairDraw(di, (a0, a1), di, (b0, b1), 1, mode)
-            dj = _pick_other_doc(reader, rng, di)
-            other = docs[dj]
-            b0, b1, _ = _run_forward(other, int(rng.integers(other.n_sentences)),
-                                     budget_b)
-            return _PairDraw(di, (a0, a1), dj, (b0, b1), 0, mode)
-        if mode == "asp":
-            label = int(rng.integers(3))
-            if label == 0:
-                s0 = int(rng.integers(n - 1))
-                a0, a1, a_end = _run_forward(doc, s0, budget_a,
-                                             max_sentence_end=n - 1)
-                b0, b1, _ = _run_forward(doc, a_end, total_budget - (a1 - a0))
-                return _PairDraw(di, (a0, a1), di, (b0, b1), 0, mode)
-            if label == 1:
-                s0 = 1 + int(rng.integers(n - 1))
-                a0, a1, _ = _run_forward(doc, s0, budget_a)
-                b0, b1, _ = _run_backward(doc, s0, total_budget - (a1 - a0))
-                return _PairDraw(di, (a0, a1), di, (b0, b1), 1, mode)
-            s0 = int(rng.integers(n))
-            a0, a1, _ = _run_forward(doc, s0, budget_a)
-            dj = _pick_other_doc(reader, rng, di)
-            other = docs[dj]
-            b0, b1, _ = _run_forward(other, int(rng.integers(other.n_sentences)),
-                                     total_budget - (a1 - a0))
-            return _PairDraw(di, (a0, a1), dj, (b0, b1), 2, mode)
+                return _PairDraw(di, a, di, b, 1, mode)
+            dj, b = _foreign_b(reader, rng, di, total_budget - (a[1] - a[0]))
+            return _PairDraw(di, a, dj, b, 0, mode)
         if mode == "so":
-            s0 = int(rng.integers(n - 1))
-            a0, a1, a_end = _run_forward(doc, s0, budget_a,
-                                         max_sentence_end=n - 1)
-            b0, b1, _ = _run_forward(doc, a_end, total_budget - (a1 - a0))
-            swapped = int(rng.random() < 0.5)
-            if swapped:
-                return _PairDraw(di, (b0, b1), di, (a0, a1), 1, mode)
-            return _PairDraw(di, (a0, a1), di, (b0, b1), 0, mode)
-        if mode == "sdp":
-            label = int(rng.integers(3))
-            if label == 0:
-                s0 = int(rng.integers(n - 1))
-                a0, a1, a_end = _run_forward(doc, s0, budget_a,
-                                             max_sentence_end=n - 1)
-                b0, b1, _ = _run_forward(doc, a_end, total_budget - (a1 - a0))
-                return _PairDraw(di, (a0, a1), di, (b0, b1), 0, mode)
-            if label == 1:
-                if n < 3:
-                    continue
-                s0 = int(rng.integers(n - 2))
-                a0, a1, a_end = _run_forward(doc, s0, budget_a,
-                                             max_sentence_end=n - 2)
-                if a_end + 1 >= n:
-                    continue
-                b_start = a_end + 1 + int(rng.integers(n - a_end - 1))
-                b0, b1, _ = _run_forward(doc, b_start,
-                                         total_budget - (a1 - a0))
-                return _PairDraw(di, (a0, a1), di, (b0, b1), 1, mode)
-            s0 = int(rng.integers(n))
+            a, b = _a_then_next(doc, rng, budget_a, total_budget)
+            if rng.random() < 0.5:
+                return _PairDraw(di, b, di, a, 1, mode)
+            return _PairDraw(di, a, di, b, 0, mode)
+        # asp and sdp: label 0 is the next run, 2 a foreign B, 1 differs
+        label = int(rng.integers(3))
+        if label == 0:
+            a, b = _a_then_next(doc, rng, budget_a, total_budget)
+            return _PairDraw(di, a, di, b, 0, mode)
+        if label == 2:
+            a0, a1, _ = _run_forward(doc, int(rng.integers(n)), budget_a)
+            dj, b = _foreign_b(reader, rng, di, total_budget - (a1 - a0))
+            return _PairDraw(di, (a0, a1), dj, b, 2, mode)
+        if mode == "asp":
+            # B precedes A
+            s0 = 1 + int(rng.integers(n - 1))
             a0, a1, _ = _run_forward(doc, s0, budget_a)
-            dj = _pick_other_doc(reader, rng, di)
-            other = docs[dj]
-            b0, b1, _ = _run_forward(other, int(rng.integers(other.n_sentences)),
-                                     total_budget - (a1 - a0))
-            return _PairDraw(di, (a0, a1), dj, (b0, b1), 2, mode)
-        raise TaskError(f"unknown pair mode {mode!r}")
+            b0, b1, _ = _run_backward(doc, s0, total_budget - (a1 - a0))
+            return _PairDraw(di, (a0, a1), di, (b0, b1), 1, mode)
+        # sdp: B from the same document, at least one sentence after A
+        if n < 3:
+            continue
+        s0 = int(rng.integers(n - 2))
+        a0, a1, a_end = _run_forward(doc, s0, budget_a,
+                                     max_sentence_end=n - 2)
+        if a_end + 1 >= n:
+            continue
+        b_start = a_end + 1 + int(rng.integers(n - a_end - 1))
+        b0, b1, _ = _run_forward(doc, b_start, total_budget - (a1 - a0))
+        return _PairDraw(di, (a0, a1), di, (b0, b1), 1, mode)
     raise TaskBuildError(f"could not draw a {mode} pair after "
                          f"{MAX_DRAW_TRIES} attempts")
-
 
 
 @dataclass
@@ -567,8 +487,7 @@ def assemble_batch(reader, vocab, task_set, batch_size: int, max_seq_len: int,
             seg[POS] = np.arange(start, end)
             seg[ID] = reader.token_ids[start:end]
             if corrupt:
-                seg = _corrupt(seg, rng, vocab, CORRUPTION_RATE,
-                               trim_to=end - start)
+                seg = _corrupt(seg, rng, vocab, trim_to=end - start)
             parts += [seg, sep]
         row = np.concatenate(parts, axis=1)
         if "tgs" in name_set:

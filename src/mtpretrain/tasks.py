@@ -1,10 +1,10 @@
 """Registry of the pre-training tasks and their input-structure rules.
 
-Every task is either token-level (a prediction at each content position)
-or sentence-level (a prediction from the [CLS] representation). Tasks also
-carry structural requirements: some need the batch's two row halves to be
-textual continuations, some need a second segment drawn with randomized
-provenance, and some only need adjacent text.
+Each task records its class count (the output width of a classification
+head; its head lives in `model.HEADS`) and its structural requirement:
+some tasks need the batch's two row halves to be textual continuations,
+some need a second segment drawn with randomized provenance, and some
+only need adjacent text.
 """
 
 from __future__ import annotations
@@ -19,43 +19,40 @@ class TaskError(ValueError):
 @dataclass(frozen=True)
 class TaskSpec:
     name: str
-    level: str            # "token" or "sentence"
-    kind: str             # vocab_ce | regression | token_class | sentence_class | similarity
     num_classes: int      # 0 where not a classification
     structure: str        # "adjacent" or "random_second"
     description: str
 
 
 _SPECS = [
-    TaskSpec("mlm", "token", "vocab_ce", 0, "adjacent",
+    TaskSpec("mlm", 0, "adjacent",
              "recover the original token at hidden positions"),
-    TaskSpec("tf", "token", "regression", 0, "adjacent",
+    TaskSpec("tf", 0, "adjacent",
              "regress each token's scaled in-document frequency"),
-    TaskSpec("tfidf", "token", "regression", 0, "adjacent",
+    TaskSpec("tfidf", 0, "adjacent",
              "regress each token's scaled frequency-times-rarity score"),
-    TaskSpec("sbo", "token", "vocab_ce", 0, "adjacent",
+    TaskSpec("sbo", 0, "adjacent",
              "recover a hidden token from its neighbors' representations"),
-    TaskSpec("tgs", "token", "token_class", 6, "adjacent",
+    TaskSpec("tgs", 6, "adjacent",
              "identify which of the 6 permutations scrambled a trigram"),
-    TaskSpec("tcp", "token", "token_class", 2, "adjacent",
+    TaskSpec("tcp", 2, "adjacent",
              "flag tokens that were inserted, replaced, or permuted"),
-    TaskSpec("cap", "token", "token_class", 2, "adjacent",
+    TaskSpec("cap", 2, "adjacent",
              "flag tokens whose source word was capitalized"),
-    TaskSpec("tlp", "token", "regression", 0, "adjacent",
-             "regress each token's character length"),
-    TaskSpec("nsp", "sentence", "sentence_class", 2, "random_second",
+    TaskSpec("tlp", 0, "adjacent", "regress each token's character length"),
+    TaskSpec("nsp", 2, "random_second",
              "decide if segment B truly continues segment A"),
-    TaskSpec("asp", "sentence", "sentence_class", 3, "random_second",
+    TaskSpec("asp", 3, "random_second",
              "decide if B follows A, precedes A, or is foreign"),
-    TaskSpec("so", "sentence", "sentence_class", 2, "adjacent",
+    TaskSpec("so", 2, "adjacent",
              "decide if two adjacent segments were swapped"),
-    TaskSpec("sdp", "sentence", "sentence_class", 3, "random_second",
+    TaskSpec("sdp", 3, "random_second",
              "decide if B is adjacent, same-document distant, or foreign"),
-    TaskSpec("scp", "sentence", "sentence_class", 2, "adjacent",
+    TaskSpec("scp", 2, "adjacent",
              "decide if any token in the row was corrupted"),
-    TaskSpec("qt", "sentence", "similarity", 0, "adjacent",
+    TaskSpec("qt", 0, "adjacent",
              "match each row to its continuation by [CLS] cosine energy"),
-    TaskSpec("fs", "sentence", "similarity", 0, "adjacent",
+    TaskSpec("fs", 0, "adjacent",
              "pull a row's [CLS] toward its continuation's token states"),
 ]
 

@@ -523,9 +523,8 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._result(xd * half, (x,), backward)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator,
-            training: bool = True) -> Tensor:
-    if not training or p <= 0.0:
+def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
+    if p <= 0.0:
         return x
     keep = 1.0 - p
     mask = (rng.random(x.data.shape) < keep).astype(x.data.dtype)

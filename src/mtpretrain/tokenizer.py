@@ -81,9 +81,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def is_special(self, token_id: int) -> bool:
-        return token_id in self.special_ids
-
     def random_regular_id(self, rng: np.random.Generator, size=None):
         """Uniform draw over non-special vocabulary ids. With size, an array
         of that many ids, equal to what as many scalar calls would return."""

@@ -14,8 +14,6 @@ compare pre-trained encoders against random initialization.
 from __future__ import annotations
 
 import json
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,9 +58,12 @@ class TrainConfig:
     checkpoint_path: str = ""        # final/periodic checkpoint file
     metrics_path: str = ""           # JSON-lines metrics log
     resume_from: str = ""
-    prefetch: int = 0                # batches to build ahead (0 = in-line)
+    prefetch: int = 0                # batches are built in-line: only 0
 
     def __post_init__(self):
+        if self.prefetch != 0:
+            raise ValueError(f"prefetch {self.prefetch} is not supported: "
+                             f"batches are built in-line (prefetch=0)")
         batch_tokens = self.batch_size * self.max_seq_len
         if self.total_tokens < batch_tokens:
             raise ValueError(
@@ -148,41 +149,6 @@ class TrainResult:
     accounting: "dict[str, int]"
 
 
-def _batch_for_step(reader, vocab, step, config):
-    return assemble_batch(reader, vocab, step.tasks, config.batch_size,
-                          config.max_seq_len, seed=config.seed,
-                          step=step.index, task_id=step.task_id)
-
-
-def _batch_stream(reader, vocab, steps, config):
-    """Yield (step, batch); optionally built ahead on a worker thread."""
-    if config.prefetch <= 0:
-        for step in steps:
-            yield step, _batch_for_step(reader, vocab, step, config)
-        return
-    q: "queue.Queue" = queue.Queue(maxsize=config.prefetch)
-    stop = object()
-
-    def worker():
-        try:
-            for step in steps:
-                q.put((step, _batch_for_step(reader, vocab, step, config)))
-        except Exception as exc:   # surfaced on the consumer side
-            q.put(exc)
-        q.put(stop)
-
-    thread = threading.Thread(target=worker, daemon=True)
-    thread.start()
-    while True:
-        item = q.get()
-        if item is stop:
-            break
-        if isinstance(item, Exception):
-            raise item
-        yield item
-    thread.join()
-
-
 def _truncate_metrics(path, last_step: int) -> None:
     """Keep the metrics lines up to last_step, the step of the checkpoint
     being resumed; later lines were written by the run that stopped and
@@ -264,8 +230,11 @@ def train(config: TrainConfig) -> TrainResult:
                            optimizer=optimizer)
 
     try:
-        remaining = schedule.steps[start_step:]
-        for step, batch in _batch_stream(reader, vocab, remaining, config):
+        for step in schedule.steps[start_step:]:
+            batch = assemble_batch(reader, vocab, step.tasks,
+                                   config.batch_size, config.max_seq_len,
+                                   seed=config.seed, step=step.index,
+                                   task_id=step.task_id)
             drop_rng = np.random.default_rng(
                 [config.seed, step.index, _DROPOUT_TAG])
             loss_map = ls.batch_losses(model, batch, training=True,

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -372,6 +374,26 @@ def test_truncated_or_garbled_store_raises_corpus_error(tmp_path, word_vocab):
                 cp.load_corpus(cut)
             except cp.CorpusError as exc:
                 assert "cut.mtpc" in str(exc)
+
+
+@pytest.mark.parametrize("which,value", [
+    (1, 10**6),        # an offset beyond the record's tokens
+    (-1, None),        # the last offset past the tokens (n_tok + 50)
+    (2, 0),            # offsets that decrease
+])
+def test_store_rejects_bad_sentence_offsets(small_store, tmp_path, which,
+                                            value):
+    blob = bytearray(small_store.read_bytes())
+    rec = 48 + 4                                  # record 0, past its length
+    (id_len,) = struct.unpack_from("<H", blob, rec)
+    counts = rec + 2 + id_len
+    n_sent, n_tok = struct.unpack_from("<II", blob, counts)
+    at = counts + 8 + 4 * (which % (n_sent + 1))
+    struct.pack_into("<I", blob, at, n_tok + 50 if value is None else value)
+    bad = tmp_path / "bad.mtpc"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(cp.CorpusError, match=r"bad\.mtpc: corrupt record 0"):
+        cp.load_corpus(bad)
 
 
 def test_store_vocab_mismatch(tmp_path, word_vocab):

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from mtpretrain import tensor as tz
-from mtpretrain.model import Model, ModelConfig, parameter_count, truncated_normal
-from mtpretrain.tasks import TaskError
+from mtpretrain.model import (HEADS, Model, ModelConfig, parameter_count,
+                              truncated_normal)
+from mtpretrain.tasks import TASK_ORDER, TaskError
 
 
 class FakeBatch:
@@ -41,6 +44,36 @@ def test_parameter_count_reference_scale():
 def test_parameter_count_matches_actual_model():
     model, cfg = small_model()
     assert model.parameter_total() == parameter_count(cfg)
+
+
+# sha256 over the name, dtype, shape and bytes of every parameter in order,
+# and parameter_count, for two configs at rng [0, 1]; pinned before the
+# head table replaced the hand-written init, which had to keep them
+GOLDEN_INIT = [
+    (dict(vocab=89, layers=2, hidden=32, heads=2, max_seq_len=24),
+     "58396be4e067eafdf80982b568d7757c829404f79258824e6665843799c87b49",
+     35307),
+    (dict(vocab=89, layers=1, hidden=16, heads=1),
+     "8e0fcdf8675216fe9ea1ec090831f604de4e8b7be02cd2cf9a75bafe93fe2fed",
+     8971),
+]
+
+
+@pytest.mark.parametrize("kwargs,digest,count", GOLDEN_INIT)
+def test_golden_init_digest(kwargs, digest, count):
+    cfg = ModelConfig(**kwargs)
+    model = Model(cfg, np.random.default_rng([0, 1]))
+    h = hashlib.sha256()
+    for name, p in model.params.items():
+        arr = np.ascontiguousarray(p.data)
+        h.update(f"{name}{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    assert h.hexdigest() == digest
+    assert parameter_count(cfg) == count
+
+
+def test_head_table_covers_every_task():
+    assert set(HEADS) == set(TASK_ORDER)
 
 
 def test_truncated_normal_bounds():

@@ -92,17 +92,6 @@ def test_random_replacements_are_regular_tokens(small_reader, word_vocab):
     assert not (set(replaced) & special)
 
 
-def test_apply_mlm_mask_wrapper(word_vocab):
-    ids = [word_vocab.cls_id] + list(word_vocab.sampleable_ids[:20]) \
-        + [word_vocab.sep_id]
-    out = tb.apply_mlm_mask(ids, np.random.default_rng(0), word_vocab)
-    assert len(out.input_ids) == len(ids)
-    assert out.mask_positions
-    for pos in out.mask_positions:
-        assert 0 < pos < len(ids) - 1
-        assert out.mlm_targets[pos] == ids[pos]
-
-
 # ------------------------------------------------------------- determinism
 
 def test_batches_deterministic_in_seed_and_step(small_reader, word_vocab):
@@ -206,14 +195,6 @@ def test_corruption_preserves_shapes_and_determinism(small_reader, word_vocab):
     assert np.array_equal(a.labels["scp"], b.labels["scp"])
 
 
-def test_corrupt_tokens_wrapper_trims_to_length(word_vocab):
-    ids = list(word_vocab.sampleable_ids[:30])
-    rec = tb.corrupt_tokens(ids, np.random.default_rng(3), word_vocab,
-                            max_len=30)
-    assert len(rec.corrupted_ids) == 30
-    assert rec.sentence_label == any(rec.token_labels)
-
-
 def test_uncorrupted_rows_get_label_zero(small_reader, word_vocab):
     labels = []
     for step in range(10):
@@ -262,17 +243,6 @@ def test_trigram_too_short_rows_flagged_invalid(small_reader, word_vocab):
     lab = batch.labels["tgs"]
     assert np.all(lab["starts"] == -1)
     assert np.all(lab["labels"] == -1)
-
-
-def test_shuffle_trigram_wrapper(word_vocab):
-    ids = list(word_vocab.sampleable_ids[:10])
-    out = tb.shuffle_trigram(list(ids), np.random.default_rng(5), word_vocab)
-    assert out is not None
-    perm = tb.TRIGRAM_PERMS[out.perm_class]
-    s = out.start
-    assert out.ids[s:s + 3] == [ids[s + perm[i]] for i in range(3)]
-    assert tb.shuffle_trigram([word_vocab.cls_id] * 4,
-                              np.random.default_rng(0), word_vocab) is None
 
 
 # -------------------------------------------------------------- pair tasks

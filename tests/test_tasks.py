@@ -12,9 +12,6 @@ def test_registry_has_fifteen_tasks():
 
 
 def test_levels_and_classes():
-    token_level = {n for n, s in tasks.TASKS.items() if s.level == "token"}
-    assert token_level == {"mlm", "tf", "tfidf", "sbo", "tgs", "tcp",
-                           "cap", "tlp"}
     assert tasks.TASKS["tgs"].num_classes == 6
     assert tasks.TASKS["asp"].num_classes == 3
     assert tasks.TASKS["sdp"].num_classes == 3
