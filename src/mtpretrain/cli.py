@@ -242,10 +242,14 @@ def cmd_analyze(args) -> int:
 
 def cmd_probe(args) -> int:
     ck = tensor.load_checkpoint(args.checkpoint)
+    try:
+        mc = ModelConfig.from_dict(ck.config["model"])
+    except (KeyError, TypeError) as exc:
+        raise tensor.CheckpointError(
+            f"{args.checkpoint}: no usable model config ({exc!r})") from None
     vocab = load_vocab(args.vocab)
     reader = load_corpus(args.corpus)
     reader.check_vocab(vocab)
-    mc = ModelConfig.from_dict(ck.config["model"])
     model = Model(mc, np.random.default_rng(0))
     model.load_values(ck.params)
     spec = trainer.ProbeSpec(seed=args.seed, epochs=args.epochs,

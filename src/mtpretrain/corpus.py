@@ -4,22 +4,25 @@ token statistics, and a deterministic binary store.
 Input is plain UTF-8 text with one document per blank-line-separated block.
 Accepted documents are split into sentence-aligned segments of roughly
 ``target_tokens`` WordPiece tokens, scored with per-position TF and TF-IDF
-labels, and written to a self-describing little-endian store (magic "MTPC").
+labels, and written to a columnar store (magic "MTPC") in the layout of
+``arrayfile``.
 """
 
 from __future__ import annotations
 
 import math
-import struct
+import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import arrayfile
 from .tokenizer import EncodedToken, Vocabulary, encode_sentence
 
 STORE_MAGIC = b"MTPC"
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 MIN_WORDS = 10
 MIN_SENTENCES = 4
@@ -78,12 +81,6 @@ class Document:
 
 
 @dataclass
-class DocumentStats:
-    tf_scaled: dict[int, float]
-    tfidf_scaled: dict[int, float]
-
-
-@dataclass
 class CorpusStats:
     document_count: int
     document_frequency: dict[int, int] = field(default_factory=dict)
@@ -91,7 +88,7 @@ class CorpusStats:
 
 @dataclass
 class StoredDocument:
-    """One store record: flat token stream plus aligned per-position labels."""
+    """One stored document: token stream plus aligned per-position labels."""
 
     id: str
     token_ids: np.ndarray        # int32 (T,)
@@ -227,9 +224,7 @@ def segment_document(doc: Document, target_tokens: int = DEFAULT_TARGET_TOKENS) 
 
 def compute_tf(doc: Document) -> dict[int, float]:
     """Scaled term frequency: 10 * count / max count, per distinct token."""
-    counts: dict[int, int] = {}
-    for token_id in doc.all_token_ids():
-        counts[token_id] = counts.get(token_id, 0) + 1
+    counts = Counter(doc.all_token_ids())
     if not counts:
         return {}
     max_count = max(counts.values())
@@ -240,9 +235,7 @@ def compute_tfidf(doc: Document, corpus: CorpusStats) -> dict[int, float]:
     """Count * ln(N/df), max-rescaled so the document maximum is 10."""
     if corpus.document_count < 1:
         raise CorpusError("corpus stats cover zero documents")
-    counts: dict[int, int] = {}
-    for token_id in doc.all_token_ids():
-        counts[token_id] = counts.get(token_id, 0) + 1
+    counts = Counter(doc.all_token_ids())
     raw = {
         t: c * math.log(corpus.document_count
                         / corpus.document_frequency.get(t, 1))
@@ -254,11 +247,6 @@ def compute_tfidf(doc: Document, corpus: CorpusStats) -> dict[int, float]:
     if max_raw <= 0.0:
         return {t: 0.0 for t in raw}
     return {t: 10.0 * v / max_raw for t, v in raw.items()}
-
-
-def document_stats(doc: Document, corpus: CorpusStats) -> DocumentStats:
-    return DocumentStats(tf_scaled=compute_tf(doc),
-                         tfidf_scaled=compute_tfidf(doc, corpus))
 
 
 def parse_blocks(text: str) -> list[str]:
@@ -302,32 +290,6 @@ class BuildResult:
     up_to_date: bool
 
 
-def _encode_record(doc: Document, stats: DocumentStats) -> bytes:
-    ids = np.array(doc.all_token_ids(), dtype="<u4")
-    offsets = np.zeros(len(doc.encoded) + 1, dtype="<u4")
-    np.cumsum([len(s) for s in doc.encoded], out=offsets[1:])
-    tf = np.array([stats.tf_scaled[t] for t in ids], dtype="<f4")
-    tfidf = np.array([stats.tfidf_scaled[t] for t in ids], dtype="<f4")
-    flags = np.zeros(len(ids), dtype=np.uint8)
-    k = 0
-    for sent in doc.encoded:
-        for tok in sent:
-            f = FLAG_WORD_START if tok.is_word_start else 0
-            if tok.source_capitalized:
-                f |= FLAG_CAPITALIZED
-            flags[k] = f
-            k += 1
-    id_bytes = doc.id.encode("utf-8")
-    payload = b"".join([
-        struct.pack("<H", len(id_bytes)), id_bytes,
-        struct.pack("<I", len(doc.encoded)),
-        struct.pack("<I", len(ids)),
-        offsets.tobytes(), ids.tobytes(),
-        tf.tobytes(), tfidf.tobytes(), flags.tobytes(),
-    ])
-    return struct.pack("<I", len(payload)) + payload
-
-
 def build_corpus(input_paths, output_path, vocab: Vocabulary,
                  target_tokens: int = DEFAULT_TARGET_TOKENS) -> BuildResult:
     """Filter, segment, score, and serialize every input document.
@@ -367,26 +329,36 @@ def build_corpus(input_paths, output_path, vocab: Vocabulary,
     if not segments:
         raise CorpusError("zero accepted documents")
 
-    stats = CorpusStats(document_count=len(segments))
-    for seg in segments:
-        for token_id in set(seg.all_token_ids()):
-            stats.document_frequency[token_id] = \
-                stats.document_frequency.get(token_id, 0) + 1
+    stats = CorpusStats(len(segments), Counter(
+        t for seg in segments for t in set(seg.all_token_ids())))
 
-    chunks = [STORE_MAGIC,
-              struct.pack("<I", STORE_VERSION),
-              struct.pack("<Q", len(segments)),
-              vocab.content_hash]
-    total_tokens = 0
+    token_ids, tf, tfidf, flags, offsets = [], [], [], [], []
     for seg in segments:
-        total_tokens += seg.token_count
-        chunks.append(_encode_record(seg, document_stats(seg, stats)))
-    blob = b"".join(chunks)
+        ids = seg.all_token_ids()
+        seg_tf, seg_tfidf = compute_tf(seg), compute_tfidf(seg, stats)
+        token_ids.append(np.array(ids, dtype="<u4"))
+        tf.append(np.array([seg_tf[t] for t in ids], dtype="<f4"))
+        tfidf.append(np.array([seg_tfidf[t] for t in ids], dtype="<f4"))
+        flags.append(np.array(
+            [FLAG_WORD_START * tok.is_word_start
+             | FLAG_CAPITALIZED * tok.source_capitalized
+             for sent in seg.encoded for tok in sent], dtype="|u1"))
+        offsets.append(np.cumsum([0] + seg.sentence_token_counts))
+    blob = arrayfile.pack(
+        STORE_MAGIC, STORE_VERSION,
+        {"vocab_hash": vocab.content_hash.hex(),
+         "doc_ids": [seg.id for seg in segments]},
+        [np.array([len(t) for t in token_ids], dtype="<u4"),
+         np.array([len(o) - 1 for o in offsets], dtype="<u4"),
+         np.concatenate(offsets).astype("<u4"),
+         np.concatenate(token_ids), np.concatenate(tf),
+         np.concatenate(tfidf), np.concatenate(flags)])
+    total_tokens = sum(len(t) for t in token_ids)
 
     output_path = Path(output_path)
     up_to_date = output_path.exists() and output_path.read_bytes() == blob
     if not up_to_date:
-        output_path.write_bytes(blob)
+        arrayfile.write_atomic(output_path, blob)
     return BuildResult(stats=stats, files_read=len(files),
                        blocks_parsed=len(raw_docs), rejected=rejected,
                        accepted=accepted, stored_segments=len(segments),
@@ -439,62 +411,44 @@ class CorpusReader:
                             self.vocab_hash)
 
 
+# the store's blocks: per-document token and sentence counts, every
+# document's sentence offsets (S+1 each, from 0 to its token count), then
+# the token ids, tf, tf-idf and flags of all documents, one after another
+_STORE_DTYPES = ["<u4", "<u4", "<u4", "<u4", "<f4", "<f4", "|u1"]
+
+
 def load_corpus(path) -> CorpusReader:
     """Read a store; any short or garbled file raises CorpusError."""
-    blob = Path(path).read_bytes()
-    if blob[:4] != STORE_MAGIC:
-        raise CorpusError(f"{path} is not a corpus store (bad magic)")
-    if len(blob) < 48:
-        raise CorpusError(f"{path}: truncated header")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != STORE_VERSION:
-        raise CorpusError(f"{path}: unsupported store version {version}")
-    (doc_count,) = struct.unpack_from("<Q", blob, 8)
-    vocab_hash = blob[16:48]
-    pos = 48
-    documents: list[StoredDocument] = []
-    for _ in range(doc_count):
-        if pos + 4 > len(blob):
-            raise CorpusError(f"{path}: truncated before record {len(documents)}")
-        (rec_len,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        if pos + rec_len > len(blob):
-            raise CorpusError(f"{path}: truncated inside record {len(documents)}")
-        try:
-            documents.append(_parse_record(memoryview(blob)[pos:pos + rec_len]))
-        except (ValueError, struct.error) as exc:
-            raise CorpusError(
-                f"{path}: corrupt record {len(documents)} ({exc})") from None
-        pos += rec_len
-    if pos != len(blob):
-        raise CorpusError(f"{path}: trailing bytes after final record")
-    return CorpusReader(documents, vocab_hash)
-
-
-def _parse_record(rec: memoryview) -> StoredDocument:
-    (id_len,) = struct.unpack_from("<H", rec, 0)
-    off = 2
-    doc_id = bytes(rec[off:off + id_len]).decode("utf-8")
-    off += id_len
-    n_sent, n_tok = struct.unpack_from("<II", rec, off)
-    off += 8
-    if off + 4 * (n_sent + 1) + 13 * n_tok != len(rec):
-        raise CorpusError(f"document {doc_id}: record length does not match "
-                          f"its counts")
-    offsets = np.frombuffer(rec, dtype="<u4", count=n_sent + 1,
-                            offset=off).astype(np.int32)
-    if n_sent < 1 or offsets[0] != 0 or offsets[-1] != n_tok \
-            or (np.diff(offsets) < 0).any():
-        raise CorpusError(f"document {doc_id}: sentence offsets do not run "
-                          f"from 0 up to its {n_tok} tokens")
-    off += 4 * (n_sent + 1)
-    # views into the file's bytes: CorpusReader copies them into its arrays
-    ids = np.frombuffer(rec, dtype="<u4", count=n_tok, offset=off)
-    off += 4 * n_tok
-    tf = np.frombuffer(rec, dtype="<f4", count=n_tok, offset=off)
-    off += 4 * n_tok
-    tfidf = np.frombuffer(rec, dtype="<f4", count=n_tok, offset=off)
-    off += 4 * n_tok
-    flags = np.frombuffer(rec, dtype=np.uint8, count=n_tok, offset=off)
-    return StoredDocument(id=doc_id, token_ids=ids, sentence_offsets=offsets,
-                          tf=tf, tfidf=tfidf, flags=flags)
+    header, arrays = arrayfile.read(path, STORE_MAGIC, STORE_VERSION,
+                                    CorpusError)
+    doc_ids, vocab_hash = header.get("doc_ids"), header.get("vocab_hash")
+    if not (isinstance(vocab_hash, str)
+            and re.fullmatch("[0-9a-f]{64}", vocab_hash)
+            and isinstance(doc_ids, list)
+            and all(isinstance(d, str) for d in doc_ids)
+            and [a.dtype.str for a in arrays] == _STORE_DTYPES):
+        raise CorpusError(f"{path}: header or blocks do not describe a store")
+    n_tok, n_sent, offsets, ids, tf, tfidf, flags = arrays
+    sizes = n_sent.astype(np.int64) + 1
+    n_docs, n_offsets = len(doc_ids), int(sizes.sum())
+    if not doc_ids or [a.shape for a in arrays] != [(n_docs,)] * 2 \
+            + [(n_offsets,)] + [(int(n_tok.sum(dtype=np.int64)),)] * 4:
+        raise CorpusError(f"{path}: block sizes do not match the "
+                          f"document counts")
+    ends = np.cumsum(sizes)
+    owner = np.repeat(np.arange(n_docs), sizes)
+    offsets = offsets.astype(np.int64)
+    bad = (sizes < 2) | (offsets[ends - sizes] != 0) \
+        | (offsets[ends - 1] != n_tok)
+    bad[owner[1:][(np.diff(offsets) < 0) & (owner[1:] == owner[:-1])]] = True
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise CorpusError(f"{path}: document {i} ({doc_ids[i]}): sentence "
+                          f"offsets do not run from 0 up to its "
+                          f"{n_tok[i]} tokens")
+    cuts = np.cumsum(n_tok, dtype=np.int64)[:-1]
+    documents = [StoredDocument(*fields) for fields in zip(
+        doc_ids, np.split(ids, cuts),
+        np.split(offsets.astype(np.int32), ends[:-1]),
+        np.split(tf, cuts), np.split(tfidf, cuts), np.split(flags, cuts))]
+    return CorpusReader(documents, bytes.fromhex(vocab_hash))

@@ -254,9 +254,6 @@ class Model:
                 values = truncated_normal(rng, shape)
             self.params[name] = tz.parameter(values, name=name)
 
-    def parameter_total(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def load_values(self, values: "dict[str, np.ndarray]") -> None:
         missing = set(self.params) - set(values)
         extra = set(values) - set(self.params)

@@ -25,14 +25,12 @@ is skipped, and its backward term is never computed.
 
 from __future__ import annotations
 
-import json
-import os
-import struct
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+from . import arrayfile
 
 _DEFAULT_DTYPE = np.float32
 
@@ -617,7 +615,6 @@ def lr_at(tokens_seen: float, total_tokens: float, base_lr: float = 1e-4,
 class GradCheckResult:
     max_error: float
     worst_param: str
-    per_param: "dict[str, float]" = field(default_factory=dict)
 
 
 def check_gradients(loss_fn: Callable[[], Tensor], params: "dict[str, Tensor]",
@@ -641,7 +638,6 @@ def check_gradients(loss_fn: Callable[[], Tensor], params: "dict[str, Tensor]",
                 for name, p in params.items()}
     if rng is None:
         rng = np.random.default_rng(0)
-    per_param = {}
     worst = ("", 0.0)
     for name, p in params.items():
         flat = p.data.reshape(-1)
@@ -662,17 +658,15 @@ def check_gradients(loss_fn: Callable[[], Tensor], params: "dict[str, Tensor]",
             a = analytic[name].reshape(-1)[i]
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-4)
             worst_here = max(worst_here, err)
-        per_param[name] = worst_here
         if worst_here >= worst[1]:
             worst = (name, worst_here)
-    return GradCheckResult(max_error=worst[1], worst_param=worst[0],
-                           per_param=per_param)
+    return GradCheckResult(max_error=worst[1], worst_param=worst[0])
 
 
 # ------------------------------------------------------------ checkpoints
 
 CHECKPOINT_MAGIC = b"MTPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -691,81 +685,40 @@ class Checkpoint:
 
 def save_checkpoint(path, params: "dict[str, Tensor]", config: dict,
                     train_state: dict, optimizer: Optional[Adam] = None) -> None:
-    manifest = [{"name": k, "shape": list(p.data.shape)}
-                for k, p in params.items()]
-    header = {
-        "config": config,
-        "train_state": dict(train_state),
-        "params": manifest,
-        "has_optimizer": optimizer is not None,
-        "adam_t": optimizer.t if optimizer is not None else 0,
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    # written beside the target and renamed over it, so a write that stops
-    # partway leaves the previous checkpoint in place
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
-            fh.write(blob)
-            arrays = [params[m["name"]].data for m in manifest]
-            if optimizer is not None:
-                arrays += [optimizer.m[m["name"]] for m in manifest]
-                arrays += [optimizer.v[m["name"]] for m in manifest]
-            for arr in arrays:
-                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Parameters, then Adam's m and v when an optimizer is given, as
+    float32 blocks; written atomically."""
+    names = list(params)
+    arrays = [params[k].data for k in names]
+    if optimizer is not None:
+        arrays += [optimizer.m[k] for k in names] + [optimizer.v[k] for k in names]
+    header = {"config": config, "train_state": dict(train_state),
+              "params": names,
+              "adam_t": optimizer.t if optimizer is not None else 0}
+    arrayfile.write_atomic(path, arrayfile.pack(
+        CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header,
+        [np.asarray(a, dtype="<f4") for a in arrays]))
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; any short or garbled file raises CheckpointError."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    if len(raw) < 16:
-        raise CheckpointError(f"{path}: truncated header")
-    version, header_len = struct.unpack_from("<IQ", raw, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    off = 4 + 12
-    if off + header_len > len(raw):
-        raise CheckpointError(f"{path}: truncated header")
-    try:
-        return _parse_checkpoint(raw, off, header_len)
-    except CheckpointError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise CheckpointError(f"{path}: corrupt header ({exc!r})") from None
-
-
-def _parse_checkpoint(raw: bytes, off: int, header_len: int) -> Checkpoint:
-    header = json.loads(raw[off:off + header_len].decode("utf-8"))
-    off += header_len
-
-    def read_block(shape):
-        nonlocal off
-        n = int(np.prod(shape)) if shape else 1
-        if n < 0 or off + 4 * n > len(raw):
-            raise CheckpointError("data blocks run past the end of the file")
-        arr = np.frombuffer(raw, dtype="<f4", count=n, offset=off)
-        off += 4 * n
-        return arr.reshape(shape).copy()
-
-    params = {}
-    for m in header["params"]:
-        params[m["name"]] = read_block(m["shape"])
-    adam_m = adam_v = None
-    if header.get("has_optimizer"):
-        adam_m = {m["name"]: read_block(m["shape"]) for m in header["params"]}
-        adam_v = {m["name"]: read_block(m["shape"]) for m in header["params"]}
-    if off != len(raw):
-        raise CheckpointError(f"{len(raw) - off} trailing bytes")
-    return Checkpoint(config=header["config"], train_state=header["train_state"],
-                      params=params, adam_m=adam_m, adam_v=adam_v,
-                      adam_t=int(header.get("adam_t", 0)))
+    header, arrays = arrayfile.read(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                    CheckpointError)
+    config, state = header.get("config"), header.get("train_state")
+    if not (isinstance(config, dict) and isinstance(state, dict)
+            and all(type(state.get(k)) is int
+                    for k in ("step", "tokens_seen"))):
+        raise CheckpointError(
+            f"{path}: config and train_state must be objects, and "
+            f"train_state must hold integer step and tokens_seen")
+    names = header.get("params")
+    n = len(names) if isinstance(names, list) else 0
+    if not (n and all(isinstance(k, str) for k in names)
+            and len(set(names)) == n and len(arrays) in (n, 3 * n)
+            and all(a.dtype.str == "<f4" and a.shape == arrays[i % n].shape
+                    for i, a in enumerate(arrays))
+            and type(header.get("adam_t")) is int):
+        raise CheckpointError(f"{path}: the parameter list, adam_t or the "
+                              f"data blocks are corrupt")
+    groups = [dict(zip(names, (a.copy() for a in arrays[g:g + n])))
+              for g in range(0, len(arrays), n)]
+    return Checkpoint(config, state, *groups, adam_t=header["adam_t"])

@@ -184,10 +184,6 @@ def encode_sentence(text: str, vocab: Vocabulary) -> list[EncodedToken]:
     return encoded
 
 
-def encode_ids(text: str, vocab: Vocabulary) -> list[int]:
-    return [tok.id for tok in encode_sentence(text, vocab)]
-
-
 def decode(ids, vocab: Vocabulary) -> str:
     """Join pieces, stripping "##"; inverse of encode up to case/whitespace."""
     out: list[str] = []

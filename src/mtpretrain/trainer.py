@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import arrayfile
 from . import losses as ls
 from . import scheduler as sch
 from . import tensor as tz
@@ -166,7 +167,7 @@ def _truncate_metrics(path, last_step: int) -> None:
                 kept.append(line)
         except (ValueError, KeyError, TypeError):
             continue
-    Path(path).write_text("".join(kept), encoding="utf-8")
+    arrayfile.write_atomic(path, "".join(kept).encode("utf-8"))
 
 
 def build_model(config: TrainConfig, vocab, n_task_ids: int) -> Model:

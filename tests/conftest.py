@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mtpretrain import arrayfile
 from mtpretrain import tokenizer as tk
 from mtpretrain import corpus as cp
 
@@ -73,3 +74,35 @@ def small_store(tmp_path_factory, word_vocab, word_vocab_path):
 @pytest.fixture(scope="session")
 def small_reader(small_store):
     return cp.load_corpus(small_store)
+
+
+class _FailingFile:
+    """A writable file that writes `limit` bytes, then raises OSError."""
+
+    def __init__(self, fh, limit):
+        self.fh, self.limit, self.written = fh, limit, 0
+
+    def write(self, data):
+        room = self.limit - self.written
+        if len(data) > room:
+            self.fh.write(data[:room])
+            raise OSError("disk full")
+        self.written += len(data)
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.fixture()
+def fail_writes_after(monkeypatch):
+    """arm(limit): the atomic writer's next files stop with OSError after
+    `limit` bytes."""
+    def arm(limit):
+        def failing_open(file, mode="r", *args, **kwargs):
+            return _FailingFile(open(file, mode, *args, **kwargs), limit)
+        monkeypatch.setattr(arrayfile, "open", failing_open, raising=False)
+    return arm

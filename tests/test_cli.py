@@ -1,9 +1,11 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import synthetic_corpus_text, write_word_vocab
+from mtpretrain import tensor
 from mtpretrain.cli import main
 
 
@@ -187,6 +189,19 @@ def test_train_and_probe_round_trip(capsys, train_config, small_store,
     assert "probe accuracy:" in out
     assert "random-init accuracy:" in out
     assert "gap:" in out
+
+
+def test_probe_without_model_config_fails(capsys, small_store,
+                                          word_vocab_path, tmp_path):
+    ck = tmp_path / "bare.mtpt"
+    params = {"w.bias": tensor.parameter(np.zeros(3), name="w.bias")}
+    tensor.save_checkpoint(ck, params, config={"layers": 1},
+                           train_state={"step": 0, "tokens_seen": 0})
+    code, _, err = run(capsys, "probe", "--checkpoint", str(ck),
+                       "--corpus", str(small_store),
+                       "--vocab", str(word_vocab_path))
+    assert code == 1
+    assert err.startswith("error:") and "bare.mtpt" in err
 
 
 def test_train_conflicting_tasks_fails(capsys, small_store, word_vocab_path,

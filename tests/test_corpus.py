@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -245,12 +246,12 @@ def test_stats_maps_bounds():
         for t in set(doc.all_token_ids()):
             stats.document_frequency[t] = stats.document_frequency.get(t, 0) + 1
     for doc in docs:
-        ds = cp.document_stats(doc, stats)
-        for mapping in (ds.tf_scaled, ds.tfidf_scaled):
+        tf, tfidf = cp.compute_tf(doc), cp.compute_tfidf(doc, stats)
+        for mapping in (tf, tfidf):
             vals = list(mapping.values())
             assert min(vals) >= 0.0
             assert max(vals) <= 10.0 + 1e-12
-        assert max(ds.tf_scaled.values()) == pytest.approx(10.0)
+        assert max(tf.values()) == pytest.approx(10.0)
 
 
 # -------------------------------------------------------------------- store
@@ -339,11 +340,10 @@ def test_store_roundtrip_values(tmp_path, word_vocab):
         assert stored.id == seg.id
         assert stored.token_ids.tolist() == seg.all_token_ids()
         assert stored.n_sentences == len(seg.sentences)
-        ds = cp.document_stats(seg, stats)
+        tf, tfidf = cp.compute_tf(seg), cp.compute_tfidf(seg, stats)
         for pos, t in enumerate(stored.token_ids.tolist()):
-            assert stored.tf[pos] == pytest.approx(ds.tf_scaled[t], abs=1e-6)
-            assert stored.tfidf[pos] == pytest.approx(ds.tfidf_scaled[t],
-                                                      abs=1e-6)
+            assert stored.tf[pos] == pytest.approx(tf[t], abs=1e-6)
+            assert stored.tfidf[pos] == pytest.approx(tfidf[t], abs=1e-6)
         flat = [tok for sent in seg.encoded for tok in sent]
         for pos, tok in enumerate(flat):
             assert bool(stored.flags[pos] & cp.FLAG_WORD_START) \
@@ -352,47 +352,46 @@ def test_store_roundtrip_values(tmp_path, word_vocab):
                 == tok.source_capitalized
 
 
-def test_truncated_or_garbled_store_raises_corpus_error(tmp_path, word_vocab):
-    rng = np.random.default_rng(19)
+def test_interrupted_store_write_keeps_previous(tmp_path, word_vocab,
+                                                fail_writes_after):
+    rng = np.random.default_rng(23)
     src = tmp_path / "docs.txt"
-    src.write_text("\n\n".join(corpus_block(rng) for _ in range(2)),
+    src.write_text("\n\n".join(corpus_block(rng) for _ in range(3)),
                    encoding="utf-8")
     out = tmp_path / "out.mtpc"
     cp.build_corpus([src], out, word_vocab)
-    blob = out.read_bytes()
-    assert len(cp.load_corpus(out).documents) == 2
-    cut = tmp_path / "cut.mtpc"
-    for n in range(len(blob)):
-        cut.write_bytes(blob[:n])
-        with pytest.raises(cp.CorpusError, match="cut.mtpc"):
-            cp.load_corpus(cut)
-    # a flipped byte either still parses (no checksum yet) or is refused
-    for i in range(len(blob)):
-        for bits in (0x01, 0xFF):
-            cut.write_bytes(blob[:i] + bytes([blob[i] ^ bits]) + blob[i + 1:])
-            try:
-                cp.load_corpus(cut)
-            except cp.CorpusError as exc:
-                assert "cut.mtpc" in str(exc)
+    before = out.read_bytes()
+    src.write_text("\n\n".join(corpus_block(rng) for _ in range(4)),
+                   encoding="utf-8")
+    fail_writes_after(40)
+    with pytest.raises(OSError, match="disk full"):
+        cp.build_corpus([src], out, word_vocab)
+    assert out.read_bytes() == before
+    assert len(cp.load_corpus(out)) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["docs.txt",
+                                                          "out.mtpc"]
 
 
 @pytest.mark.parametrize("which,value", [
-    (1, 10**6),        # an offset beyond the record's tokens
+    (1, 10**6),        # an offset beyond the document's tokens
     (-1, None),        # the last offset past the tokens (n_tok + 50)
     (2, 0),            # offsets that decrease
 ])
 def test_store_rejects_bad_sentence_offsets(small_store, tmp_path, which,
                                             value):
     blob = bytearray(small_store.read_bytes())
-    rec = 48 + 4                                  # record 0, past its length
-    (id_len,) = struct.unpack_from("<H", blob, rec)
-    counts = rec + 2 + id_len
-    n_sent, n_tok = struct.unpack_from("<II", blob, counts)
-    at = counts + 8 + 4 * (which % (n_sent + 1))
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    arrays = json.loads(blob[16:16 + header_len])["arrays"]
+    blocks = 16 + header_len
+    n_docs = arrays[0]["shape"][0]
+    (n_tok,) = struct.unpack_from("<I", blob, blocks)
+    (n_sent,) = struct.unpack_from("<I", blob, blocks + 4 * n_docs)
+    # document 0's offsets open the offsets block, after both count blocks
+    at = blocks + 8 * n_docs + 4 * (which % (n_sent + 1))
     struct.pack_into("<I", blob, at, n_tok + 50 if value is None else value)
     bad = tmp_path / "bad.mtpc"
     bad.write_bytes(bytes(blob))
-    with pytest.raises(cp.CorpusError, match=r"bad\.mtpc: corrupt record 0"):
+    with pytest.raises(cp.CorpusError, match=r"bad\.mtpc: document 0 "):
         cp.load_corpus(bad)
 
 

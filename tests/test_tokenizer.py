@@ -168,7 +168,7 @@ def test_encode_decode_roundtrip_on_vocab_words(tmp_path_factory, words):
     vocab = tk.load_vocab(
         write_vocab(tmp_path_factory.mktemp("v"), BASE_WORDS))
     text = " ".join(words)
-    ids = tk.encode_ids(text, vocab)
+    ids = [tok.id for tok in tk.encode_sentence(text, vocab)]
     assert tk.decode(ids, vocab) == text
 
 

@@ -221,6 +221,19 @@ def test_resume_after_crash_logs_each_step_once(small_store, word_vocab_path,
     assert a.adam_t == b.adam_t == 10
 
 
+def test_failed_metrics_rewrite_keeps_the_old_log(tmp_path,
+                                                 fail_writes_after):
+    log = tmp_path / "metrics.jsonl"
+    log.write_text("".join(json.dumps({"step": k}) + "\n" for k in range(8))
+                   + '{"step": 8', encoding="utf-8")
+    before = log.read_bytes()
+    fail_writes_after(20)
+    with pytest.raises(OSError, match="disk full"):
+        tr._truncate_metrics(log, 4)
+    assert log.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.jsonl"]
+
+
 @pytest.fixture(scope="module")
 def mlm_checkpoint(small_store, word_vocab_path, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("resume")
