@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, losses, scheduler, tensor, trainer
-from .corpus import CorpusError, CorpusReader, StoredDocument, build_corpus, load_corpus
+from .corpus import CorpusError, CorpusReader, build_corpus, load_corpus
 from .model import Model, ModelConfig
 from .taskbuild import assemble_batch
-from .tasks import TASK_ORDER, canonical_task, validate_compatibility
+from .tasks import canonical_task, validate_compatibility
 from .tokenizer import SPECIAL_TOKENS, load_vocab
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -126,20 +126,20 @@ def cmd_train(args) -> int:
 def _fabricated_reader(vocab, rng, n_docs: int = 12) -> CorpusReader:
     """A tiny in-memory corpus with plausible per-token labels."""
     regular = vocab.sampleable_ids
-    docs = []
-    for d in range(n_docs):
+    rows = []
+    for _ in range(n_docs):
         n_sent = int(rng.integers(4, 9))
         counts = rng.integers(4, 9, size=n_sent)
         total = int(counts.sum())
-        ids = rng.choice(regular, size=total).astype(np.int32)
-        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        tf = rng.uniform(0, 10, size=total).astype(np.float32)
-        tfidf = rng.uniform(0, 10, size=total).astype(np.float32)
-        flags = (rng.integers(0, 4, size=total)).astype(np.uint8)
-        docs.append(StoredDocument(id=f"demo{d}", token_ids=ids,
-                                   sentence_offsets=offsets, tf=tf,
-                                   tfidf=tfidf, flags=flags))
-    return CorpusReader(docs, vocab_hash=vocab.content_hash)
+        rows.append(([total], [n_sent], np.cumsum(np.r_[0, counts]),
+                     rng.choice(regular, size=total),
+                     rng.uniform(0, 10, size=total),
+                     rng.uniform(0, 10, size=total),
+                     rng.integers(0, 4, size=total)))
+    return CorpusReader([f"demo{d}" for d in range(n_docs)],
+                        vocab.content_hash,
+                        [np.concatenate(column) for column in zip(*rows)],
+                        "fabricated corpus")
 
 
 def _demo_vocab_path(tmpdir: Path) -> Path:

@@ -3,9 +3,9 @@ token statistics, and a deterministic binary store.
 
 Input is plain UTF-8 text with one document per blank-line-separated block.
 Accepted documents are split into sentence-aligned segments of roughly
-``target_tokens`` WordPiece tokens, scored with per-position TF and TF-IDF
-labels, and written to a columnar store (magic "MTPC") in the layout of
-``arrayfile``.
+``DEFAULT_TARGET_TOKENS`` WordPiece tokens, scored with per-position TF and
+TF-IDF labels, and written to a columnar store (magic "MTPC") in the layout
+of ``arrayfile``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,11 @@ from .tokenizer import EncodedToken, Vocabulary, encode_sentence
 
 STORE_MAGIC = b"MTPC"
 STORE_VERSION = 2
+
+# the store's blocks: per-document token and sentence counts, every
+# document's sentence offsets (S+1 each, from 0 to its token count), then
+# the token ids, tf, tf-idf and flags of all documents, one after another
+_STORE_DTYPES = ["<u4", "<u4", "<u4", "<u4", "<f4", "<f4", "|u1"]
 
 MIN_WORDS = 10
 MIN_SENTENCES = 4
@@ -290,8 +295,7 @@ class BuildResult:
     up_to_date: bool
 
 
-def build_corpus(input_paths, output_path, vocab: Vocabulary,
-                 target_tokens: int = DEFAULT_TARGET_TOKENS) -> BuildResult:
+def build_corpus(input_paths, output_path, vocab: Vocabulary) -> BuildResult:
     """Filter, segment, score, and serialize every input document.
 
     Re-running on identical inputs produces byte-identical output; if the
@@ -325,35 +329,30 @@ def build_corpus(input_paths, output_path, vocab: Vocabulary,
             rejected += 1
             continue
         accepted += 1
-        segments.extend(segment_document(doc, target_tokens))
+        segments.extend(segment_document(doc))
     if not segments:
         raise CorpusError("zero accepted documents")
 
     stats = CorpusStats(len(segments), Counter(
         t for seg in segments for t in set(seg.all_token_ids())))
 
-    token_ids, tf, tfidf, flags, offsets = [], [], [], [], []
+    rows = []
     for seg in segments:
         ids = seg.all_token_ids()
         seg_tf, seg_tfidf = compute_tf(seg), compute_tfidf(seg, stats)
-        token_ids.append(np.array(ids, dtype="<u4"))
-        tf.append(np.array([seg_tf[t] for t in ids], dtype="<f4"))
-        tfidf.append(np.array([seg_tfidf[t] for t in ids], dtype="<f4"))
-        flags.append(np.array(
-            [FLAG_WORD_START * tok.is_word_start
-             | FLAG_CAPITALIZED * tok.source_capitalized
-             for sent in seg.encoded for tok in sent], dtype="|u1"))
-        offsets.append(np.cumsum([0] + seg.sentence_token_counts))
+        rows.append(([len(ids)], [len(seg.encoded)],
+                     np.cumsum([0] + seg.sentence_token_counts), ids,
+                     [seg_tf[t] for t in ids], [seg_tfidf[t] for t in ids],
+                     [FLAG_WORD_START * tok.is_word_start
+                      | FLAG_CAPITALIZED * tok.source_capitalized
+                      for sent in seg.encoded for tok in sent]))
+    blocks = [np.concatenate(column).astype(dtype)
+              for column, dtype in zip(zip(*rows), _STORE_DTYPES)]
     blob = arrayfile.pack(
         STORE_MAGIC, STORE_VERSION,
         {"vocab_hash": vocab.content_hash.hex(),
-         "doc_ids": [seg.id for seg in segments]},
-        [np.array([len(t) for t in token_ids], dtype="<u4"),
-         np.array([len(o) - 1 for o in offsets], dtype="<u4"),
-         np.concatenate(offsets).astype("<u4"),
-         np.concatenate(token_ids), np.concatenate(tf),
-         np.concatenate(tfidf), np.concatenate(flags)])
-    total_tokens = sum(len(t) for t in token_ids)
+         "doc_ids": [seg.id for seg in segments]}, blocks)
+    total_tokens = len(blocks[3])
 
     output_path = Path(output_path)
     up_to_date = output_path.exists() and output_path.read_bytes() == blob
@@ -368,29 +367,51 @@ def build_corpus(input_paths, output_path, vocab: Vocabulary,
 class CorpusReader:
     """In-memory view of a corpus store.
 
-    The token ids, TF and TF-IDF labels and flags of all documents sit in
-    four reader-wide arrays, one document after another; document i starts
-    at ``doc_starts[i]``, and its own arrays are views into these.
+    Built from the store's seven blocks in file order (see _STORE_DTYPES),
+    which it validates; ``source`` names them in every error. The token
+    ids, TF and TF-IDF labels and flags of all documents sit in four
+    reader-wide arrays, one document after another; document i starts at
+    ``doc_starts[i]``, and its own arrays are views into these.
     """
 
-    def __init__(self, documents: list[StoredDocument], vocab_hash: bytes):
-        if not documents:
-            raise CorpusError("corpus store holds no documents")
-        self.doc_starts = np.zeros(len(documents) + 1, dtype=np.int64)
-        np.cumsum([d.n_tokens for d in documents], out=self.doc_starts[1:])
-        self.token_ids = np.concatenate([d.token_ids for d in documents],
-                                        dtype=np.int32)
-        self.tf = np.concatenate([d.tf for d in documents], dtype=np.float32)
-        self.tfidf = np.concatenate([d.tfidf for d in documents],
-                                    dtype=np.float32)
-        self.flags = np.concatenate([d.flags for d in documents],
-                                    dtype=np.uint8)
-        bounds = zip(self.doc_starts[:-1].tolist(), self.doc_starts[1:].tolist())
-        self.documents = [
-            replace(d, token_ids=self.token_ids[a:b], tf=self.tf[a:b],
-                    tfidf=self.tfidf[a:b], flags=self.flags[a:b])
-            for d, (a, b) in zip(documents, bounds)]
+    def __init__(self, doc_ids: "list[str]", vocab_hash: bytes, blocks,
+                 source):
+        blocks = [np.asarray(b) for b in blocks]
+        n_tok, n_sent, offsets, ids, tf, tfidf, flags = blocks
+        sizes = n_sent.astype(np.int64) + 1
+        n_docs, n_offsets = len(doc_ids), int(sizes.sum())
+        if not doc_ids or [a.shape for a in blocks] \
+                != [(n_docs,)] * 2 + [(n_offsets,)] \
+                + [(int(n_tok.sum(dtype=np.int64)),)] * 4:
+            raise CorpusError(f"{source}: block sizes do not match the "
+                              f"document counts")
+        ends = np.cumsum(sizes)
+        owner = np.repeat(np.arange(n_docs), sizes)
+        offsets = offsets.astype(np.int64)
+        bad = (sizes < 2) | (offsets[ends - sizes] != 0) \
+            | (offsets[ends - 1] != n_tok)
+        bad[owner[1:][(np.diff(offsets) < 0)
+                      & (owner[1:] == owner[:-1])]] = True
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise CorpusError(f"{source}: document {i} ({doc_ids[i]}): "
+                              f"sentence offsets do not run from 0 up to "
+                              f"its {n_tok[i]} tokens")
+        self.doc_starts = np.zeros(n_docs + 1, dtype=np.int64)
+        np.cumsum(n_tok, dtype=np.int64, out=self.doc_starts[1:])
+        self.token_ids = ids.astype(np.int32)
+        self.tf = np.asarray(tf, dtype=np.float32)
+        self.tfidf = np.asarray(tfidf, dtype=np.float32)
+        self.flags = np.asarray(flags, dtype=np.uint8)
+        offsets = offsets.astype(np.int32)
+        tok, cut = self.doc_starts.tolist(), [0] + ends.tolist()
+        self.documents = [StoredDocument(
+            doc_id, self.token_ids[tok[i]:tok[i + 1]],
+            offsets[cut[i]:cut[i + 1]], self.tf[tok[i]:tok[i + 1]],
+            self.tfidf[tok[i]:tok[i + 1]], self.flags[tok[i]:tok[i + 1]])
+            for i, doc_id in enumerate(doc_ids)]
         self.vocab_hash = vocab_hash
+        self.source = source
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -407,48 +428,25 @@ class CorpusReader:
 
     def subset(self, indices) -> "CorpusReader":
         """A reader over a document subset (e.g. a held-out split)."""
-        return CorpusReader([self.documents[i] for i in indices],
-                            self.vocab_hash)
-
-
-# the store's blocks: per-document token and sentence counts, every
-# document's sentence offsets (S+1 each, from 0 to its token count), then
-# the token ids, tf, tf-idf and flags of all documents, one after another
-_STORE_DTYPES = ["<u4", "<u4", "<u4", "<u4", "<f4", "<f4", "|u1"]
+        docs = [self.documents[i] for i in indices]
+        return CorpusReader(
+            [d.id for d in docs], self.vocab_hash,
+            [[d.n_tokens for d in docs], [d.n_sentences for d in docs]]
+            + [np.concatenate([getattr(d, name) for d in docs])
+               for name in ("sentence_offsets", "token_ids", "tf", "tfidf",
+                            "flags")],
+            f"{self.source} (subset)")
 
 
 def load_corpus(path) -> CorpusReader:
     """Read a store; any short or garbled file raises CorpusError."""
-    header, arrays = arrayfile.read(path, STORE_MAGIC, STORE_VERSION,
+    header, blocks = arrayfile.read(path, STORE_MAGIC, STORE_VERSION,
                                     CorpusError)
     doc_ids, vocab_hash = header.get("doc_ids"), header.get("vocab_hash")
     if not (isinstance(vocab_hash, str)
             and re.fullmatch("[0-9a-f]{64}", vocab_hash)
             and isinstance(doc_ids, list)
             and all(isinstance(d, str) for d in doc_ids)
-            and [a.dtype.str for a in arrays] == _STORE_DTYPES):
+            and [a.dtype.str for a in blocks] == _STORE_DTYPES):
         raise CorpusError(f"{path}: header or blocks do not describe a store")
-    n_tok, n_sent, offsets, ids, tf, tfidf, flags = arrays
-    sizes = n_sent.astype(np.int64) + 1
-    n_docs, n_offsets = len(doc_ids), int(sizes.sum())
-    if not doc_ids or [a.shape for a in arrays] != [(n_docs,)] * 2 \
-            + [(n_offsets,)] + [(int(n_tok.sum(dtype=np.int64)),)] * 4:
-        raise CorpusError(f"{path}: block sizes do not match the "
-                          f"document counts")
-    ends = np.cumsum(sizes)
-    owner = np.repeat(np.arange(n_docs), sizes)
-    offsets = offsets.astype(np.int64)
-    bad = (sizes < 2) | (offsets[ends - sizes] != 0) \
-        | (offsets[ends - 1] != n_tok)
-    bad[owner[1:][(np.diff(offsets) < 0) & (owner[1:] == owner[:-1])]] = True
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise CorpusError(f"{path}: document {i} ({doc_ids[i]}): sentence "
-                          f"offsets do not run from 0 up to its "
-                          f"{n_tok[i]} tokens")
-    cuts = np.cumsum(n_tok, dtype=np.int64)[:-1]
-    documents = [StoredDocument(*fields) for fields in zip(
-        doc_ids, np.split(ids, cuts),
-        np.split(offsets.astype(np.int32), ends[:-1]),
-        np.split(tf, cuts), np.split(tfidf, cuts), np.split(flags, cuts))]
-    return CorpusReader(documents, bytes.fromhex(vocab_hash))
+    return CorpusReader(doc_ids, bytes.fromhex(vocab_hash), blocks, path)

@@ -54,12 +54,12 @@ def loss_regression(task: str, preds: Tensor, values, weights) -> TaskLoss:
     return TaskLoss(task, weighted.sum() * (1.0 / total), int(round(total)))
 
 
-def loss_qt(cls_rows: Tensor, temperature: float = QT_TEMPERATURE) -> TaskLoss:
+def loss_qt(cls_rows: Tensor) -> TaskLoss:
     """Contrastive continuation matching over the two batch halves.
 
     Row i of the first half must pick its own continuation (row i of the
     second half) among all second-half candidates, scored by cosine
-    similarity over temperature; averaged with the reverse direction.
+    similarity over QT_TEMPERATURE; averaged with the reverse direction.
     """
     b = cls_rows.shape[0]
     if b % 2 != 0:
@@ -68,7 +68,7 @@ def loss_qt(cls_rows: Tensor, temperature: float = QT_TEMPERATURE) -> TaskLoss:
     first = tz.index_rows(cls_rows, np.arange(m))
     second = tz.index_rows(cls_rows, np.arange(m) + m)
     sim = tz.normalize_rows(first) @ tz.normalize_rows(second).transpose()
-    logits = sim * (1.0 / temperature)
+    logits = sim * (1.0 / QT_TEMPERATURE)
     diag = np.arange(m)
     value = (tz.cross_entropy(logits, diag)
              + tz.cross_entropy(logits.transpose(), diag)) * 0.5
@@ -137,12 +137,12 @@ def selected_token_ce(task: str, grid: Tensor, labels, weights) -> TaskLoss:
     return loss_token_ce(task, logits, targets)
 
 
-def batch_losses(model, batch, tasks=None, training: bool = False,
+def batch_losses(model, batch, training: bool = False,
                  rng=None) -> "dict[str, TaskLoss]":
     """Full forward pass: embed, encode, run each task head and its loss.
 
     The heads come from the model's head table (`model.heads`)."""
-    names = list(tasks) if tasks is not None else list(batch.task_set)
+    names = batch.task_set
     for t in names:
         if t not in model.heads:
             raise TaskError(f"unknown task {t!r}")

@@ -49,10 +49,6 @@ class CmtlAllocation:
     stage_table: "list[list[int]]"   # [stage][task]
     remainder: int
 
-    def task_totals(self) -> "list[int]":
-        return [sum(row[j] for row in self.stage_table)
-                for j in range(self.n_tasks)]
-
     def task_major(self) -> "list[list[int]]":
         """Rows = tasks, columns = stages (the orientation the CLI prints)."""
         return [[self.stage_table[i][j] for i in range(self.n_tasks)]

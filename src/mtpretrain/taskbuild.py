@@ -185,6 +185,15 @@ def _shuffle_trigram(row: np.ndarray, rng) -> "tuple[int, int] | None":
 
 # ------------------------------------------------------------ span drawing
 
+def _greedy_end(off, s0: int, limit: int, budget: int) -> int:
+    """The end of the longest run of whole sentences from s0, ending at or
+    before sentence limit, whose tokens fit the budget (s0 when none fit)."""
+    s = s0
+    while s < limit and off[s + 1] - off[s0] <= budget:
+        s += 1
+    return s
+
+
 def _run_forward(doc, s0: int, budget: int, max_sentence_end: "int | None" = None):
     """Greedy whole-sentence run from s0; mid-sentence truncation fallback.
 
@@ -193,14 +202,10 @@ def _run_forward(doc, s0: int, budget: int, max_sentence_end: "int | None" = Non
     off = doc.sentence_offsets
     limit = doc.n_sentences if max_sentence_end is None else max_sentence_end
     start = int(off[s0])
-    s = s0
-    total = 0
-    while s < limit and total + (off[s + 1] - off[s]) <= budget:
-        total += int(off[s + 1] - off[s])
-        s += 1
+    s = _greedy_end(off, s0, limit, budget)
     if s == s0:
         return start, start + max(1, min(budget, int(off[s0 + 1]) - start)), s0 + 1
-    return start, start + total, s
+    return start, int(off[s]), s
 
 
 def _run_backward(doc, s_end: int, budget: int):
@@ -244,17 +249,16 @@ def _foreign_b(reader, rng, exclude: int, budget: int):
     return dj, (b0, b1)
 
 
-@dataclass
-class _PairDraw:
-    a_doc: int
-    a_span: "tuple[int, int]"
-    b_doc: int
-    b_span: "tuple[int, int]"
-    label: int
-    mode: str
+def _pair(a_doc: int, a: "tuple[int, int]", b_doc: int, b: "tuple[int, int]",
+          label: int) -> "tuple[RowMeta, int]":
+    """A pair row's spans as its RowMeta, with its label."""
+    return RowMeta(doc_index=a_doc, token_start=a[0], token_end=a[1],
+                   b_doc_index=b_doc, b_token_start=b[0],
+                   b_token_end=b[1]), label
 
 
-def _draw_pair(reader, mode: str, rng, max_seq_len: int) -> _PairDraw:
+def _draw_pair(reader, mode: str, rng,
+               max_seq_len: int) -> "tuple[RowMeta, int]":
     if mode not in PAIR_TASKS:
         raise TaskError(f"unknown pair mode {mode!r}")
     total_budget = max_seq_len - 3
@@ -270,29 +274,29 @@ def _draw_pair(reader, mode: str, rng, max_seq_len: int) -> _PairDraw:
             label = int(rng.random() < 0.5)
             a, b = _a_then_next(doc, rng, budget_a, total_budget)
             if label == 1:
-                return _PairDraw(di, a, di, b, 1, mode)
+                return _pair(di, a, di, b, 1)
             dj, b = _foreign_b(reader, rng, di, total_budget - (a[1] - a[0]))
-            return _PairDraw(di, a, dj, b, 0, mode)
+            return _pair(di, a, dj, b, 0)
         if mode == "so":
             a, b = _a_then_next(doc, rng, budget_a, total_budget)
             if rng.random() < 0.5:
-                return _PairDraw(di, b, di, a, 1, mode)
-            return _PairDraw(di, a, di, b, 0, mode)
+                return _pair(di, b, di, a, 1)
+            return _pair(di, a, di, b, 0)
         # asp and sdp: label 0 is the next run, 2 a foreign B, 1 differs
         label = int(rng.integers(3))
         if label == 0:
             a, b = _a_then_next(doc, rng, budget_a, total_budget)
-            return _PairDraw(di, a, di, b, 0, mode)
+            return _pair(di, a, di, b, 0)
         if label == 2:
             a0, a1, _ = _run_forward(doc, int(rng.integers(n)), budget_a)
             dj, b = _foreign_b(reader, rng, di, total_budget - (a1 - a0))
-            return _PairDraw(di, (a0, a1), dj, b, 2, mode)
+            return _pair(di, (a0, a1), dj, b, 2)
         if mode == "asp":
             # B precedes A
             s0 = 1 + int(rng.integers(n - 1))
             a0, a1, _ = _run_forward(doc, s0, budget_a)
             b0, b1, _ = _run_backward(doc, s0, total_budget - (a1 - a0))
-            return _PairDraw(di, (a0, a1), di, (b0, b1), 1, mode)
+            return _pair(di, (a0, a1), di, (b0, b1), 1)
         # sdp: B from the same document, at least one sentence after A
         if n < 3:
             continue
@@ -303,7 +307,7 @@ def _draw_pair(reader, mode: str, rng, max_seq_len: int) -> _PairDraw:
             continue
         b_start = a_end + 1 + int(rng.integers(n - a_end - 1))
         b0, b1, _ = _run_forward(doc, b_start, total_budget - (a1 - a0))
-        return _PairDraw(di, (a0, a1), di, (b0, b1), 1, mode)
+        return _pair(di, (a0, a1), di, (b0, b1), 1)
     raise TaskBuildError(f"could not draw a {mode} pair after "
                          f"{MAX_DRAW_TRIES} attempts")
 
@@ -330,19 +334,10 @@ def _draw_continuation(reader, rng, capacity: int,
         if n < 2 * min_sentences:
             continue
         s0 = int(rng.integers(n - 2 * min_sentences + 1))
-        a_end = s0
-        total = 0
-        while a_end < n - min_sentences \
-                and total + (off[a_end + 1] - off[a_end]) <= capacity:
-            total += int(off[a_end + 1] - off[a_end])
-            a_end += 1
+        a_end = _greedy_end(off, s0, n - min_sentences, capacity)
         if a_end - s0 < min_sentences:
             continue
-        b_end = a_end
-        total = 0
-        while b_end < n and total + (off[b_end + 1] - off[b_end]) <= capacity:
-            total += int(off[b_end + 1] - off[b_end])
-            b_end += 1
+        b_end = _greedy_end(off, a_end, n, capacity)
         if b_end - a_end < min_sentences:
             continue
         return _ContinuationDraw(
@@ -420,14 +415,13 @@ def _draw_rows(reader, names, rng, batch_size, max_seq_len):
 
     if pair_mode is not None:
         for _ in range(batch_size):
-            draw = _draw_pair(reader, pair_mode, rng, max_seq_len)
-            meta = RowMeta(doc_index=draw.a_doc, token_start=draw.a_span[0],
-                           token_end=draw.a_span[1], b_doc_index=draw.b_doc,
-                           b_token_start=draw.b_span[0],
-                           b_token_end=draw.b_span[1])
-            segments = [_table_span(reader, draw.a_doc, *draw.a_span),
-                        _table_span(reader, draw.b_doc, *draw.b_span)]
-            rows.append((segments, meta, draw.label))
+            meta, label = _draw_pair(reader, pair_mode, rng, max_seq_len)
+            segments = [
+                _table_span(reader, meta.doc_index, meta.token_start,
+                            meta.token_end),
+                _table_span(reader, meta.b_doc_index, meta.b_token_start,
+                            meta.b_token_end)]
+            rows.append((segments, meta, label))
         return rows, False
 
     budget = max_seq_len - 2

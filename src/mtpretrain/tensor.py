@@ -25,6 +25,7 @@ is skipped, and its backward term is never computed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -678,22 +679,25 @@ class Checkpoint:
     config: dict
     train_state: dict
     params: "dict[str, np.ndarray]"
-    adam_m: "Optional[dict[str, np.ndarray]]" = None
-    adam_v: "Optional[dict[str, np.ndarray]]" = None
-    adam_t: int = 0
+    adam_m: "dict[str, np.ndarray]"
+    adam_v: "dict[str, np.ndarray]"
+    adam_t: int
 
 
-def save_checkpoint(path, params: "dict[str, Tensor]", config: dict,
-                    train_state: dict, optimizer: Optional[Adam] = None) -> None:
-    """Parameters, then Adam's m and v when an optimizer is given, as
-    float32 blocks; written atomically."""
+def save_checkpoint(path, params: "dict[str, Tensor]", optimizer: Adam,
+                    config: dict, step: int, tokens_seen: int) -> None:
+    """Parameters, then Adam's m and v, as float32 blocks; written
+    atomically. A config that is not a dict is refused before anything is
+    written, since load_checkpoint would refuse the file."""
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: config must be a dict, got "
+                              f"{type(config).__name__}")
     names = list(params)
-    arrays = [params[k].data for k in names]
-    if optimizer is not None:
-        arrays += [optimizer.m[k] for k in names] + [optimizer.v[k] for k in names]
-    header = {"config": config, "train_state": dict(train_state),
-              "params": names,
-              "adam_t": optimizer.t if optimizer is not None else 0}
+    header = {"config": config, "params": names, "adam_t": optimizer.t,
+              "train_state": {"step": operator.index(step),
+                              "tokens_seen": operator.index(tokens_seen)}}
+    arrays = [params[k].data for k in names] \
+        + [optimizer.m[k] for k in names] + [optimizer.v[k] for k in names]
     arrayfile.write_atomic(path, arrayfile.pack(
         CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header,
         [np.asarray(a, dtype="<f4") for a in arrays]))
@@ -713,7 +717,7 @@ def load_checkpoint(path) -> Checkpoint:
     names = header.get("params")
     n = len(names) if isinstance(names, list) else 0
     if not (n and all(isinstance(k, str) for k in names)
-            and len(set(names)) == n and len(arrays) in (n, 3 * n)
+            and len(set(names)) == n and len(arrays) == 3 * n
             and all(a.dtype.str == "<f4" and a.shape == arrays[i % n].shape
                     for i, a in enumerate(arrays))
             and type(header.get("adam_t")) is int):

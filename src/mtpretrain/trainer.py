@@ -195,9 +195,6 @@ def train(config: TrainConfig) -> TrainResult:
     tokens_seen = 0
     if config.resume_from:
         ck = tz.load_checkpoint(config.resume_from)
-        if ck.adam_m is None:
-            raise TrainingError(
-                f"{config.resume_from} has no optimizer state to resume from")
         _check_resume_config(config, ck.config.get("train"),
                              config.resume_from)
         model.load_values(ck.params)
@@ -223,12 +220,10 @@ def train(config: TrainConfig) -> TrainResult:
     started = time.monotonic()
 
     def write_checkpoint(step_index: int) -> None:
-        tz.save_checkpoint(ckpt_path, model.params,
+        tz.save_checkpoint(ckpt_path, model.params, optimizer,
                            config={"model": model.config.to_dict(),
                                    "train": config.to_dict()},
-                           train_state={"step": step_index,
-                                        "tokens_seen": tokens_seen},
-                           optimizer=optimizer)
+                           step=step_index, tokens_seen=tokens_seen)
 
     try:
         for step in schedule.steps[start_step:]:

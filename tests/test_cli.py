@@ -195,8 +195,8 @@ def test_probe_without_model_config_fails(capsys, small_store,
                                           word_vocab_path, tmp_path):
     ck = tmp_path / "bare.mtpt"
     params = {"w.bias": tensor.parameter(np.zeros(3), name="w.bias")}
-    tensor.save_checkpoint(ck, params, config={"layers": 1},
-                           train_state={"step": 0, "tokens_seen": 0})
+    tensor.save_checkpoint(ck, params, tensor.Adam(params),
+                           config={"layers": 1}, step=0, tokens_seen=0)
     code, _, err = run(capsys, "probe", "--checkpoint", str(ck),
                        "--corpus", str(small_store),
                        "--vocab", str(word_vocab_path))

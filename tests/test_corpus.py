@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -393,6 +394,34 @@ def test_store_rejects_bad_sentence_offsets(small_store, tmp_path, which,
     bad.write_bytes(bytes(blob))
     with pytest.raises(cp.CorpusError, match=r"bad\.mtpc: document 0 "):
         cp.load_corpus(bad)
+
+
+def _blocks(reader):
+    """A reader's documents as the store's seven blocks, in file order."""
+    docs = reader.documents
+    return [[d.n_tokens for d in docs], [d.n_sentences for d in docs]] + [
+        np.concatenate([getattr(d, name) for d in docs])
+        for name in ("sentence_offsets", "token_ids", "tf", "tfidf", "flags")]
+
+
+@pytest.mark.parametrize("which,value", [(1, 10**6), (-1, None), (2, 0)])
+def test_reader_from_blocks_rejects_bad_sentence_offsets(small_reader, which,
+                                                         value):
+    docs = small_reader.documents
+    ids = [d.id for d in docs]
+    blocks = _blocks(small_reader)
+    at = docs[0].n_sentences + 1 + which % (docs[1].n_sentences + 1)
+    blocks[2][at] = docs[1].n_tokens + 50 if value is None else value
+    with pytest.raises(cp.CorpusError, match=rf"^made: document 1 "
+                                             rf"\({re.escape(ids[1])}\): "):
+        cp.CorpusReader(ids, small_reader.vocab_hash, blocks, "made")
+
+    reader = cp.CorpusReader(ids, small_reader.vocab_hash,
+                             _blocks(small_reader), "made")
+    reader.documents[1].sentence_offsets[which] = blocks[2][at]
+    with pytest.raises(cp.CorpusError, match=rf"^made \(subset\): document 1 "
+                                             rf"\({re.escape(ids[1])}\): "):
+        reader.subset([0, 1])
 
 
 def test_store_vocab_mismatch(tmp_path, word_vocab):

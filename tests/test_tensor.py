@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mtpretrain import arrayfile
 from mtpretrain import tensor as tz
 from mtpretrain.tensor import Tensor
 
@@ -327,9 +328,8 @@ def test_checkpoint_roundtrip(tmp_path):
         p.grad = np.ones_like(p.data)
     opt.step(lr=0.01)
     path = tmp_path / "state.mtpt"
-    tz.save_checkpoint(path, params, config={"layers": 2},
-                       train_state={"step": 3, "tokens_seen": 30},
-                       optimizer=opt)
+    tz.save_checkpoint(path, params, opt, config={"layers": 2}, step=3,
+                       tokens_seen=30)
     ck = tz.load_checkpoint(path)
     assert ck.config == {"layers": 2}
     assert ck.train_state == {"step": 3, "tokens_seen": 30}
@@ -346,17 +346,15 @@ def test_interrupted_checkpoint_write_keeps_previous(tmp_path,
     params = {"w.weight": Tensor(np.arange(6.0).reshape(2, 3),
                                  requires_grad=True)}
     path = tmp_path / "ck.mtpt"
-    tz.save_checkpoint(path, params, config={"run": 1},
-                       train_state={"step": 4, "tokens_seen": 40},
-                       optimizer=tz.Adam(params))
+    tz.save_checkpoint(path, params, tz.Adam(params), config={"run": 1},
+                       step=4, tokens_seen=40)
     before = path.read_bytes()
 
     fail_writes_after(40)
     params["w.weight"].data += 1.0
     with pytest.raises(OSError, match="disk full"):
-        tz.save_checkpoint(path, params, config={"run": 1},
-                           train_state={"step": 9, "tokens_seen": 90},
-                           optimizer=tz.Adam(params))
+        tz.save_checkpoint(path, params, tz.Adam(params), config={"run": 1},
+                           step=9, tokens_seen=90)
     assert path.read_bytes() == before
     assert tz.load_checkpoint(path).train_state == {"step": 4,
                                                     "tokens_seen": 40}
@@ -379,9 +377,23 @@ def test_checkpoint_rejects_garbage(tmp_path):
 ])
 def test_checkpoint_refuses_bad_config_or_train_state(tmp_path, config,
                                                       train_state):
-    params = {"w.bias": Tensor(np.ones(3), requires_grad=True)}
     path = tmp_path / "odd.mtpt"
-    tz.save_checkpoint(path, params, config=config, train_state=train_state)
+    path.write_bytes(arrayfile.pack(
+        tz.CHECKPOINT_MAGIC, tz.CHECKPOINT_VERSION,
+        {"config": config, "train_state": train_state, "params": ["w.bias"],
+         "adam_t": 0}, [np.ones(3, dtype="<f4")] * 3))
     with pytest.raises(tz.CheckpointError, match=r"odd\.mtpt: config and "
                                                  r"train_state"):
         tz.load_checkpoint(path)
+
+
+def test_save_checkpoint_refuses_what_load_would_refuse(tmp_path):
+    params = {"w.bias": Tensor(np.ones(3), requires_grad=True)}
+    path = tmp_path / "odd.mtpt"
+    with pytest.raises(tz.CheckpointError, match=r"odd\.mtpt: config"):
+        tz.save_checkpoint(path, params, tz.Adam(params), config=[1], step=0,
+                           tokens_seen=0)
+    with pytest.raises(TypeError):
+        tz.save_checkpoint(path, params, tz.Adam(params), config={},
+                           step=1.5, tokens_seen=0)
+    assert not path.exists()

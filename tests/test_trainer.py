@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+from mtpretrain import arrayfile
 from mtpretrain import scheduler as sch
 from mtpretrain import tensor as tz
 from mtpretrain import trainer as tr
@@ -150,10 +151,9 @@ def test_resume_is_bit_identical(small_store, word_vocab_path, tmp_path,
     mid = tmp_path / "mid.mtpt"
     real_save = tz.save_checkpoint
 
-    def capture(path, params, config=None, train_state=None, optimizer=None):
-        real_save(path, params, config=config, train_state=train_state,
-                  optimizer=optimizer)
-        if train_state["step"] == 4:
+    def capture(path, *args, step, **kwargs):
+        real_save(path, *args, step=step, **kwargs)
+        if step == 4:
             shutil.copy(path, mid)
 
     monkeypatch.setattr(tr.tz, "save_checkpoint", capture)
@@ -275,11 +275,15 @@ def test_resume_requires_optimizer_state(small_store, word_vocab_path,
     vocab = load_vocab(cfg.vocab)
     model = tr.build_model(cfg, vocab, 1)
     bare = tmp_path / "bare.mtpt"
-    tz.save_checkpoint(bare, model.params, config={},
-                       train_state={"step": 0, "tokens_seen": 192})
+    bare.write_bytes(arrayfile.pack(
+        tz.CHECKPOINT_MAGIC, tz.CHECKPOINT_VERSION,
+        {"config": {}, "train_state": {"step": 0, "tokens_seen": 192},
+         "params": list(model.params), "adam_t": 0},
+        [p.data.astype("<f4") for p in model.params.values()]))
     cfg2 = make_config(small_store, word_vocab_path, tmp_path,
                        resume_from=str(bare))
-    with pytest.raises(tr.TrainingError, match="optimizer state"):
+    with pytest.raises(tz.CheckpointError, match=r"bare\.mtpt: the parameter "
+                                                 r"list, adam_t or the data"):
         tr.train(cfg2)
 
 
