@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import struct
@@ -441,6 +442,18 @@ def _write_other_vocab(path):
     lines = list(tk.SPECIAL_TOKENS) + ["different", "tokens"]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+# sha256 of the store build_corpus writes for the session corpus
+# (synthetic_corpus_text(seed=7), the word vocabulary); pinned before the
+# tokenizer stopped making one object per token, which had to keep it
+GOLDEN_STORE = ("c10b55b9a249eda3891c215987701236"
+                "f892724d507ce242335c1e43c51812f6")
+
+
+def test_golden_store_digest(small_store):
+    assert hashlib.sha256(small_store.read_bytes()).hexdigest() \
+        == GOLDEN_STORE
 
 
 def test_stored_documents_pass_filter_invariants(small_reader):

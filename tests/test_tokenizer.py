@@ -146,6 +146,42 @@ def test_encode_sentence_one_word_start_per_source_word(vocab):
             assert not t.source_capitalized
 
 
+# splits and encodings pinned from the per-character tokenizer, which the
+# regex split and the id/flag encoding had to reproduce exactly
+@pytest.mark.parametrize("text,words", [
+    ("snake_case_name __init__",
+     ["snake", "_", "case", "_", "name", "_", "_", "init", "_", "_"]),
+    ("Café naïve ÉCOLE", ["Café", "naïve", "ÉCOLE"]),
+    ("½ cup 3½", ["½", "cup", "3½"]),
+    ("東京タワー。に行く", ["東京タワー", "。", "に行く"]),
+    ("“Quoted” ‘text’ «x»",
+     ["“", "Quoted", "”", "‘", "text", "’", "«", "x", "»"]),
+    ("don't rock'n'roll", ["don", "'", "t", "rock", "'", "n", "'", "roll"]),
+    ("Unaffable Cats, ran!", ["Unaffable", "Cats", ",", "ran", "!"]),
+    (" \t\n\u00a0\u2003 ", []),
+])
+def test_basic_tokenize_pinned(text, words):
+    assert tk.basic_tokenize(text) == words
+
+
+def _encoded(text, vocab):
+    """(piece, word start, capitalized) per token of encode_sentence."""
+    return [(tok.piece, int(tok.is_word_start), int(tok.source_capitalized))
+            for tok in tk.encode_sentence(text, vocab)]
+
+
+def test_encode_sentence_pinned():
+    vocab = tk.Vocabulary(list(tk.SPECIAL_TOKENS) + BASE_WORDS + [
+        "café", "é", "##é", "½", "_", "東", "##京", "'", "“", "”", "t", "don"])
+    text = "Café don't Cats_½ “東京” Unaffable ÉCOLE naïve Éé"
+    assert _encoded(text, vocab) == [
+        ("café", 1, 1), ("don", 1, 0), ("'", 1, 0), ("t", 1, 0),
+        ("cat", 1, 1), ("##s", 0, 0), ("_", 1, 0), ("½", 1, 0),
+        ("“", 1, 0), ("東", 1, 0), ("##京", 0, 0), ("”", 1, 0),
+        ("un", 1, 1), ("##aff", 0, 0), ("##able", 0, 0),
+        ("[UNK]", 1, 1), ("[UNK]", 1, 0), ("é", 1, 1), ("##é", 0, 0)]
+
+
 def test_decode_strips_continuations(vocab):
     ids = [vocab.token_to_id[p] for p in ("un", "##aff", "##able")]
     assert tk.decode(ids, vocab) == "unaffable"
