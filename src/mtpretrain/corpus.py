@@ -14,12 +14,13 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import arrayfile
-from .tokenizer import EncodedToken, Vocabulary, encode_sentence
+from .tokenizer import Vocabulary, encode_sentence
 
 STORE_MAGIC = b"MTPC"
 STORE_VERSION = 2
@@ -33,7 +34,7 @@ MIN_WORDS = 10
 MIN_SENTENCES = 4
 DEFAULT_TARGET_TOKENS = 1024
 
-# token flag bits stored per position
+# token flag bits stored per position, from encode_sentence's two marks
 FLAG_WORD_START = 1
 FLAG_CAPITALIZED = 2
 
@@ -66,23 +67,33 @@ class RawDocument:
 
 @dataclass
 class Document:
-    """A filtered document: ordered sentences with their encoded tokens."""
+    """A filtered document: ordered sentences and, per sentence, the token
+    ids, word-start marks and capitalized marks of `encode_sentence`."""
 
     id: str
     sentences: list[str]
-    encoded: list[list[EncodedToken]]
-    word_count: int
+    ids: list[list[int]]
+    word_starts: list[list[int]]
+    capitalized: list[list[int]]
 
     @property
     def sentence_token_counts(self) -> list[int]:
-        return [len(s) for s in self.encoded]
+        return [len(s) for s in self.ids]
 
     @property
     def token_count(self) -> int:
-        return sum(len(s) for s in self.encoded)
+        return sum(self.sentence_token_counts)
 
     def all_token_ids(self) -> list[int]:
-        return [tok.id for sent in self.encoded for tok in sent]
+        return list(chain.from_iterable(self.ids))
+
+    def flags(self) -> np.ndarray:
+        """The store's flag byte of every token, in order."""
+        def marks(sentences):
+            return np.fromiter(chain.from_iterable(sentences), np.uint8,
+                               self.token_count)
+        return FLAG_WORD_START * marks(self.word_starts) \
+            | FLAG_CAPITALIZED * marks(self.capitalized)
 
 
 @dataclass
@@ -158,9 +169,9 @@ def filter_document(raw: RawDocument, vocab: Vocabulary) -> Document | None:
     sentences = split_sentences(raw.text)
     if len(sentences) < MIN_SENTENCES:
         return None
-    encoded = [encode_sentence(s, vocab) for s in sentences]
-    doc = Document(id=raw.id, sentences=sentences, encoded=encoded,
-                   word_count=len(words))
+    ids, word_starts, capitalized = map(
+        list, zip(*[encode_sentence(s, vocab) for s in sentences]))
+    doc = Document(raw.id, sentences, ids, word_starts, capitalized)
     if doc.token_count == 0:
         return None
     return doc
@@ -218,29 +229,27 @@ def segment_document(doc: Document, target_tokens: int = DEFAULT_TARGET_TOKENS) 
     out: list[Document] = []
     for k, (a, b) in enumerate(spans):
         seg_id = doc.id if len(spans) == 1 else f"{doc.id}#{k}"
-        out.append(Document(
-            id=seg_id,
-            sentences=doc.sentences[a:b],
-            encoded=doc.encoded[a:b],
-            word_count=sum(len(doc.sentences[i].split()) for i in range(a, b)),
-        ))
+        out.append(Document(seg_id, doc.sentences[a:b], doc.ids[a:b],
+                            doc.word_starts[a:b], doc.capitalized[a:b]))
     return out
 
 
-def compute_tf(doc: Document) -> dict[int, float]:
-    """Scaled term frequency: 10 * count / max count, per distinct token."""
-    counts = Counter(doc.all_token_ids())
+def compute_tf(token_ids) -> dict[int, float]:
+    """Scaled term frequency of a document's token ids: 10 * count / max
+    count, per distinct token."""
+    counts = Counter(token_ids)
     if not counts:
         return {}
     max_count = max(counts.values())
     return {t: 10.0 * c / max_count for t, c in counts.items()}
 
 
-def compute_tfidf(doc: Document, corpus: CorpusStats) -> dict[int, float]:
-    """Count * ln(N/df), max-rescaled so the document maximum is 10."""
+def compute_tfidf(token_ids, corpus: CorpusStats) -> dict[int, float]:
+    """Count * ln(N/df) of a document's token ids, max-rescaled so the
+    document maximum is 10."""
     if corpus.document_count < 1:
         raise CorpusError("corpus stats cover zero documents")
-    counts = Counter(doc.all_token_ids())
+    counts = Counter(token_ids)
     raw = {
         t: c * math.log(corpus.document_count
                         / corpus.document_frequency.get(t, 1))
@@ -285,7 +294,6 @@ def _iter_input_files(input_paths) -> list[Path]:
 
 @dataclass
 class BuildResult:
-    stats: CorpusStats
     files_read: int
     blocks_parsed: int
     rejected: int
@@ -333,19 +341,17 @@ def build_corpus(input_paths, output_path, vocab: Vocabulary) -> BuildResult:
     if not segments:
         raise CorpusError("zero accepted documents")
 
+    seg_ids = [seg.all_token_ids() for seg in segments]
     stats = CorpusStats(len(segments), Counter(
-        t for seg in segments for t in set(seg.all_token_ids())))
+        t for ids in seg_ids for t in set(ids)))
 
     rows = []
-    for seg in segments:
-        ids = seg.all_token_ids()
-        seg_tf, seg_tfidf = compute_tf(seg), compute_tfidf(seg, stats)
-        rows.append(([len(ids)], [len(seg.encoded)],
+    for seg, ids in zip(segments, seg_ids):
+        seg_tf, seg_tfidf = compute_tf(ids), compute_tfidf(ids, stats)
+        rows.append(([len(ids)], [len(seg.ids)],
                      np.cumsum([0] + seg.sentence_token_counts), ids,
                      [seg_tf[t] for t in ids], [seg_tfidf[t] for t in ids],
-                     [FLAG_WORD_START * tok.is_word_start
-                      | FLAG_CAPITALIZED * tok.source_capitalized
-                      for sent in seg.encoded for tok in sent]))
+                     seg.flags()))
     blocks = [np.concatenate(column).astype(dtype)
               for column, dtype in zip(zip(*rows), _STORE_DTYPES)]
     blob = arrayfile.pack(
@@ -358,9 +364,9 @@ def build_corpus(input_paths, output_path, vocab: Vocabulary) -> BuildResult:
     up_to_date = output_path.exists() and output_path.read_bytes() == blob
     if not up_to_date:
         arrayfile.write_atomic(output_path, blob)
-    return BuildResult(stats=stats, files_read=len(files),
-                       blocks_parsed=len(raw_docs), rejected=rejected,
-                       accepted=accepted, stored_segments=len(segments),
+    return BuildResult(files_read=len(files), blocks_parsed=len(raw_docs),
+                       rejected=rejected, accepted=accepted,
+                       stored_segments=len(segments),
                        total_tokens=total_tokens, up_to_date=up_to_date)
 
 

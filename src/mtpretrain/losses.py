@@ -8,8 +8,6 @@ an exact zero with no gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as tz
@@ -20,41 +18,31 @@ QT_TEMPERATURE = 0.1
 FS_PROB_FLOOR = 1e-7
 
 
-@dataclass
-class TaskLoss:
-    task: str
-    value: Tensor
-    count: int
-
-    def item(self) -> float:
-        return self.value.item()
+def zero_loss() -> Tensor:
+    return tz.constant(0.0)
 
 
-def zero_loss(task: str) -> TaskLoss:
-    return TaskLoss(task, tz.constant(0.0), 0)
-
-
-def loss_token_ce(task: str, logits: "Tensor | None", targets) -> TaskLoss:
+def loss_token_ce(logits: "Tensor | None", targets) -> Tensor:
     if logits is None:
-        return zero_loss(task)
+        return zero_loss()
     targets = np.asarray(targets)
     if targets.size == 0:
-        return zero_loss(task)
-    return TaskLoss(task, tz.cross_entropy(logits, targets), int(targets.size))
+        return zero_loss()
+    return tz.cross_entropy(logits, targets)
 
 
-def loss_regression(task: str, preds: Tensor, values, weights) -> TaskLoss:
+def loss_regression(preds: Tensor, values, weights) -> Tensor:
     values = np.asarray(values)
     weights = np.asarray(weights)
     total = float(weights.sum())
     if total <= 0:
-        return zero_loss(task)
+        return zero_loss()
     diff = preds - tz.constant(values)
     weighted = diff * diff * tz.constant(weights)
-    return TaskLoss(task, weighted.sum() * (1.0 / total), int(round(total)))
+    return weighted.sum() * (1.0 / total)
 
 
-def loss_qt(cls_rows: Tensor) -> TaskLoss:
+def loss_qt(cls_rows: Tensor) -> Tensor:
     """Contrastive continuation matching over the two batch halves.
 
     Row i of the first half must pick its own continuation (row i of the
@@ -70,12 +58,11 @@ def loss_qt(cls_rows: Tensor) -> TaskLoss:
     sim = tz.normalize_rows(first) @ tz.normalize_rows(second).transpose()
     logits = sim * (1.0 / QT_TEMPERATURE)
     diag = np.arange(m)
-    value = (tz.cross_entropy(logits, diag)
-             + tz.cross_entropy(logits.transpose(), diag)) * 0.5
-    return TaskLoss("qt", value, 2 * m)
+    return (tz.cross_entropy(logits, diag)
+            + tz.cross_entropy(logits.transpose(), diag)) * 0.5
 
 
-def loss_fs(cls_rows: Tensor, hidden: Tensor, content_mask) -> TaskLoss:
+def loss_fs(cls_rows: Tensor, hidden: Tensor, content_mask) -> Tensor:
     """Cosine-based cross-entropy pulling [CLS] toward continuation tokens.
 
     For each row pair (i, i + B/2), every content token of one row is a
@@ -99,18 +86,17 @@ def loss_fs(cls_rows: Tensor, hidden: Tensor, content_mask) -> TaskLoss:
             owners.append(np.full(cols.size, owner))
             token_idx.append(source * seq + cols)
     if not owners:
-        return zero_loss("fs")
+        return zero_loss()
     owners = np.concatenate(owners)
     token_idx = np.concatenate(token_idx)
     cls_sel = tz.index_rows(cls_rows, owners)
     tok_sel = tz.index_rows(hidden.reshape(b * seq, h), token_idx)
     cos = tz.cosine_similarity(cls_sel, tok_sel)
     p = ((cos + 1.0) * 0.5).clamp(FS_PROB_FLOOR, 1.0)
-    value = -(p.log().mean())
-    return TaskLoss("fs", value, int(owners.size))
+    return -(p.log().mean())
 
 
-def combine_losses(losses: "dict[str, TaskLoss]", task_set) -> Tensor:
+def combine_losses(losses: "dict[str, Tensor]", task_set) -> Tensor:
     """Unweighted sum of the task losses for this step."""
     names = list(task_set)
     if not names:
@@ -118,39 +104,39 @@ def combine_losses(losses: "dict[str, TaskLoss]", task_set) -> Tensor:
     missing = [t for t in names if t not in losses]
     if missing:
         raise TaskError(f"losses missing for tasks: {', '.join(missing)}")
-    total = losses[names[0]].value
+    total = losses[names[0]]
     for t in names[1:]:
-        total = total + losses[t].value
+        total = total + losses[t]
     return total
 
 
-def selected_token_ce(task: str, grid: Tensor, labels, weights) -> TaskLoss:
+def selected_token_ce(grid: Tensor, labels, weights) -> Tensor:
     """Cross-entropy over the (B, L, k) grid cells with positive weight."""
     b, seq, k = grid.shape
     flat = grid.reshape(b * seq, k)
     w = np.asarray(weights).reshape(-1)
     sel = np.nonzero(w > 0)[0]
     if sel.size == 0:
-        return zero_loss(task)
+        return zero_loss()
     logits = tz.index_rows(flat, sel)
     targets = np.asarray(labels).reshape(-1)[sel]
-    return loss_token_ce(task, logits, targets)
+    return loss_token_ce(logits, targets)
 
 
-def batch_losses(model, batch, training: bool = False,
-                 rng=None) -> "dict[str, TaskLoss]":
+def batch_losses(model, batch, rng=None) -> "dict[str, Tensor]":
     """Full forward pass: embed, encode, run each task head and its loss.
 
-    The heads come from the model's head table (`model.heads`)."""
+    The heads come from the model's head table (`model.heads`). Dropout
+    is on exactly when `rng` is given: it draws the masks."""
     names = batch.task_set
     for t in names:
         if t not in model.heads:
             raise TaskError(f"unknown task {t!r}")
-    emb = model.embed(batch, training=training, rng=rng)
-    hidden = model.encode(emb, batch.attention_mask, training=training, rng=rng)
+    emb = model.embed(batch, rng=rng)
+    hidden = model.encode(emb, batch.attention_mask, rng=rng)
     pooled = model.pool(hidden) \
         if any(model.heads[t].pooled for t in names) else None
-    out: "dict[str, TaskLoss]" = {}
+    out: "dict[str, Tensor]" = {}
     for t in names:
         preds = model.head_forward(t, hidden, batch, pooled)
         out[t] = model.heads[t].loss(t, preds, batch)

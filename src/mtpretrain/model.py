@@ -9,14 +9,14 @@ so their geometry is not squashed through an extra affinity layer.
 
 Every head is one entry of `HEADS`: the label key it reads, the width of
 its dense layer, its forward and loss functions and whether it reads the
-pooler. Parameter shapes and counts, `head_forward` and
-`losses.batch_losses` all read that table.
+pooler. Parameter shapes, `head_forward` and `losses.batch_losses` all
+read that table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -48,15 +48,11 @@ class ModelConfig:
             raise ValueError("max_seq_len must be at least 2")
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "vocab", "layers", "hidden", "heads", "max_seq_len",
-            "type_vocab", "task_vocab", "dropout")}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{k: d[k] for k in (
-            "vocab", "layers", "hidden", "heads", "max_seq_len",
-            "type_vocab", "task_vocab", "dropout")})
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02):
@@ -74,7 +70,7 @@ def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02):
 # A head's forward takes (model, task, hidden, flat, batch, pooled), where
 # flat is hidden reshaped to (B*L, H) once per call and pooled is the tanh
 # pooler output for heads that read it; its loss takes (task, predictions,
-# batch) and returns a TaskLoss.
+# batch) and returns the loss as a scalar Tensor.
 
 def _mlm_forward(model, task, hidden, flat, batch, pooled):
     seq = hidden.shape[1]
@@ -130,26 +126,26 @@ def _fs_forward(model, task, hidden, flat, batch, pooled):
 
 
 def _vocab_loss(task, logits, batch):
-    return ls.loss_token_ce(task, logits, batch.labels["mlm"]["targets"])
+    return ls.loss_token_ce(logits, batch.labels["mlm"]["targets"])
 
 
 def _regression_loss(task, preds, batch):
     lab = batch.labels[task]
-    return ls.loss_regression(task, preds, lab["values"], lab["weights"])
+    return ls.loss_regression(preds, lab["values"], lab["weights"])
 
 
 def _token_class_loss(task, grid, batch):
     lab = batch.labels[task]
-    return ls.selected_token_ce(task, grid, lab["labels"], lab["weights"])
+    return ls.selected_token_ce(grid, lab["labels"], lab["weights"])
 
 
 def _tgs_loss(task, logits, batch):
     lab = batch.labels["tgs"]
-    return ls.loss_token_ce(task, logits, lab["labels"][lab["starts"] >= 0])
+    return ls.loss_token_ce(logits, lab["labels"][lab["starts"] >= 0])
 
 
 def _sentence_loss(task, logits, batch):
-    return ls.loss_token_ce(task, logits, batch.labels[task])
+    return ls.loss_token_ce(logits, batch.labels[task])
 
 
 def _qt_loss(task, cls, batch):
@@ -231,11 +227,6 @@ def param_shapes(config: ModelConfig) -> "list[tuple[str, tuple[int, ...]]]":
     return shapes
 
 
-def parameter_count(config: ModelConfig) -> int:
-    """Parameter count of the full model with all 15 heads."""
-    return sum(math.prod(shape) for _, shape in param_shapes(config))
-
-
 class Model:
     """Encoder plus every task head; parameters in a flat name->Tensor map."""
 
@@ -277,8 +268,9 @@ class Model:
         return tz.layer_norm(x, self.params[f"{prefix}.gamma"],
                              self.params[f"{prefix}.beta"])
 
-    def embed(self, batch, training: bool = False,
+    def embed(self, batch,
               rng: "np.random.Generator | None" = None) -> Tensor:
+        """Summed input embeddings; with `rng`, dropout draws from it."""
         cfg = self.config
         ids = np.asarray(batch.input_ids)
         types = np.asarray(batch.type_ids)
@@ -303,13 +295,11 @@ class Model:
         x = x + type_rows.reshape(b, seq, -1)
         x = x + (tz.index_rows(self.params["embeddings.position"], np.arange(seq))
                  + tz.index_rows(self.params["embeddings.task"], [batch.task_id]))
-        x = self._norm(x, "embeddings.norm")
-        if training and cfg.dropout > 0:
-            x = tz.dropout(x, cfg.dropout, rng)
-        return x
+        return tz.dropout(self._norm(x, "embeddings.norm"), cfg.dropout, rng)
 
-    def encode(self, x: Tensor, attention_mask, training: bool = False,
+    def encode(self, x: Tensor, attention_mask,
                rng: "np.random.Generator | None" = None) -> Tensor:
+        """The encoder stack; with `rng`, dropout draws from it."""
         cfg = self.config
         b, seq, h = x.shape
         heads = cfg.heads
@@ -326,19 +316,15 @@ class Model:
             k = k.reshape(b, seq, heads, d).transpose(0, 2, 3, 1)
             v = v.reshape(b, seq, heads, d).transpose(0, 2, 1, 3)
             scores = (q @ k) * scale + bias
-            probs = tz.softmax(scores)
-            if training and cfg.dropout > 0:
-                probs = tz.dropout(probs, cfg.dropout, rng)
+            probs = tz.dropout(tz.softmax(scores), cfg.dropout, rng)
             ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(b * seq, h)
-            attn_out = self._dense(ctx, f"layers.{i}.attn.out")
-            if training and cfg.dropout > 0:
-                attn_out = tz.dropout(attn_out, cfg.dropout, rng)
+            attn_out = tz.dropout(self._dense(ctx, f"layers.{i}.attn.out"),
+                                  cfg.dropout, rng)
             x = self._norm(x + attn_out.reshape(b, seq, h), f"layers.{i}.attn_norm")
             flat = x.reshape(b * seq, h)
             ff = tz.gelu(self._dense(flat, f"layers.{i}.ff.w1"))
-            ff = self._dense(ff, f"layers.{i}.ff.w2")
-            if training and cfg.dropout > 0:
-                ff = tz.dropout(ff, cfg.dropout, rng)
+            ff = tz.dropout(self._dense(ff, f"layers.{i}.ff.w2"),
+                            cfg.dropout, rng)
             x = self._norm(x + ff.reshape(b, seq, h), f"layers.{i}.ff_norm")
         return x
 

@@ -522,8 +522,11 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._result(xd * half, (x,), backward)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    if p <= 0.0:
+def dropout(x: Tensor, p: float,
+            rng: "np.random.Generator | None") -> Tensor:
+    """Inverted dropout with masks drawn from `rng`; the identity, drawing
+    nothing, when `rng` is None or p is 0."""
+    if rng is None or p <= 0.0:
         return x
     keep = 1.0 - p
     mask = (rng.random(x.data.shape) < keep).astype(x.data.dtype)

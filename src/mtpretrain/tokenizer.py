@@ -1,16 +1,17 @@
 """Uncased WordPiece tokenizer over a fixed vocabulary file.
 
 The vocabulary is plain UTF-8 text, one token per line, line number = id.
-Encoding records, per produced subword, the annotations needed by the
-capitalization and token-length prediction tasks: whether the piece starts
-a source word, whether that source word was capitalized, and the piece's
-own character count (excluding the "##" continuation marker).
+Encoding a sentence gives its token ids plus two 0/1 marks per token, which
+the corpus store packs into its flags: whether the piece starts a source
+word, and whether that source word was capitalized. The token-length task
+reads each piece's character count from the vocabulary
+(``Vocabulary.piece_char_lengths``).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import re
 
 import numpy as np
 
@@ -28,15 +29,6 @@ MAX_WORD_CHARS = 100
 
 class VocabError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class EncodedToken:
-    id: int
-    piece: str
-    is_word_start: bool
-    source_capitalized: bool
-    source_char_length: int
 
 
 class Vocabulary:
@@ -103,26 +95,14 @@ def load_vocab(path) -> Vocabulary:
     return Vocabulary(tokens)
 
 
-def _is_word_char(ch: str) -> bool:
-    return ch.isalnum()
+# a run of alphanumerics or one other non-space character; "\w" is
+# str.isalnum() plus "_", so "[^\W_]" is exactly str.isalnum()
+_WORD = re.compile(r"[^\W_]+|\S")
 
 
 def basic_tokenize(text: str) -> list[str]:
     """Whitespace split plus punctuation isolation, casing preserved."""
-    words: list[str] = []
-    for chunk in text.split():
-        current = []
-        for ch in chunk:
-            if _is_word_char(ch):
-                current.append(ch)
-            else:
-                if current:
-                    words.append("".join(current))
-                    current = []
-                words.append(ch)
-        if current:
-            words.append("".join(current))
-    return words
+    return _WORD.findall(text)
 
 
 def tokenize_word(word: str, vocab: Vocabulary) -> list[str]:
@@ -157,46 +137,21 @@ def tokenize_word(word: str, vocab: Vocabulary) -> list[str]:
     return pieces
 
 
-def encode_sentence(text: str, vocab: Vocabulary) -> list[EncodedToken]:
-    """Encode raw text to annotated WordPiece tokens.
+def encode_sentence(text: str, vocab: Vocabulary) \
+        -> "tuple[list[int], list[int], list[int]]":
+    """Encode raw text to WordPiece ids and two 0/1 marks per token.
 
-    Capitalization is read before lowercasing and attached to the first
-    subword of each source word only; continuations carry False.
+    Returns (ids, word_starts, capitalized), three int lists of one length.
+    Capitalization is read before lowercasing and marked on the first
+    subword of each source word only; continuations carry 0.
     """
-    encoded: list[EncodedToken] = []
+    ids: list[int] = []
+    word_starts: list[int] = []
+    capitalized: list[int] = []
     for word in basic_tokenize(text):
-        capitalized = word[:1].isupper()
         pieces = tokenize_word(word.lower(), vocab)
-        for k, piece in enumerate(pieces):
-            if piece == UNK:
-                char_len = len(UNK)
-            elif piece.startswith("##"):
-                char_len = len(piece) - 2
-            else:
-                char_len = len(piece)
-            encoded.append(EncodedToken(
-                id=vocab.token_to_id[piece],
-                piece=piece,
-                is_word_start=(k == 0),
-                source_capitalized=capitalized and k == 0,
-                source_char_length=max(1, char_len),
-            ))
-    return encoded
-
-
-def decode(ids, vocab: Vocabulary) -> str:
-    """Join pieces, stripping "##"; inverse of encode up to case/whitespace."""
-    out: list[str] = []
-    for token_id in ids:
-        token_id = int(token_id)
-        if not 0 <= token_id < len(vocab):
-            raise VocabError(f"token id {token_id} out of range "
-                             f"for vocabulary of {len(vocab)}")
-        piece = vocab.id_to_token[token_id]
-        if piece.startswith("##") and out:
-            out[-1] = out[-1] + piece[2:]
-        elif piece.startswith("##"):
-            out.append(piece[2:])
-        else:
-            out.append(piece)
-    return " ".join(out)
+        ids += [vocab.token_to_id[p] for p in pieces]
+        rest = [0] * (len(pieces) - 1)
+        word_starts += [1] + rest
+        capitalized += [int(word[0].isupper())] + rest
+    return ids, word_starts, capitalized

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -72,17 +73,12 @@ class TrainConfig:
                 f"({batch_tokens})")
 
     def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["tasks"] = list(self.tasks)
-        return d
+        return {**asdict(self), "tasks": list(self.tasks)}
 
 
-_CONFIG_TYPES = {
-    "total_tokens": int, "batch_size": int, "max_seq_len": int, "seed": int,
-    "layers": int, "hidden": int, "heads": int, "task_vocab": int,
-    "checkpoint_interval": int, "prefetch": int,
-    "dropout": float, "base_lr": float, "warmup_frac": float,
-}
+# the numeric fields, which parse_config_text converts from their text
+_CONFIG_TYPES = {k: t for k, t in typing.get_type_hints(TrainConfig).items()
+                 if t in (int, float)}
 
 
 def parse_config_text(text: str) -> TrainConfig:
@@ -233,8 +229,7 @@ def train(config: TrainConfig) -> TrainResult:
                                    task_id=step.task_id)
             drop_rng = np.random.default_rng(
                 [config.seed, step.index, _DROPOUT_TAG])
-            loss_map = ls.batch_losses(model, batch, training=True,
-                                       rng=drop_rng)
+            loss_map = ls.batch_losses(model, batch, rng=drop_rng)
             total = ls.combine_losses(loss_map, step.tasks)
             value = total.item()
             if not np.isfinite(value):
@@ -292,8 +287,7 @@ def _probe_features(model: Model, reader, vocab, spec: ProbeSpec,
         batch = assemble_batch(
             reader, vocab, ("so",), spec.batch_size, spec.max_seq_len,
             rng=np.random.default_rng([spec.seed, _PROBE_TAG, tag, k]))
-        emb = model.embed(batch, training=False)
-        hidden = model.encode(emb, batch.attention_mask, training=False)
+        hidden = model.encode(model.embed(batch), batch.attention_mask)
         feats.append(model.cls_rows(hidden).data.copy())
         labels.append(batch.labels["so"].copy())
     return np.concatenate(feats), np.concatenate(labels)

@@ -24,7 +24,7 @@ from mtpretrain import tensor as tz
 from mtpretrain import trainer as tr
 from mtpretrain.cli import GRADCHECK_SETS, bundled_demo_runs, main, run_gradcheck
 from mtpretrain.model import Model, ModelConfig
-from mtpretrain.tokenizer import EncodedToken, load_vocab
+from mtpretrain.tokenizer import load_vocab
 from oracles import brute_force_tf, brute_force_tfidf
 
 
@@ -152,14 +152,6 @@ def test_criterion_04_masking_statistics(report, small_reader, word_vocab):
 
 # --------------------------------------------------------------------- 5
 
-def _fake_document(doc_id, token_ids):
-    encoded = [[EncodedToken(id=int(t), piece=f"t{t}", is_word_start=True,
-                             source_capitalized=False, source_char_length=2)
-                for t in token_ids]]
-    return cp.Document(id=doc_id, sentences=["x"], encoded=encoded,
-                       word_count=len(token_ids))
-
-
 def test_criterion_05_frequency_oracle(report):
     rng = np.random.default_rng(42)
     worst = 0.0
@@ -168,17 +160,15 @@ def test_criterion_05_frequency_oracle(report):
         token_lists = [rng.integers(5, 105,
                                     size=int(rng.integers(5, 51))).tolist()
                        for _ in range(n_docs)]
-        docs = [_fake_document(f"d{i}", toks)
-                for i, toks in enumerate(token_lists)]
         df: dict = {}
         for toks in token_lists:
             for t in set(toks):
                 df[t] = df.get(t, 0) + 1
         stats = cp.CorpusStats(document_count=n_docs, document_frequency=df)
-        for doc, toks in zip(docs, token_lists):
-            got_tf = cp.compute_tf(doc)
+        for toks in token_lists:
+            got_tf = cp.compute_tf(toks)
             want_tf = brute_force_tf(toks)
-            got_tfidf = cp.compute_tfidf(doc, stats)
+            got_tfidf = cp.compute_tfidf(toks, stats)
             want_tfidf = brute_force_tfidf(toks, token_lists)
             assert set(got_tf) == set(want_tf)
             assert set(got_tfidf) == set(want_tfidf)

@@ -11,23 +11,14 @@ from hypothesis import strategies as st
 import oracles
 from mtpretrain import corpus as cp
 from mtpretrain import tokenizer as tk
-from mtpretrain.tokenizer import EncodedToken
 
 
-def make_doc(sentence_token_ids, doc_id="d0", words_per_sentence=5):
-    sentences = []
-    encoded = []
-    for ids in sentence_token_ids:
-        encoded.append([
-            EncodedToken(id=int(i), piece=f"t{i}", is_word_start=True,
-                         source_capitalized=False, source_char_length=2)
-            for i in ids
-        ])
-        sentences.append(" ".join(f"t{i}" for i in ids))
-    word_count = sum(max(words_per_sentence, len(ids))
-                     for ids in sentence_token_ids)
-    return cp.Document(id=doc_id, sentences=sentences, encoded=encoded,
-                       word_count=word_count)
+def make_doc(sentence_token_ids):
+    ids = [[int(i) for i in sent] for sent in sentence_token_ids]
+    return cp.Document(id="d0",
+                       sentences=[" ".join(f"t{i}" for i in s) for s in ids],
+                       ids=ids, word_starts=[[1] * len(s) for s in ids],
+                       capitalized=[[0] * len(s) for s in ids])
 
 
 # ---------------------------------------------------------------- splitting
@@ -102,7 +93,6 @@ def test_filter_accepts_boundary(word_vocab):
     assert len(cp.split_sentences(text)) == 4
     doc = cp.filter_document(cp.RawDocument(id="x", text=text), word_vocab)
     assert doc is not None
-    assert doc.word_count == 10
     assert len(doc.sentences) == 4
 
 
@@ -120,7 +110,7 @@ def test_segment_equal_sentences_greedy_boundary():
     # 16 sentences x 128 tokens = 2048 -> two segments of 8 sentences
     doc = make_doc([list(range(128))] * 16)
     segs = cp.segment_document(doc, target_tokens=1024)
-    assert [len(s.encoded) for s in segs] == [8, 8]
+    assert [len(s.ids) for s in segs] == [8, 8]
     assert all(s.token_count == 1024 for s in segs)
 
 
@@ -165,47 +155,40 @@ def test_segment_preserves_sentence_sequence():
 # ------------------------------------------------------------------- tf/idf
 
 def test_tf_hand_counted():
-    doc = make_doc([[5, 5, 5, 7]])
-    tf = cp.compute_tf(doc)
+    tf = cp.compute_tf([5, 5, 5, 7])
     assert tf[5] == pytest.approx(10.0)
     assert tf[7] == pytest.approx(10.0 / 3.0)
 
 
 def test_tf_all_distinct():
-    doc = make_doc([[1, 2, 3, 4]])
-    assert set(cp.compute_tf(doc).values()) == {10.0}
+    assert set(cp.compute_tf([1, 2, 3, 4]).values()) == {10.0}
 
 
 def test_tf_single_token():
-    assert cp.compute_tf(make_doc([[9]])) == {9: 10.0}
+    assert cp.compute_tf([9]) == {9: 10.0}
 
 
 def test_tfidf_token_everywhere_is_zero():
-    docs = [make_doc([[1, 2]], "a"), make_doc([[1, 3]], "b")]
     stats = cp.CorpusStats(document_count=2,
                            document_frequency={1: 2, 2: 1, 3: 1})
-    scaled = cp.compute_tfidf(docs[0], stats)
+    scaled = cp.compute_tfidf([1, 2], stats)
     assert scaled[1] == 0.0
 
 
 def test_tfidf_single_document_corpus_all_zero():
-    doc = make_doc([[1, 1, 2]])
     stats = cp.CorpusStats(document_count=1, document_frequency={1: 1, 2: 1})
-    assert set(cp.compute_tfidf(doc, stats).values()) == {0.0}
+    assert set(cp.compute_tfidf([1, 1, 2], stats).values()) == {0.0}
 
 
 def test_tfidf_two_doc_example():
     # token t only in doc A (twice), token u in both (once in A)
-    doc_a = make_doc([[10, 10, 20]], "a")
-    doc_b = make_doc([[20, 30]], "b")
+    doc_a, doc_b = [10, 10, 20], [20, 30]
     stats = cp.CorpusStats(document_count=2,
                            document_frequency={10: 1, 20: 2, 30: 1})
     scaled = cp.compute_tfidf(doc_a, stats)
     assert scaled[10] == pytest.approx(10.0)
     assert scaled[20] == pytest.approx(0.0)
-    ref = oracles.brute_force_tfidf(doc_a.all_token_ids(),
-                                    [doc_a.all_token_ids(),
-                                     doc_b.all_token_ids()])
+    ref = oracles.brute_force_tfidf(doc_a, [doc_a, doc_b])
     for t, v in scaled.items():
         assert v == pytest.approx(ref[t], abs=1e-12)
 
@@ -214,26 +197,21 @@ def test_tf_tfidf_random_corpora_match_brute_force():
     rng = np.random.default_rng(42)
     for trial in range(10):
         n_docs = int(rng.integers(1, 11))
-        docs = []
-        for d in range(n_docs):
-            n_tok = int(rng.integers(1, 51))
-            ids = rng.integers(0, 30, size=n_tok).tolist()
-            docs.append(make_doc([ids], f"doc{trial}_{d}"))
+        docs = [rng.integers(0, 30, size=int(rng.integers(1, 51))).tolist()
+                for _ in range(n_docs)]
         stats = cp.CorpusStats(document_count=n_docs)
         for doc in docs:
-            for t in set(doc.all_token_ids()):
+            for t in set(doc):
                 stats.document_frequency[t] = \
                     stats.document_frequency.get(t, 0) + 1
-        all_tokens = [d.all_token_ids() for d in docs]
         for doc in docs:
             tf = cp.compute_tf(doc)
-            tf_ref = oracles.brute_force_tf(doc.all_token_ids())
+            tf_ref = oracles.brute_force_tf(doc)
             assert set(tf) == set(tf_ref)
             for t in tf:
                 assert abs(tf[t] - tf_ref[t]) < 1e-9
             tfidf = cp.compute_tfidf(doc, stats)
-            tfidf_ref = oracles.brute_force_tfidf(doc.all_token_ids(),
-                                                  all_tokens)
+            tfidf_ref = oracles.brute_force_tfidf(doc, docs)
             assert set(tfidf) == set(tfidf_ref)
             for t in tfidf:
                 assert abs(tfidf[t] - tfidf_ref[t]) < 1e-9
@@ -241,11 +219,10 @@ def test_tf_tfidf_random_corpora_match_brute_force():
 
 def test_stats_maps_bounds():
     rng = np.random.default_rng(3)
-    docs = [make_doc([rng.integers(0, 12, size=20).tolist()], f"d{i}")
-            for i in range(5)]
+    docs = [rng.integers(0, 12, size=20).tolist() for _ in range(5)]
     stats = cp.CorpusStats(document_count=len(docs))
     for doc in docs:
-        for t in set(doc.all_token_ids()):
+        for t in set(doc):
             stats.document_frequency[t] = stats.document_frequency.get(t, 0) + 1
     for doc in docs:
         tf, tfidf = cp.compute_tf(doc), cp.compute_tfidf(doc, stats)
@@ -342,16 +319,16 @@ def test_store_roundtrip_values(tmp_path, word_vocab):
         assert stored.id == seg.id
         assert stored.token_ids.tolist() == seg.all_token_ids()
         assert stored.n_sentences == len(seg.sentences)
-        tf, tfidf = cp.compute_tf(seg), cp.compute_tfidf(seg, stats)
+        ids = seg.all_token_ids()
+        tf, tfidf = cp.compute_tf(ids), cp.compute_tfidf(ids, stats)
         for pos, t in enumerate(stored.token_ids.tolist()):
             assert stored.tf[pos] == pytest.approx(tf[t], abs=1e-6)
             assert stored.tfidf[pos] == pytest.approx(tfidf[t], abs=1e-6)
-        flat = [tok for sent in seg.encoded for tok in sent]
-        for pos, tok in enumerate(flat):
-            assert bool(stored.flags[pos] & cp.FLAG_WORD_START) \
-                == tok.is_word_start
-            assert bool(stored.flags[pos] & cp.FLAG_CAPITALIZED) \
-                == tok.source_capitalized
+        starts = [m for sent in seg.word_starts for m in sent]
+        caps = [m for sent in seg.capitalized for m in sent]
+        for pos, (start, cap) in enumerate(zip(starts, caps)):
+            assert bool(stored.flags[pos] & cp.FLAG_WORD_START) == start
+            assert bool(stored.flags[pos] & cp.FLAG_CAPITALIZED) == cap
 
 
 def test_interrupted_store_write_keeps_previous(tmp_path, word_vocab,

@@ -1,10 +1,11 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from mtpretrain import tensor as tz
-from mtpretrain.model import (HEADS, Model, ModelConfig, parameter_count,
+from mtpretrain.model import (HEADS, Model, ModelConfig, param_shapes,
                               truncated_normal)
 from mtpretrain.tasks import TASK_ORDER, TaskError
 
@@ -36,13 +37,13 @@ def small_model(vocab=20, layers=2, hidden=16, heads=2, seq=12,
 def test_parameter_count_reference_scale():
     cfg = ModelConfig(vocab=30522, layers=12, hidden=768, heads=12,
                       max_seq_len=512, task_vocab=16)
-    total = parameter_count(cfg)
+    total = sum(math.prod(shape) for _, shape in param_shapes(cfg))
     assert total == 111_356_557
     assert abs(total - 110_000_000) / 110_000_000 < 0.02
 
 
 # sha256 over the name, dtype, shape and bytes of every parameter in order,
-# and parameter_count, for two configs at rng [0, 1]; pinned before the
+# and the parameter count, for two configs at rng [0, 1]; pinned before the
 # head table replaced the hand-written init, which had to keep them
 GOLDEN_INIT = [
     (dict(vocab=89, layers=2, hidden=32, heads=2, max_seq_len=24),
@@ -64,7 +65,7 @@ def test_golden_init_digest(kwargs, digest, count):
         h.update(f"{name}{arr.dtype.str}{arr.shape}".encode())
         h.update(arr.tobytes())
     assert h.hexdigest() == digest
-    assert parameter_count(cfg) == count
+    assert sum(p.data.size for p in model.params.values()) == count
 
 
 def test_head_table_covers_every_task():
@@ -178,13 +179,14 @@ def test_pool_reads_only_first_position():
 
 
 def test_dropout_active_only_in_training():
+    # dropout is on exactly when a generator is given
     model, cfg = small_model(dropout=0.5)
     batch = FakeBatch(np.arange(8).reshape(1, 8))
-    x1 = model.embed(batch, training=False)
-    x2 = model.embed(batch, training=False)
+    x1 = model.embed(batch)
+    x2 = model.embed(batch)
     assert np.array_equal(x1.data, x2.data)
     rng = np.random.default_rng(0)
-    x3 = model.embed(batch, training=True, rng=rng)
+    x3 = model.embed(batch, rng=rng)
     assert (x3.data == 0.0).mean() > 0.2
 
 

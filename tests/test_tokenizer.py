@@ -117,33 +117,34 @@ def test_tokenize_word_matches_greedy_oracle(word, seed):
 
 
 def test_encode_sentence_capitalization_flags(vocab):
-    toks = tk.encode_sentence("Paris is", vocab)
-    assert [t.piece for t in toks] == ["paris", "is"]
-    assert toks[0].source_capitalized is True
-    assert toks[1].source_capitalized is False
+    ids, _, capitalized = tk.encode_sentence("Paris is", vocab)
+    assert [vocab.id_to_token[i] for i in ids] == ["paris", "is"]
+    assert capitalized == [1, 0]
 
 
 def test_encode_sentence_char_length(vocab):
-    (tok,) = tk.encode_sentence("hello", vocab)
-    assert tok.source_char_length == 5
+    # the token-length label of an encoded piece is the vocabulary's count
+    ids, _, _ = tk.encode_sentence("hello", vocab)
+    assert vocab.piece_char_lengths[ids].tolist() == [5]
 
 
 def test_encode_sentence_multi_piece_flags(vocab):
-    toks = tk.encode_sentence("Unaffable", vocab)
-    assert [t.piece for t in toks] == ["un", "##aff", "##able"]
-    assert [t.source_capitalized for t in toks] == [True, False, False]
-    assert [t.is_word_start for t in toks] == [True, False, False]
-    assert [t.source_char_length for t in toks] == [2, 3, 4]
+    ids, word_starts, capitalized = tk.encode_sentence("Unaffable", vocab)
+    assert [vocab.id_to_token[i] for i in ids] == ["un", "##aff", "##able"]
+    assert capitalized == [1, 0, 0]
+    assert word_starts == [1, 0, 0]
+    assert vocab.piece_char_lengths[ids].tolist() == [2, 3, 4]
 
 
 def test_encode_sentence_one_word_start_per_source_word(vocab):
-    toks = tk.encode_sentence("Unaffable cats, running", vocab)
-    starts = [t for t in toks if t.is_word_start]
+    ids, word_starts, capitalized = tk.encode_sentence(
+        "Unaffable cats, running", vocab)
+    assert len(ids) == len(word_starts) == len(capitalized)
     # source words after punctuation isolation: unaffable / cats / , / running
-    assert len(starts) == 4
-    for t in toks:
-        if not t.is_word_start:
-            assert not t.source_capitalized
+    assert sum(word_starts) == 4
+    for start, cap in zip(word_starts, capitalized):
+        if not start:
+            assert not cap
 
 
 # splits and encodings pinned from the per-character tokenizer, which the
@@ -166,8 +167,9 @@ def test_basic_tokenize_pinned(text, words):
 
 def _encoded(text, vocab):
     """(piece, word start, capitalized) per token of encode_sentence."""
-    return [(tok.piece, int(tok.is_word_start), int(tok.source_capitalized))
-            for tok in tk.encode_sentence(text, vocab)]
+    ids, word_starts, capitalized = tk.encode_sentence(text, vocab)
+    return [(vocab.id_to_token[i], start, cap)
+            for i, start, cap in zip(ids, word_starts, capitalized)]
 
 
 def test_encode_sentence_pinned():
@@ -182,30 +184,17 @@ def test_encode_sentence_pinned():
         ("[UNK]", 1, 1), ("[UNK]", 1, 0), ("é", 1, 1), ("##é", 0, 0)]
 
 
-def test_decode_strips_continuations(vocab):
-    ids = [vocab.token_to_id[p] for p in ("un", "##aff", "##able")]
-    assert tk.decode(ids, vocab) == "unaffable"
-
-
-def test_decode_empty(vocab):
-    assert tk.decode([], vocab) == ""
-
-
-def test_decode_out_of_range(vocab):
-    with pytest.raises(tk.VocabError, match="out of range"):
-        tk.decode([len(vocab)], vocab)
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.sampled_from(["hello", "paris", "is", "the", "cat",
                                  "dog", "ran", "a", "un"]),
                 min_size=1, max_size=10))
-def test_encode_decode_roundtrip_on_vocab_words(tmp_path_factory, words):
+def test_encode_vocab_words_to_their_ids(tmp_path_factory, words):
     vocab = tk.load_vocab(
         write_vocab(tmp_path_factory.mktemp("v"), BASE_WORDS))
-    text = " ".join(words)
-    ids = [tok.id for tok in tk.encode_sentence(text, vocab)]
-    assert tk.decode(ids, vocab) == text
+    ids, word_starts, capitalized = tk.encode_sentence(" ".join(words), vocab)
+    assert ids == [vocab.token_to_id[w] for w in words]
+    assert word_starts == [1] * len(words)
+    assert capitalized == [0] * len(words)
 
 
 def test_piece_char_lengths_table(vocab):
