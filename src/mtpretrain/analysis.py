@@ -149,45 +149,45 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0)))
 
 
-def lilliefors_statistic(samples) -> float:
-    """KS distance of standardized samples from the standard normal CDF."""
-    x = np.sort(np.asarray(samples, dtype=np.float64))
-    n = x.size
-    std = x.std(ddof=1)
-    if std == 0.0:
-        raise AnalysisError("constant sample has no normality statistic")
-    z = (x - x.mean()) / std
+def _ks_distance(z: np.ndarray) -> np.ndarray:
+    """KS distance of each sorted, standardized row from the standard
+    normal CDF."""
+    n = z.shape[-1]
     cdf = _normal_cdf(z)
     upper = np.arange(1, n + 1) / n
     lower = np.arange(0, n) / n
-    return float(max((upper - cdf).max(), (cdf - lower).max()))
+    return np.maximum((upper - cdf).max(axis=-1), (cdf - lower).max(axis=-1))
 
 
-def lilliefors_test(samples, n_simulations: int = LILLIEFORS_SIMULATIONS,
-                    seed: int = LILLIEFORS_SEED) -> float:
+def lilliefors_statistic(samples) -> float:
+    """KS distance of standardized samples from the standard normal CDF."""
+    x = np.sort(np.asarray(samples, dtype=np.float64))
+    std = x.std(ddof=1)
+    if std == 0.0:
+        raise AnalysisError("constant sample has no normality statistic")
+    return float(_ks_distance((x - x.mean()) / std))
+
+
+def lilliefors_test(samples,
+                    n_simulations: int = LILLIEFORS_SIMULATIONS) -> float:
     """Monte Carlo p-value for the Lilliefors normality test.
 
     Simulates the null distribution of the statistic (normal samples of the
-    same size, mean and deviation re-estimated per sample) and reports the
-    fraction at least as extreme as the observed statistic.
+    same size, mean and deviation re-estimated per sample, drawn from
+    LILLIEFORS_SEED) and reports the fraction at least as extreme as the
+    observed statistic.
     """
     x = np.asarray(samples, dtype=np.float64)
     n = x.size
     if n < 4:
         raise AnalysisError(f"need at least 4 samples, got {n}")
     observed = lilliefors_statistic(x)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(LILLIEFORS_SEED)
     sims = rng.standard_normal((n_simulations, n))
     sims = (sims - sims.mean(axis=1, keepdims=True)) \
         / sims.std(axis=1, ddof=1, keepdims=True)
     sims.sort(axis=1)
-    cdf = _normal_cdf(sims)
-    upper = np.arange(1, n + 1) / n
-    lower = np.arange(0, n) / n
-    d_plus = (upper - cdf).max(axis=1)
-    d_minus = (cdf - lower).max(axis=1)
-    d = np.maximum(d_plus, d_minus)
-    return float((d >= observed).mean())
+    return float((_ks_distance(sims) >= observed).mean())
 
 
 # ------------------------------------------------------------ run tables

@@ -24,9 +24,10 @@ from .corpus import CorpusError, CorpusReader, build_corpus, load_corpus
 from .model import Model, ModelConfig
 from .taskbuild import assemble_batch
 from .tasks import canonical_task, validate_compatibility
-from .tokenizer import SPECIAL_TOKENS, load_vocab
+from .tokenizer import SPECIAL_TOKENS, Vocabulary, load_vocab
 
 GRADCHECK_TOLERANCE = 1e-4
+GRADCHECK_DOCS = 12  # documents in the fabricated gradient-check corpus
 
 
 def _fail(message: str) -> int:
@@ -123,11 +124,11 @@ def cmd_train(args) -> int:
 
 # -------------------------------------------------------------- gradcheck
 
-def _fabricated_reader(vocab, rng, n_docs: int = 12) -> CorpusReader:
+def _fabricated_reader(vocab, rng) -> CorpusReader:
     """A tiny in-memory corpus with plausible per-token labels."""
     regular = vocab.sampleable_ids
     rows = []
-    for _ in range(n_docs):
+    for _ in range(GRADCHECK_DOCS):
         n_sent = int(rng.integers(4, 9))
         counts = rng.integers(4, 9, size=n_sent)
         total = int(counts.sum())
@@ -136,18 +137,10 @@ def _fabricated_reader(vocab, rng, n_docs: int = 12) -> CorpusReader:
                      rng.uniform(0, 10, size=total),
                      rng.uniform(0, 10, size=total),
                      rng.integers(0, 4, size=total)))
-    return CorpusReader([f"demo{d}" for d in range(n_docs)],
+    return CorpusReader([f"demo{d}" for d in range(GRADCHECK_DOCS)],
                         vocab.content_hash,
                         [np.concatenate(column) for column in zip(*rows)],
                         "fabricated corpus")
-
-
-def _demo_vocab_path(tmpdir: Path) -> Path:
-    words = [f"word{i:02d}" for i in range(60)]
-    path = tmpdir / "gradcheck_vocab.txt"
-    path.write_text("\n".join(list(SPECIAL_TOKENS) + words + ["."]) + "\n",
-                    encoding="utf-8")
-    return path
 
 
 GRADCHECK_SETS = [
@@ -163,18 +156,16 @@ GRADCHECK_SETS = [
 
 def run_gradcheck(layers: int = 2, hidden: int = 32, heads: int = 2,
                   batch_size: int = 8, seq_len: int = 24, seed: int = 0,
-                  max_entries: int = 4, sets=None, verbose=print):
+                  max_entries: int = 4, verbose=print):
     """Finite-difference gradient check over every task head.
 
     Returns the max relative error across all checked task sets. Runs in
     float64 with dropout off; samples max_entries elements per parameter.
     """
-    import tempfile
-
     tensor.set_default_dtype("float64")
     try:
-        with tempfile.TemporaryDirectory() as tmp:
-            vocab = load_vocab(_demo_vocab_path(Path(tmp)))
+        vocab = Vocabulary(list(SPECIAL_TOKENS)
+                           + [f"word{i:02d}" for i in range(60)] + ["."])
         rng = np.random.default_rng(seed)
         reader = _fabricated_reader(vocab, rng)
         config = ModelConfig(vocab=len(vocab.id_to_token), layers=layers,
@@ -183,7 +174,7 @@ def run_gradcheck(layers: int = 2, hidden: int = 32, heads: int = 2,
         model = Model(config, np.random.default_rng([seed, 1]))
         worst = 0.0
         check_rng = np.random.default_rng([seed, 2])
-        for k, task_set in enumerate(sets or GRADCHECK_SETS):
+        for k, task_set in enumerate(GRADCHECK_SETS):
             batch = assemble_batch(reader, vocab, task_set, batch_size,
                                    seq_len, seed=seed, step=k)
 

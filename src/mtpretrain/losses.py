@@ -22,9 +22,7 @@ def zero_loss() -> Tensor:
     return tz.constant(0.0)
 
 
-def loss_token_ce(logits: "Tensor | None", targets) -> Tensor:
-    if logits is None:
-        return zero_loss()
+def loss_token_ce(logits: Tensor, targets) -> Tensor:
     targets = np.asarray(targets)
     if targets.size == 0:
         return zero_loss()
@@ -116,8 +114,6 @@ def selected_token_ce(grid: Tensor, labels, weights) -> Tensor:
     flat = grid.reshape(b * seq, k)
     w = np.asarray(weights).reshape(-1)
     sel = np.nonzero(w > 0)[0]
-    if sel.size == 0:
-        return zero_loss()
     logits = tz.index_rows(flat, sel)
     targets = np.asarray(labels).reshape(-1)[sel]
     return loss_token_ce(logits, targets)
@@ -127,15 +123,13 @@ def batch_losses(model, batch, rng=None) -> "dict[str, Tensor]":
     """Full forward pass: embed, encode, run each task head and its loss.
 
     The heads come from the model's head table (`model.heads`). Dropout
-    is on exactly when `rng` is given: it draws the masks."""
+    is on exactly when `rng` is given: it draws the masks. An unknown task
+    is refused by `model.head_forward`."""
     names = batch.task_set
-    for t in names:
-        if t not in model.heads:
-            raise TaskError(f"unknown task {t!r}")
     emb = model.embed(batch, rng=rng)
     hidden = model.encode(emb, batch.attention_mask, rng=rng)
-    pooled = model.pool(hidden) \
-        if any(model.heads[t].pooled for t in names) else None
+    pooled = model.pool(hidden) if any(
+        t in model.heads and model.heads[t].pooled for t in names) else None
     out: "dict[str, Tensor]" = {}
     for t in names:
         preds = model.head_forward(t, hidden, batch, pooled)

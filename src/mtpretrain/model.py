@@ -7,10 +7,11 @@ with gelu + residual + norm. Sentence heads read a tanh pooler over the
 [CLS] position; the two similarity tasks read the raw [CLS] state instead
 so their geometry is not squashed through an extra affinity layer.
 
-Every head is one entry of `HEADS`: the label key it reads, the width of
-its dense layer, its forward and loss functions and whether it reads the
-pooler. Parameter shapes, `head_forward` and `losses.batch_losses` all
-read that table.
+Every head is one entry of `HEADS`: the label key it reads, the input and
+output widths of its dense layer (the output width is the task's class
+count, or 1 for a regression), its forward and loss functions and whether
+it reads the pooler. Parameter shapes, `head_forward` and
+`losses.batch_losses` all read that table.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import losses as ls
 from . import tensor as tz
-from .tasks import TASKS, TaskError
+from .tasks import TaskError
 from .tensor import Tensor
 
 MASK_BIAS = -1e9
@@ -99,15 +100,13 @@ def _token_regression(model, task, hidden, flat, batch, pooled):
 def _token_class(model, task, hidden, flat, batch, pooled):
     b, seq, _ = hidden.shape
     return model._dense(flat, f"heads.{task}").reshape(
-        b, seq, TASKS[task].num_classes)
+        b, seq, model.heads[task].outputs)
 
 
 def _tgs_forward(model, task, hidden, flat, batch, pooled):
     seq = hidden.shape[1]
     starts = batch.labels["tgs"]["starts"]
     rows = np.nonzero(starts >= 0)[0]
-    if rows.size == 0:
-        return None
     base = rows * seq + starts[rows]
     parts = [tz.index_rows(flat, base + j) for j in range(3)]
     return model._dense(tz.concat(parts, axis=-1), "heads.tgs")
@@ -171,6 +170,8 @@ def _norm_shapes(prefix: str, h: int):
 class Head:
     labels: "str | None"  # the batch label key the head reads
     width: int            # heads.<task>.weight has width*H input rows (0: none)
+    outputs: int          # and this many columns: the class count, or 1
+                          # for a regression (0: no dense head)
     forward: Callable
     loss: Callable
     pooled: bool = False  # reads the tanh pooler over [CLS]
@@ -178,27 +179,26 @@ class Head:
     shapes: Callable = lambda h, v: []
 
 
-# one entry per task, in parameter order; a dense head's output width is
-# the task's class count, or 1 for a regression
+# one entry per task, in parameter order
 HEADS: "dict[str, Head]" = {
-    "mlm": Head("mlm", 0, _mlm_forward, _vocab_loss, shapes=lambda h, v: (
+    "mlm": Head("mlm", 0, 0, _mlm_forward, _vocab_loss, shapes=lambda h, v: (
         _dense_shapes("transform", h, h) + _norm_shapes("norm", h)
         + [("vocab_bias", (v,))])),
-    "sbo": Head("mlm", 0, _sbo_forward, _vocab_loss, shapes=lambda h, v: (
+    "sbo": Head("mlm", 0, 0, _sbo_forward, _vocab_loss, shapes=lambda h, v: (
         _dense_shapes("dense", 2 * h, h) + [("vocab_bias", (v,))])),
-    "tf": Head("tf", 1, _token_regression, _regression_loss),
-    "tfidf": Head("tfidf", 1, _token_regression, _regression_loss),
-    "tlp": Head("tlp", 1, _token_regression, _regression_loss),
-    "cap": Head("cap", 1, _token_class, _token_class_loss),
-    "tcp": Head("tcp", 1, _token_class, _token_class_loss),
-    "tgs": Head("tgs", 3, _tgs_forward, _tgs_loss),
-    "nsp": Head("nsp", 1, _sentence_class, _sentence_loss, pooled=True),
-    "asp": Head("asp", 1, _sentence_class, _sentence_loss, pooled=True),
-    "so": Head("so", 1, _sentence_class, _sentence_loss, pooled=True),
-    "sdp": Head("sdp", 1, _sentence_class, _sentence_loss, pooled=True),
-    "scp": Head("scp", 1, _sentence_class, _sentence_loss, pooled=True),
-    "qt": Head(None, 0, _cls_forward, _qt_loss),
-    "fs": Head(None, 0, _fs_forward, _fs_loss),
+    "tf": Head("tf", 1, 1, _token_regression, _regression_loss),
+    "tfidf": Head("tfidf", 1, 1, _token_regression, _regression_loss),
+    "tlp": Head("tlp", 1, 1, _token_regression, _regression_loss),
+    "cap": Head("cap", 1, 2, _token_class, _token_class_loss),
+    "tcp": Head("tcp", 1, 2, _token_class, _token_class_loss),
+    "tgs": Head("tgs", 3, 6, _tgs_forward, _tgs_loss),
+    "nsp": Head("nsp", 1, 2, _sentence_class, _sentence_loss, pooled=True),
+    "asp": Head("asp", 1, 3, _sentence_class, _sentence_loss, pooled=True),
+    "so": Head("so", 1, 2, _sentence_class, _sentence_loss, pooled=True),
+    "sdp": Head("sdp", 1, 3, _sentence_class, _sentence_loss, pooled=True),
+    "scp": Head("scp", 1, 2, _sentence_class, _sentence_loss, pooled=True),
+    "qt": Head(None, 0, 0, _cls_forward, _qt_loss),
+    "fs": Head(None, 0, 0, _fs_forward, _fs_loss),
 }
 
 
@@ -223,7 +223,7 @@ def param_shapes(config: ModelConfig) -> "list[tuple[str, tuple[int, ...]]]":
                    for name, shape in head.shapes(h, v)]
         if head.width:
             shapes += _dense_shapes(f"heads.{task}", head.width * h,
-                                    max(1, TASKS[task].num_classes))
+                                    head.outputs)
     return shapes
 
 
@@ -329,10 +329,7 @@ class Model:
         return x
 
     def pool(self, hidden: Tensor) -> Tensor:
-        b, seq, h = hidden.shape
-        flat = hidden.reshape(b * seq, h)
-        cls = tz.index_rows(flat, np.arange(b) * seq)
-        return self._dense(cls, "pooler.dense").tanh()
+        return self._dense(self.cls_rows(hidden), "pooler.dense").tanh()
 
     def cls_rows(self, hidden: Tensor) -> Tensor:
         b, seq, h = hidden.shape

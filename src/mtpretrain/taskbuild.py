@@ -45,8 +45,7 @@ import numpy as np
 
 from .corpus import FLAG_CAPITALIZED
 from .tasks import (CONTINUATION_TASKS, CORRUPTION_TASKS, MASKING_TASKS,
-                    PAIR_TASKS, TaskError, canonical_task,
-                    validate_compatibility)
+                    PAIR_TASKS, canonical_task, validate_compatibility)
 
 MLM_RATE = 0.15
 MASK_SPLIT = (0.8, 0.1, 0.1)  # [MASK] / random id / keep
@@ -259,8 +258,6 @@ def _pair(a_doc: int, a: "tuple[int, int]", b_doc: int, b: "tuple[int, int]",
 
 def _draw_pair(reader, mode: str, rng,
                max_seq_len: int) -> "tuple[RowMeta, int]":
-    if mode not in PAIR_TASKS:
-        raise TaskError(f"unknown pair mode {mode!r}")
     total_budget = max_seq_len - 3
     if total_budget < 2:
         raise TaskBuildError(f"max_seq_len {max_seq_len} too small for pairs")

@@ -1,70 +1,31 @@
-"""Registry of the pre-training tasks and their input-structure rules.
+"""The pre-training task names, their input-structure groups and the rules
+for combining them.
 
-Each task records its class count (the output width of a classification
-head; its head lives in `model.HEADS`) and its structural requirement:
-some tasks need the batch's two row halves to be textual continuations,
-some need a second segment drawn with randomized provenance, and some
-only need adjacent text.
+`TASK_ORDER` lists the fifteen tasks; each one's head, label key and
+output width live in `model.HEADS`. The groups name what a task needs
+from a batch: the pair tasks build each row from two segments with a
+pair label, the random-second tasks among them draw the second segment
+with randomized provenance, the continuation tasks need the batch's two
+row halves to be textual continuations, and the masking and corruption
+tasks rewrite the input tokens. `validate_compatibility` refuses the sets
+whose structures cannot share one batch.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class TaskError(ValueError):
     """Unknown task name or an unsatisfiable task combination."""
 
 
-@dataclass(frozen=True)
-class TaskSpec:
-    name: str
-    num_classes: int      # 0 where not a classification
-    structure: str        # "adjacent" or "random_second"
-    description: str
-
-
-_SPECS = [
-    TaskSpec("mlm", 0, "adjacent",
-             "recover the original token at hidden positions"),
-    TaskSpec("tf", 0, "adjacent",
-             "regress each token's scaled in-document frequency"),
-    TaskSpec("tfidf", 0, "adjacent",
-             "regress each token's scaled frequency-times-rarity score"),
-    TaskSpec("sbo", 0, "adjacent",
-             "recover a hidden token from its neighbors' representations"),
-    TaskSpec("tgs", 6, "adjacent",
-             "identify which of the 6 permutations scrambled a trigram"),
-    TaskSpec("tcp", 2, "adjacent",
-             "flag tokens that were inserted, replaced, or permuted"),
-    TaskSpec("cap", 2, "adjacent",
-             "flag tokens whose source word was capitalized"),
-    TaskSpec("tlp", 0, "adjacent", "regress each token's character length"),
-    TaskSpec("nsp", 2, "random_second",
-             "decide if segment B truly continues segment A"),
-    TaskSpec("asp", 3, "random_second",
-             "decide if B follows A, precedes A, or is foreign"),
-    TaskSpec("so", 2, "adjacent",
-             "decide if two adjacent segments were swapped"),
-    TaskSpec("sdp", 3, "random_second",
-             "decide if B is adjacent, same-document distant, or foreign"),
-    TaskSpec("scp", 2, "adjacent",
-             "decide if any token in the row was corrupted"),
-    TaskSpec("qt", 0, "adjacent",
-             "match each row to its continuation by [CLS] cosine energy"),
-    TaskSpec("fs", 0, "adjacent",
-             "pull a row's [CLS] toward its continuation's token states"),
-]
-
-TASKS: "dict[str, TaskSpec]" = {s.name: s for s in _SPECS}
-TASK_ORDER: "list[str]" = [s.name for s in _SPECS]
+TASK_ORDER = ["mlm", "tf", "tfidf", "sbo", "tgs", "tcp", "cap", "tlp",
+              "nsp", "asp", "so", "sdp", "scp", "qt", "fs"]
 
 PAIR_TASKS = frozenset({"nsp", "asp", "so", "sdp"})
+RANDOM_SECOND_TASKS = frozenset({"nsp", "asp", "sdp"})
 CONTINUATION_TASKS = frozenset({"qt", "fs"})
 MASKING_TASKS = frozenset({"mlm", "sbo"})
 CORRUPTION_TASKS = frozenset({"tcp", "scp"})
-RANDOM_SECOND_TASKS = frozenset(
-    s.name for s in _SPECS if s.structure == "random_second")
 
 _ALIASES = {"tf-idf": "tfidf", "tf_idf": "tfidf"}
 
@@ -72,7 +33,7 @@ _ALIASES = {"tf-idf": "tfidf", "tf_idf": "tfidf"}
 def canonical_task(name: str) -> str:
     key = name.strip().lower()
     key = _ALIASES.get(key, key)
-    if key not in TASKS:
+    if key not in TASK_ORDER:
         raise TaskError(f"unknown task {name!r}; known: {', '.join(TASK_ORDER)}")
     return key
 

@@ -37,6 +37,11 @@ _DEFAULT_DTYPE = np.float32
 
 GELU_COEFF = 0.7978845608028654  # sqrt(2 / pi)
 GELU_CUBIC = 0.044715
+NORM_EPS = 1e-12       # layer_norm's variance floor and normalize_rows'
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-6
+GRADCHECK_STEP = 1e-5  # central-difference step of check_gradients
 
 
 def set_default_dtype(dtype) -> None:
@@ -346,8 +351,8 @@ class Tensor:
     __matmul__ = matmul
 
 
-def constant(data, name: str = "") -> Tensor:
-    return Tensor(data, requires_grad=False, name=name)
+def constant(data) -> Tensor:
+    return Tensor(data, requires_grad=False)
 
 
 def parameter(data, name: str = "") -> Tensor:
@@ -459,14 +464,13 @@ def softmax(x: Tensor) -> Tensor:
     return Tensor._result(probs, (x,), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-               eps: float = 1e-12) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalise over the last axis, then scale by gamma and shift by beta."""
     n = x.data.shape[-1]
     avg = np.full(n, 1.0 / n, x.data.dtype)
     xhat = x.data - _rows_dot(x.data, avg)
     inv = _rows_dot(xhat * xhat, avg)
-    inv += eps
+    inv += NORM_EPS
     np.sqrt(inv, out=inv)
     np.reciprocal(inv, out=inv)
     xhat *= inv
@@ -538,14 +542,14 @@ def dropout(x: Tensor, p: float,
     return Tensor._result(x.data * mask, (x,), backward)
 
 
-def normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
+def normalize_rows(x: Tensor) -> Tensor:
     sq = (x * x).sum(axis=-1, keepdims=True)
-    return x * (sq + eps) ** -0.5
+    return x * (sq + NORM_EPS) ** -0.5
 
 
-def cosine_similarity(u: Tensor, v: Tensor, eps: float = 1e-12) -> Tensor:
+def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
     """Cosine of the angle between matching rows (last axis)."""
-    return (normalize_rows(u, eps) * normalize_rows(v, eps)).sum(axis=-1)
+    return (normalize_rows(u) * normalize_rows(v)).sum(axis=-1)
 
 
 # ------------------------------------------------------------------ Adam
@@ -560,13 +564,9 @@ def decays(name: str) -> bool:
 class Adam:
     """Adam with L2 decay folded into the gradient (skipped for bias/norm)."""
 
-    def __init__(self, params: "dict[str, Tensor]", beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-6,
+    def __init__(self, params: "dict[str, Tensor]",
                  weight_decay: float = 0.01):
         self.params = params
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -574,7 +574,7 @@ class Adam:
 
     def step(self, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
@@ -589,7 +589,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -622,7 +622,7 @@ class GradCheckResult:
 
 
 def check_gradients(loss_fn: Callable[[], Tensor], params: "dict[str, Tensor]",
-                    eps: float = 1e-5, max_entries: Optional[int] = None,
+                    max_entries: Optional[int] = None,
                     rng: Optional[np.random.Generator] = None) -> GradCheckResult:
     """Compare analytic gradients against central finite differences.
 
@@ -653,12 +653,12 @@ def check_gradients(loss_fn: Callable[[], Tensor], params: "dict[str, Tensor]",
         worst_here = 0.0
         for i in idx:
             saved = flat[i]
-            flat[i] = saved + eps
+            flat[i] = saved + GRADCHECK_STEP
             up = loss_fn().item()
-            flat[i] = saved - eps
+            flat[i] = saved - GRADCHECK_STEP
             down = loss_fn().item()
             flat[i] = saved
-            numeric = (up - down) / (2.0 * eps)
+            numeric = (up - down) / (2.0 * GRADCHECK_STEP)
             a = analytic[name].reshape(-1)[i]
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-4)
             worst_here = max(worst_here, err)

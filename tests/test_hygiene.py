@@ -50,3 +50,85 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_module_imports_a_name_it_never_uses(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+# ------------------------------------------------------- dead parameters
+
+ROOT = PACKAGE.parent.parent
+CALLER_DIRS = ("src", "tests", "perfbench")
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(call name, function name, parameter, positional index or None) for
+    every defaulted parameter; a method's index skips self, and a class's
+    __init__ is called by the class name."""
+    def visit(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                skip = 1 if cls and not static else 0
+                call = cls if node.name == "__init__" and cls else node.name
+                where = f"{cls}.{node.name}" if cls else node.name
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    yield call, where, arg.arg, i - skip
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield call, where, arg.arg, None
+    yield from visit(tree.body, None)
+
+
+def _calls(tree: ast.AST):
+    """(called name, positional count, keyword names, uses * or **)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            starred = any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(k.arg is None for k in node.keywords)
+            yield name, len(node.args), {k.arg for k in node.keywords}, \
+                starred
+
+
+def dead_parameters(package_sources, caller_sources) -> "list[str]":
+    """Each defaulted parameter that no call passes, as 'module: f(p)'.
+
+    Calls are matched by function name. A call passes a parameter when it
+    names it, has enough positional arguments to reach it, or uses *args
+    or **kwargs."""
+    calls = {}
+    for source in caller_sources:
+        for name, n_pos, keywords, starred in _calls(ast.parse(source)):
+            calls.setdefault(name, []).append((n_pos, keywords, starred))
+    dead = []
+    for module, source in package_sources:
+        for call, where, param, index in _defaulted_parameters(
+                ast.parse(source)):
+            if not any(starred or param in keywords
+                       or (index is not None and n_pos > index)
+                       for n_pos, keywords, starred in calls.get(call, [])):
+                dead.append(f"{module}: {where}({param})")
+    return dead
+
+
+def test_dead_parameters_are_found():
+    package = [("m", "class A:\n    def __init__(self, x, y=1, *, z=2): pass\n"
+                     "    def f(self, a=0, b=0): pass\n"
+                     "def g(p=1, q=2): pass\ndef h(r=1): pass\n")]
+    callers = ["A(1, 2)\nA(0).f(5)\ng(q=3)\nh(*[1])\n"]
+    assert dead_parameters(package, callers) == [
+        "m: A.__init__(z)", "m: A.f(b)", "m: g(p)"]
+
+
+def test_no_defaulted_parameter_goes_unpassed():
+    package = [(p.name, p.read_text(encoding="utf-8"))
+               for p in sorted(PACKAGE.glob("*.py"))]
+    callers = [p.read_text(encoding="utf-8") for d in CALLER_DIRS
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert dead_parameters(package, callers) == []

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mtpretrain import losses as ls
 from mtpretrain import tensor as tz
 from mtpretrain.model import (HEADS, Model, ModelConfig, param_shapes,
                               truncated_normal)
@@ -70,6 +71,17 @@ def test_golden_init_digest(kwargs, digest, count):
 
 def test_head_table_covers_every_task():
     assert set(HEADS) == set(TASK_ORDER)
+
+
+def test_dense_head_output_widths():
+    # the class count of each classification head, 1 for each regression
+    widths = {"tf": 1, "tfidf": 1, "tlp": 1, "cap": 2, "tcp": 2, "tgs": 6,
+              "nsp": 2, "asp": 3, "so": 2, "sdp": 3, "scp": 2}
+    shapes = dict(param_shapes(ModelConfig(vocab=20, hidden=16)))
+    assert {t for t, head in HEADS.items() if head.outputs} == set(widths)
+    assert {t: shapes[f"heads.{t}.weight"][1] for t in widths} == widths
+    assert {t: shapes[f"heads.{t}.bias"] for t in widths} == {
+        t: (k,) for t, k in widths.items()}
 
 
 def test_truncated_normal_bounds():
@@ -255,7 +267,22 @@ def test_tgs_head_gathers_valid_rows_only():
     none_batch = FakeBatch(np.zeros((2, 8), dtype=int), labels={
         "tgs": {"starts": np.array([-1, -1]), "labels": np.array([0, 0])}})
     hidden2 = encoded(model, none_batch)
-    assert model.head_forward("tgs", hidden2, none_batch) is None
+    assert model.head_forward("tgs", hidden2, none_batch).shape == (0, 6)
+
+
+def test_tgs_without_trigrams_is_zero_loss_with_no_gradient():
+    model, cfg = small_model()
+    grid = np.ones((2, 8))
+    batch = FakeBatch(np.zeros((2, 8), dtype=int), labels={
+        "tgs": {"starts": np.array([-1, -1]), "labels": np.array([0, 0])},
+        "tf": {"values": grid, "weights": grid}})
+    batch.task_set = ("tgs", "tf")
+    out = ls.batch_losses(model, batch)
+    assert out["tgs"].item() == 0.0
+    ls.combine_losses(out, batch.task_set).backward()
+    assert model.params["heads.tf.weight"].grad is not None
+    assert all(p.grad is None for name, p in model.params.items()
+               if name.startswith("heads.tgs."))
 
 
 def test_sentence_head_shapes():
@@ -292,3 +319,13 @@ def test_missing_labels_error_names_task():
             model.head_forward(task, hidden, batch)
     with pytest.raises(TaskError):
         model.head_forward("nonsense", hidden, batch)
+
+
+def test_batch_losses_refuses_unknown_task_by_name():
+    model, cfg = small_model()
+    grid = np.ones((2, 6))
+    batch = FakeBatch(np.zeros((2, 6), dtype=int),
+                      labels={"tf": {"values": grid, "weights": grid}})
+    batch.task_set = ("tf", "nonsense")
+    with pytest.raises(TaskError, match="nonsense"):
+        ls.batch_losses(model, batch)

@@ -11,16 +11,8 @@ def test_registry_has_fifteen_tasks():
     ]
 
 
-def test_levels_and_classes():
-    assert tasks.TASKS["tgs"].num_classes == 6
-    assert tasks.TASKS["asp"].num_classes == 3
-    assert tasks.TASKS["sdp"].num_classes == 3
-    assert tasks.TASKS["nsp"].num_classes == 2
-    assert tasks.TASKS["so"].num_classes == 2
-    assert tasks.TASKS["scp"].num_classes == 2
-
-
 def test_structure_groups():
+    assert tasks.PAIR_TASKS == {"nsp", "asp", "so", "sdp"}
     assert tasks.RANDOM_SECOND_TASKS == {"nsp", "asp", "sdp"}
     assert tasks.CONTINUATION_TASKS == {"qt", "fs"}
     assert tasks.MASKING_TASKS == {"mlm", "sbo"}
