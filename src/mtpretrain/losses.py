@@ -122,16 +122,22 @@ def selected_token_ce(grid: Tensor, labels, weights) -> Tensor:
 def batch_losses(model, batch, rng=None) -> "dict[str, Tensor]":
     """Full forward pass: embed, encode, run each task head and its loss.
 
-    The heads come from the model's head table (`model.heads`). Dropout
-    is on exactly when `rng` is given: it draws the masks. An unknown task
-    is refused by `model.head_forward`."""
+    The heads come from the model's head table (`model.heads`); an unknown
+    task is refused by `model.head`. When every head declares the rows it
+    reads, the encoder's last layer runs at their union only. Dropout is
+    on exactly when `rng` is given: it draws the masks."""
     names = batch.task_set
+    heads = [model.head(t, batch) for t in names]
+    rows = None
+    if heads and all(head.rows for head in heads):
+        b, seq = np.shape(batch.input_ids)
+        rows = np.unique(np.concatenate(
+            [np.reshape(head.rows(batch, b, seq), -1) for head in heads]))
     emb = model.embed(batch, rng=rng)
-    hidden = model.encode(emb, batch.attention_mask, rng=rng)
-    pooled = model.pool(hidden) if any(
-        t in model.heads and model.heads[t].pooled for t in names) else None
+    hidden = model.encode(emb, batch.attention_mask, rng=rng, rows=rows)
+    pooled = model.pool(hidden) if any(head.pooled for head in heads) else None
     out: "dict[str, Tensor]" = {}
-    for t in names:
+    for t, head in zip(names, heads):
         preds = model.head_forward(t, hidden, batch, pooled)
-        out[t] = model.heads[t].loss(t, preds, batch)
+        out[t] = head.loss(t, preds, batch)
     return out

@@ -9,9 +9,11 @@ so their geometry is not squashed through an extra affinity layer.
 
 Every head is one entry of `HEADS`: the label key it reads, the input and
 output widths of its dense layer (the output width is the task's class
-count, or 1 for a regression), its forward and loss functions and whether
-it reads the pooler. Parameter shapes, `head_forward` and
-`losses.batch_losses` all read that table.
+count, or 1 for a regression), its forward and loss functions, whether
+it reads the pooler and which rows of the final states it reads.
+Parameter shapes, `head_forward` and `losses.batch_losses` all read that
+table. When every head of a step names its rows, the last encoder layer
+runs only at their union.
 """
 
 from __future__ import annotations
@@ -71,22 +73,44 @@ def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02):
 # A head's forward takes (model, task, hidden, flat, batch, pooled), where
 # flat is hidden reshaped to (B*L, H) once per call and pooled is the tanh
 # pooler output for heads that read it; its loss takes (task, predictions,
-# batch) and returns the loss as a scalar Tensor.
+# batch) and returns the loss as a scalar Tensor. A head that reads only
+# some rows of flat declares them with a rows function of (batch, B, L),
+# which its forward also reads them through.
+
+def _cls_rows(batch, b, seq):
+    return np.arange(b) * seq
+
+
+def _mlm_rows(batch, b, seq):
+    pos = batch.labels["mlm"]["positions"]
+    return pos[:, 0] * seq + pos[:, 1]
+
+
+def _sbo_rows(batch, b, seq):
+    """(2, n): the left and the right boundary of each masked span."""
+    lab = batch.labels["mlm"]
+    return np.stack([lab[side][:, 0] * seq + lab[side][:, 1]
+                     for side in ("left", "right")])
+
+
+def _tgs_rows(batch, b, seq):
+    """(3, n): the trigram's three positions in each row that has one."""
+    starts = batch.labels["tgs"]["starts"]
+    rows = np.nonzero(starts >= 0)[0]
+    base = rows * seq + starts[rows]
+    return np.stack([base + j for j in range(3)])
+
 
 def _mlm_forward(model, task, hidden, flat, batch, pooled):
-    seq = hidden.shape[1]
-    pos = batch.labels["mlm"]["positions"]
-    states = tz.index_rows(flat, pos[:, 0] * seq + pos[:, 1])
+    states = tz.index_rows(flat, _mlm_rows(batch, *hidden.shape[:2]))
     states = model._dense(states, "heads.mlm.transform")
     states = model._norm(tz.gelu(states), "heads.mlm.norm")
     return model._vocab_logits(states, "heads.mlm.vocab_bias")
 
 
 def _sbo_forward(model, task, hidden, flat, batch, pooled):
-    seq = hidden.shape[1]
-    lab = batch.labels["mlm"]
-    left = tz.index_rows(flat, lab["left"][:, 0] * seq + lab["left"][:, 1])
-    right = tz.index_rows(flat, lab["right"][:, 0] * seq + lab["right"][:, 1])
+    left, right = (tz.index_rows(flat, r)
+                   for r in _sbo_rows(batch, *hidden.shape[:2]))
     states = tz.gelu(model._dense(tz.concat([left, right], axis=-1),
                                   "heads.sbo.dense"))
     return model._vocab_logits(states, "heads.sbo.vocab_bias")
@@ -104,11 +128,8 @@ def _token_class(model, task, hidden, flat, batch, pooled):
 
 
 def _tgs_forward(model, task, hidden, flat, batch, pooled):
-    seq = hidden.shape[1]
-    starts = batch.labels["tgs"]["starts"]
-    rows = np.nonzero(starts >= 0)[0]
-    base = rows * seq + starts[rows]
-    parts = [tz.index_rows(flat, base + j) for j in range(3)]
+    parts = [tz.index_rows(flat, r)
+             for r in _tgs_rows(batch, *hidden.shape[:2])]
     return model._dense(tz.concat(parts, axis=-1), "heads.tgs")
 
 
@@ -175,29 +196,39 @@ class Head:
     forward: Callable
     loss: Callable
     pooled: bool = False  # reads the tanh pooler over [CLS]
+    # the flat rows of the final states it reads, (batch, B, L) -> int
+    # array of any shape; None: every row
+    rows: "Callable | None" = None
     # parameters beyond the dense head, as (name below heads.<task>, shape)
     shapes: Callable = lambda h, v: []
 
 
 # one entry per task, in parameter order
 HEADS: "dict[str, Head]" = {
-    "mlm": Head("mlm", 0, 0, _mlm_forward, _vocab_loss, shapes=lambda h, v: (
-        _dense_shapes("transform", h, h) + _norm_shapes("norm", h)
-        + [("vocab_bias", (v,))])),
-    "sbo": Head("mlm", 0, 0, _sbo_forward, _vocab_loss, shapes=lambda h, v: (
-        _dense_shapes("dense", 2 * h, h) + [("vocab_bias", (v,))])),
+    "mlm": Head("mlm", 0, 0, _mlm_forward, _vocab_loss, rows=_mlm_rows,
+                shapes=lambda h, v: (
+                    _dense_shapes("transform", h, h) + _norm_shapes("norm", h)
+                    + [("vocab_bias", (v,))])),
+    "sbo": Head("mlm", 0, 0, _sbo_forward, _vocab_loss, rows=_sbo_rows,
+                shapes=lambda h, v: (
+                    _dense_shapes("dense", 2 * h, h) + [("vocab_bias", (v,))])),
     "tf": Head("tf", 1, 1, _token_regression, _regression_loss),
     "tfidf": Head("tfidf", 1, 1, _token_regression, _regression_loss),
     "tlp": Head("tlp", 1, 1, _token_regression, _regression_loss),
     "cap": Head("cap", 1, 2, _token_class, _token_class_loss),
     "tcp": Head("tcp", 1, 2, _token_class, _token_class_loss),
-    "tgs": Head("tgs", 3, 6, _tgs_forward, _tgs_loss),
-    "nsp": Head("nsp", 1, 2, _sentence_class, _sentence_loss, pooled=True),
-    "asp": Head("asp", 1, 3, _sentence_class, _sentence_loss, pooled=True),
-    "so": Head("so", 1, 2, _sentence_class, _sentence_loss, pooled=True),
-    "sdp": Head("sdp", 1, 3, _sentence_class, _sentence_loss, pooled=True),
-    "scp": Head("scp", 1, 2, _sentence_class, _sentence_loss, pooled=True),
-    "qt": Head(None, 0, 0, _cls_forward, _qt_loss),
+    "tgs": Head("tgs", 3, 6, _tgs_forward, _tgs_loss, rows=_tgs_rows),
+    "nsp": Head("nsp", 1, 2, _sentence_class, _sentence_loss, pooled=True,
+                rows=_cls_rows),
+    "asp": Head("asp", 1, 3, _sentence_class, _sentence_loss, pooled=True,
+                rows=_cls_rows),
+    "so": Head("so", 1, 2, _sentence_class, _sentence_loss, pooled=True,
+                rows=_cls_rows),
+    "sdp": Head("sdp", 1, 3, _sentence_class, _sentence_loss, pooled=True,
+                rows=_cls_rows),
+    "scp": Head("scp", 1, 2, _sentence_class, _sentence_loss, pooled=True,
+                rows=_cls_rows),
+    "qt": Head(None, 0, 0, _cls_forward, _qt_loss, rows=_cls_rows),
     "fs": Head(None, 0, 0, _fs_forward, _fs_loss),
 }
 
@@ -298,34 +329,53 @@ class Model:
         return tz.dropout(self._norm(x, "embeddings.norm"), cfg.dropout, rng)
 
     def encode(self, x: Tensor, attention_mask,
-               rng: "np.random.Generator | None" = None) -> Tensor:
-        """The encoder stack; with `rng`, dropout draws from it."""
+               rng: "np.random.Generator | None" = None,
+               rows=None) -> Tensor:
+        """The encoder stack; with `rng`, dropout draws from it.
+
+        With `rows`, distinct flat row indices into (B*L), the last layer
+        runs its queries, output projection, norms and feed-forward at
+        those rows only (keys and values still cover every row), and every
+        other row of the result is zero."""
         cfg = self.config
         b, seq, h = x.shape
         heads = cfg.heads
         d = h // heads
         mask = np.asarray(attention_mask, dtype=x.data.dtype)
-        bias = tz.constant(((1.0 - mask) * MASK_BIAS)[:, None, None, :])
+        bias = ((1.0 - mask) * MASK_BIAS)[:, None, None, :]
         scale = 1.0 / math.sqrt(d)
         for i in range(cfg.layers):
             flat = x.reshape(b * seq, h)
-            q = self._dense(flat, f"layers.{i}.attn.q")
             k = self._dense(flat, f"layers.{i}.attn.k")
             v = self._dense(flat, f"layers.{i}.attn.v")
-            q = q.reshape(b, seq, heads, d).transpose(0, 2, 1, 3)
             k = k.reshape(b, seq, heads, d).transpose(0, 2, 3, 1)
             v = v.reshape(b, seq, heads, d).transpose(0, 2, 1, 3)
-            scores = (q @ k) * scale + bias
+            if rows is None or i < cfg.layers - 1:
+                q = self._dense(flat, f"layers.{i}.attn.q")
+                q = q.reshape(b, seq, heads, d).transpose(0, 2, 1, 3)
+            else:
+                # the last layer: one query per row, over its own batch
+                # row's keys, values and mask
+                owner = rows // seq
+                x = tz.index_rows(flat, rows)
+                q = self._dense(x, f"layers.{i}.attn.q")
+                q = q.reshape(-1, heads, 1, d)
+                bias = bias[owner]
+                if not np.array_equal(owner, np.arange(b)):
+                    k, v = tz.index_rows(k, owner), tz.index_rows(v, owner)
+            scores = (q @ k) * scale + tz.constant(bias)
             probs = tz.dropout(tz.softmax(scores), cfg.dropout, rng)
-            ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(b * seq, h)
+            ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(-1, h)
             attn_out = tz.dropout(self._dense(ctx, f"layers.{i}.attn.out"),
                                   cfg.dropout, rng)
-            x = self._norm(x + attn_out.reshape(b, seq, h), f"layers.{i}.attn_norm")
-            flat = x.reshape(b * seq, h)
+            x = self._norm(x + attn_out.reshape(x.shape), f"layers.{i}.attn_norm")
+            flat = x.reshape(-1, h)
             ff = tz.gelu(self._dense(flat, f"layers.{i}.ff.w1"))
             ff = tz.dropout(self._dense(ff, f"layers.{i}.ff.w2"),
                             cfg.dropout, rng)
-            x = self._norm(x + ff.reshape(b, seq, h), f"layers.{i}.ff_norm")
+            x = self._norm(x + ff.reshape(x.shape), f"layers.{i}.ff_norm")
+        if rows is not None:
+            x = tz.scatter_rows(x, rows, b * seq).reshape(b, seq, h)
         return x
 
     def pool(self, hidden: Tensor) -> Tensor:
@@ -333,7 +383,7 @@ class Model:
 
     def cls_rows(self, hidden: Tensor) -> Tensor:
         b, seq, h = hidden.shape
-        return tz.index_rows(hidden.reshape(b * seq, h), np.arange(b) * seq)
+        return tz.index_rows(hidden.reshape(b * seq, h), _cls_rows(None, b, seq))
 
     def _vocab_logits(self, states: Tensor, bias_name: str) -> Tensor:
         table = self.params["embeddings.token"]
@@ -347,14 +397,19 @@ class Model:
         (B, L) and (B, L, 2); tgs (n_valid_rows, 6); sentence heads (B, k);
         qt the raw [CLS] rows (B, H); fs the ([CLS] rows, hidden) pair.
         """
+        head = self.head(task, batch)
+        b, seq, h = hidden.shape
+        flat = hidden.reshape(b * seq, h)
+        if head.pooled and pooled is None:
+            pooled = self.pool(hidden)
+        return head.forward(self, task, hidden, flat, batch, pooled)
+
+    def head(self, task: str, batch) -> Head:
+        """The task's head, refusing an unknown task or missing labels."""
         head = self.heads.get(task)
         if head is None:
             raise TaskError(f"unknown task {task!r}")
         if head.labels is not None and head.labels not in batch.labels:
             raise TaskError(
                 f"batch carries no {head.labels} labels for task {task}")
-        b, seq, h = hidden.shape
-        flat = hidden.reshape(b * seq, h)
-        if head.pooled and pooled is None:
-            pooled = self.pool(hidden)
-        return head.forward(self, task, hidden, flat, batch, pooled)
+        return head

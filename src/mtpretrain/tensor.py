@@ -7,8 +7,8 @@ central differences have enough headroom.
 Every op records one node on the tape. `linear` (x @ W + b), `layer_norm`,
 `gelu`, `softmax`, `dropout` and `cross_entropy` are single nodes, each
 with a closed-form backward pass; the arithmetic operators, reshape,
-transpose, sum, matmul, index_rows and concat are the primitives between
-them.
+transpose, sum, matmul, index_rows, scatter_rows and concat are the
+primitives between them.
 
 Gradient buffers: a node's first gradient write takes ownership of the
 array it is handed instead of copying it into a zeroed buffer. Every
@@ -387,11 +387,26 @@ def index_rows(table: Tensor, indices) -> Tensor:
         # the same order as a row-wise add.at, several times faster.
         width = table.data[0].size
         flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-        grad = np.zeros_like(table.data)
+        # contiguous whatever the table's strides, so the flat view below
+        # is the buffer itself
+        grad = np.zeros(table.data.shape, dtype=table.data.dtype)
         np.add.at(grad.reshape(-1), flat, g.reshape(-1))
         table._accumulate(grad)
 
     return Tensor._result(data, (table,), backward)
+
+
+def scatter_rows(x: Tensor, rows, n: int) -> Tensor:
+    """n rows of zeros with x's rows placed at the distinct indices `rows`;
+    the gradient is the gather of those rows."""
+    idx = np.asarray(rows)
+    data = np.zeros((n,) + x.data.shape[1:], dtype=x.data.dtype)
+    data[idx] = x.data
+
+    def backward(g):
+        x._accumulate(g[idx])
+
+    return Tensor._result(data, (x,), backward)
 
 
 # ------------------------------------------------------------ fused nodes

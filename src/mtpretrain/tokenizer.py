@@ -69,9 +69,19 @@ class Vocabulary:
         # use it to detect vocabulary mismatches
         self.content_hash = hashlib.sha256(
             "\n".join(self.id_to_token).encode("utf-8")).digest()
+        # lowercased word -> its WordPiece ids; the token list never changes
+        self._piece_ids: dict[str, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.id_to_token)
+
+    def piece_ids(self, word: str) -> "tuple[int, ...]":
+        """tokenize_word's split of a lowercased word, as ids (memoised)."""
+        ids = self._piece_ids.get(word)
+        if ids is None:
+            ids = tuple(self.token_to_id[p] for p in tokenize_word(word, self))
+            self._piece_ids[word] = ids
+        return ids
 
     def random_regular_id(self, rng: np.random.Generator, size=None):
         """Uniform draw over non-special vocabulary ids. With size, an array
@@ -149,8 +159,8 @@ def encode_sentence(text: str, vocab: Vocabulary) \
     word_starts: list[int] = []
     capitalized: list[int] = []
     for word in basic_tokenize(text):
-        pieces = tokenize_word(word.lower(), vocab)
-        ids += [vocab.token_to_id[p] for p in pieces]
+        pieces = vocab.piece_ids(word.lower())
+        ids += pieces
         rest = [0] * (len(pieces) - 1)
         word_starts += [1] + rest
         capitalized += [int(word[0].isupper())] + rest

@@ -287,7 +287,10 @@ def _probe_features(model: Model, reader, vocab, spec: ProbeSpec,
         batch = assemble_batch(
             reader, vocab, ("so",), spec.batch_size, spec.max_seq_len,
             rng=np.random.default_rng([spec.seed, _PROBE_TAG, tag, k]))
-        hidden = model.encode(model.embed(batch), batch.attention_mask)
+        # the last layer runs at the [CLS] rows only, the rows `so` reads
+        rows = model.heads["so"].rows(batch, *batch.input_ids.shape)
+        hidden = model.encode(model.embed(batch), batch.attention_mask,
+                              rows=rows)
         feats.append(model.cls_rows(hidden).data.copy())
         labels.append(batch.labels["so"].copy())
     return np.concatenate(feats), np.concatenate(labels)

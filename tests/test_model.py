@@ -329,3 +329,95 @@ def test_batch_losses_refuses_unknown_task_by_name():
     batch.task_set = ("tf", "nonsense")
     with pytest.raises(TaskError, match="nonsense"):
         ls.batch_losses(model, batch)
+
+
+# ------------------------------------------------- last layer at head rows
+
+def full_layer_losses(model, batch):
+    """batch_losses' forward with the last layer run at every row."""
+    hidden = model.encode(model.embed(batch), batch.attention_mask)
+    return {t: HEADS[t].loss(t, model.head_forward(t, hidden, batch), batch)
+            for t in batch.task_set}
+
+
+def loss_and_grads(model, losses, names):
+    for p in model.params.values():
+        p.grad = None
+    total = ls.combine_losses(losses, names)
+    total.backward()
+    return total.item(), {k: p.grad for k, p in model.params.items()}
+
+
+def spy_encode_rows(model):
+    """Record the `rows` argument of each model.encode call."""
+    seen = []
+    real = model.encode
+
+    def spy(x, mask, rng=None, rows=None):
+        seen.append(rows)
+        return real(x, mask, rng=rng, rows=rows)
+
+    model.encode = spy
+    return seen
+
+
+def _equivalence_sets():
+    from mtpretrain.cli import GRADCHECK_SETS
+    from test_taskbuild import GOLDEN_SETS
+    sets = [(t,) for t in TASK_ORDER] + GRADCHECK_SETS + GOLDEN_SETS
+    return list(dict.fromkeys(tuple(s) for s in sets))
+
+
+@pytest.fixture()
+def float64_mode():
+    tz.set_default_dtype("float64")
+    yield
+    tz.set_default_dtype("float32")
+
+
+@pytest.mark.parametrize("task_set", _equivalence_sets(), ids=",".join)
+def test_last_layer_at_head_rows_matches_full_layer(
+        task_set, small_reader, word_vocab, float64_mode):
+    from mtpretrain.taskbuild import assemble_batch
+    cfg = ModelConfig(vocab=len(word_vocab), layers=2, hidden=16, heads=2,
+                      max_seq_len=24, task_vocab=4, dropout=0.0)
+    model = Model(cfg, np.random.default_rng(3))
+    batch = assemble_batch(small_reader, word_vocab, task_set, 8, 24,
+                           seed=2, step=1)
+    seen = spy_encode_rows(model)
+    pruned = ls.batch_losses(model, batch)
+    loss, grads = loss_and_grads(model, pruned, task_set)
+    all_rows = any(HEADS[t].rows is None for t in task_set)
+    (rows,) = seen
+    if all_rows:
+        assert rows is None
+    else:
+        assert np.issubdtype(rows.dtype, np.integer)
+        assert 0 < rows.size < 8 * 24
+    ref = full_layer_losses(model, batch)
+    ref_loss, ref_grads = loss_and_grads(model, ref, task_set)
+    for t in task_set:
+        assert abs(pruned[t].item() - ref[t].item()) <= 1e-12, t
+    assert abs(loss - ref_loss) <= 1e-12
+    for name, g in grads.items():
+        assert (g is None) == (ref_grads[name] is None), name
+        if g is not None:
+            np.testing.assert_allclose(g, ref_grads[name], rtol=0,
+                                       atol=1e-12, err_msg=name)
+
+
+def test_empty_row_union_runs_and_gives_no_gradient(float64_mode):
+    model, cfg = small_model()
+    none = np.zeros((0, 2), dtype=np.int64)
+    batch = FakeBatch(np.ones((2, 8), dtype=int), labels={
+        "mlm": {"positions": none, "targets": np.zeros(0, dtype=np.int64),
+                "left": none, "right": none},
+        "tgs": {"starts": np.array([-1, -1]), "labels": np.array([0, 0])}})
+    batch.task_set = ("mlm", "sbo", "tgs")
+    seen = spy_encode_rows(model)
+    out = ls.batch_losses(model, batch)
+    (rows,) = seen
+    assert rows.size == 0 and np.issubdtype(rows.dtype, np.integer)
+    assert all(out[t].item() == 0.0 for t in batch.task_set)
+    ls.combine_losses(out, batch.task_set).backward()
+    assert all(p.grad is None for p in model.params.values())

@@ -186,6 +186,29 @@ def test_embedding_gradient_is_scatter_of_upstream():
     np.testing.assert_allclose(table.grad, expected, atol=1e-9)
 
 
+def test_index_rows_gradient_reaches_a_transposed_table():
+    # the gradient buffer must be contiguous even when the table is a view
+    # with other strides, or the scatter-add lands in a temporary copy
+    p = tz.parameter(np.random.default_rng(0).normal(size=(3, 4, 5)))
+    tz.index_rows(p.transpose(0, 2, 1), [0, 2, 2]).sum().backward()
+    expected = np.zeros((3, 4, 5))
+    expected[0] = 1.0
+    expected[2] = 2.0
+    np.testing.assert_array_equal(p.grad, expected)
+    assert p.grad.sum() == 60.0
+
+
+def test_scatter_rows_places_rows_and_gathers_gradient():
+    x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    out = tz.scatter_rows(x, [4, 0, 2], 5)
+    expected = np.zeros((5, 2))
+    expected[[4, 0, 2]] = x.data
+    np.testing.assert_array_equal(out.data, expected)
+    weights = np.arange(10.0).reshape(5, 2)
+    (out * Tensor(weights)).sum().backward()
+    np.testing.assert_array_equal(x.grad, weights[[4, 0, 2]])
+
+
 def test_softmax_cosine_clamp_concat_gradcheck():
     rng = np.random.default_rng(9)
     params = {

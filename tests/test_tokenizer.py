@@ -77,6 +77,20 @@ def test_tokenize_word_over_length_limit(vocab):
     assert tk.tokenize_word("a" * 101, vocab) == [tk.UNK]
 
 
+def test_piece_ids_split_each_word_once(vocab, monkeypatch):
+    calls = []
+    real = tk.tokenize_word
+    monkeypatch.setattr(tk, "tokenize_word",
+                        lambda word, v: calls.append(word) or real(word, v))
+    ids, _, _ = tk.encode_sentence("Unaffable cats, unaffable cats.", vocab)
+    assert [vocab.id_to_token[i] for i in ids] == [
+        "un", "##aff", "##able", "cat", "##s", ",",
+        "un", "##aff", "##able", "cat", "##s", "."]
+    assert calls == ["unaffable", "cats", ",", "."]
+    assert vocab.piece_ids("cats") == tuple(vocab.token_to_id[p]
+                                            for p in real("cats", vocab))
+
+
 def greedy_oracle(word, pieces_in_vocab):
     """Brute-force longest-prefix-first reference used to check greediness."""
     out = []
