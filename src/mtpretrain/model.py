@@ -205,13 +205,12 @@ class Head:
 
 # one entry per task, in parameter order
 HEADS: "dict[str, Head]" = {
-    "mlm": Head("mlm", 0, 0, _mlm_forward, _vocab_loss, rows=_mlm_rows,
-                shapes=lambda h, v: (
-                    _dense_shapes("transform", h, h) + _norm_shapes("norm", h)
-                    + [("vocab_bias", (v,))])),
-    "sbo": Head("mlm", 0, 0, _sbo_forward, _vocab_loss, rows=_sbo_rows,
-                shapes=lambda h, v: (
-                    _dense_shapes("dense", 2 * h, h) + [("vocab_bias", (v,))])),
+    "mlm": Head("mlm", 0, 0, _mlm_forward, _vocab_loss, shapes=lambda h, v: (
+        _dense_shapes("transform", h, h) + _norm_shapes("norm", h)
+        + [("vocab_bias", (v,))]), rows=_mlm_rows),
+    "sbo": Head("mlm", 0, 0, _sbo_forward, _vocab_loss, shapes=lambda h, v: (
+        _dense_shapes("dense", 2 * h, h) + [("vocab_bias", (v,))]),
+        rows=_sbo_rows),
     "tf": Head("tf", 1, 1, _token_regression, _regression_loss),
     "tfidf": Head("tfidf", 1, 1, _token_regression, _regression_loss),
     "tlp": Head("tlp", 1, 1, _token_regression, _regression_loss),
