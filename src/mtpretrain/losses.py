@@ -123,16 +123,19 @@ def batch_losses(model, batch, rng=None) -> "dict[str, Tensor]":
     """Full forward pass: embed, encode, run each task head and its loss.
 
     The heads come from the model's head table (`model.heads`); an unknown
-    task is refused by `model.head`. When every head declares the rows it
-    reads, the encoder's last layer runs at their union only. Dropout is
-    on exactly when `rng` is given: it draws the masks."""
+    task is refused by `model.head`. When the union of the rows the heads
+    declare is one row per batch row (the [CLS] heads), the encoder's last
+    layer runs at those rows only. Dropout is on exactly when `rng` is
+    given: it draws the masks."""
     names = batch.task_set
     heads = [model.head(t, batch) for t in names]
     rows = None
     if heads and all(head.rows for head in heads):
         b, seq = np.shape(batch.input_ids)
-        rows = np.unique(np.concatenate(
+        union = np.unique(np.concatenate(
             [np.reshape(head.rows(batch, b, seq), -1) for head in heads]))
+        if np.array_equal(union // seq, np.arange(b)):
+            rows = union
     emb = model.embed(batch, rng=rng)
     hidden = model.encode(emb, batch.attention_mask, rng=rng, rows=rows)
     pooled = model.pool(hidden) if any(head.pooled for head in heads) else None

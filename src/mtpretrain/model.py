@@ -12,8 +12,8 @@ output widths of its dense layer (the output width is the task's class
 count, or 1 for a regression), its forward and loss functions, whether
 it reads the pooler and which rows of the final states it reads.
 Parameter shapes, `head_forward` and `losses.batch_losses` all read that
-table. When every head of a step names its rows, the last encoder layer
-runs only at their union.
+table. When the rows a step's heads read are one per batch row (the
+[CLS] heads), the last encoder layer runs only at those rows.
 """
 
 from __future__ import annotations
@@ -332,16 +332,24 @@ class Model:
                rows=None) -> Tensor:
         """The encoder stack; with `rng`, dropout draws from it.
 
-        With `rows`, distinct flat row indices into (B*L), the last layer
-        runs its queries, output projection, norms and feed-forward at
-        those rows only (keys and values still cover every row), and every
-        other row of the result is zero."""
+        `rows`, one flat row index into (B*L) per batch row in batch order
+        (such as the [CLS] rows), makes the last layer run its queries,
+        output projection, norms and feed-forward at those rows only (keys
+        and values still cover every row); every other row of the result
+        is zero. With no layer to prune, `rows` is ignored."""
         cfg = self.config
         b, seq, h = x.shape
+        if rows is not None:
+            rows = np.asarray(rows)
+            if not np.array_equal(rows // seq, np.arange(b)):
+                raise ValueError("encode's rows must name one flat row per "
+                                 "batch row, in batch order")
+            if not cfg.layers:
+                rows = None
         heads = cfg.heads
         d = h // heads
         mask = np.asarray(attention_mask, dtype=x.data.dtype)
-        bias = ((1.0 - mask) * MASK_BIAS)[:, None, None, :]
+        bias = tz.constant(((1.0 - mask) * MASK_BIAS)[:, None, None, :])
         scale = 1.0 / math.sqrt(d)
         for i in range(cfg.layers):
             flat = x.reshape(b * seq, h)
@@ -353,16 +361,11 @@ class Model:
                 q = self._dense(flat, f"layers.{i}.attn.q")
                 q = q.reshape(b, seq, heads, d).transpose(0, 2, 1, 3)
             else:
-                # the last layer: one query per row, over its own batch
-                # row's keys, values and mask
-                owner = rows // seq
+                # the last layer: one query per batch row, over that row's
+                # keys, values and mask
                 x = tz.index_rows(flat, rows)
-                q = self._dense(x, f"layers.{i}.attn.q")
-                q = q.reshape(-1, heads, 1, d)
-                bias = bias[owner]
-                if not np.array_equal(owner, np.arange(b)):
-                    k, v = tz.index_rows(k, owner), tz.index_rows(v, owner)
-            scores = (q @ k) * scale + tz.constant(bias)
+                q = self._dense(x, f"layers.{i}.attn.q").reshape(b, heads, 1, d)
+            scores = (q @ k) * scale + bias
             probs = tz.dropout(tz.softmax(scores), cfg.dropout, rng)
             ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(-1, h)
             attn_out = tz.dropout(self._dense(ctx, f"layers.{i}.attn.out"),

@@ -2,8 +2,34 @@ import numpy as np
 import pytest
 
 from mtpretrain import arrayfile
+from mtpretrain import tensor as tz
 from mtpretrain import tokenizer as tk
 from mtpretrain import corpus as cp
+
+@pytest.fixture()
+def float64_mode():
+    tz.set_default_dtype("float64")
+    yield
+    tz.set_default_dtype("float32")
+
+
+@pytest.fixture()
+def spy_encode_rows():
+    """Install a spy on a model's encode; it returns the list of the
+    `rows` argument of each later call."""
+    def install(model):
+        seen = []
+        real = model.encode
+
+        def spy(x, mask, rng=None, rows=None):
+            seen.append(rows)
+            return real(x, mask, rng=rng, rows=rows)
+
+        model.encode = spy
+        return seen
+
+    return install
+
 
 #: closed word list for synthetic corpora; every word tokenizes to itself
 CORPUS_WORDS = [f"w{i:02d}" for i in range(80)]

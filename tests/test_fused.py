@@ -10,11 +10,7 @@ from mtpretrain.model import MASK_BIAS
 from mtpretrain.tensor import Tensor
 
 
-@pytest.fixture(autouse=True)
-def float64_mode():
-    tz.set_default_dtype("float64")
-    yield
-    tz.set_default_dtype("float32")
+pytestmark = pytest.mark.usefixtures("float64_mode")
 
 
 def param(rng, *shape, scale=1.0, shift=0.0):

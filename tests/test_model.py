@@ -333,6 +333,10 @@ def test_batch_losses_refuses_unknown_task_by_name():
 
 # ------------------------------------------------- last layer at head rows
 
+#: the tasks whose heads read only the [CLS] row of each batch row
+CLS_TASKS = {"nsp", "asp", "so", "sdp", "scp", "qt"}
+
+
 def full_layer_losses(model, batch):
     """batch_losses' forward with the last layer run at every row."""
     hidden = model.encode(model.embed(batch), batch.attention_mask)
@@ -348,19 +352,6 @@ def loss_and_grads(model, losses, names):
     return total.item(), {k: p.grad for k, p in model.params.items()}
 
 
-def spy_encode_rows(model):
-    """Record the `rows` argument of each model.encode call."""
-    seen = []
-    real = model.encode
-
-    def spy(x, mask, rng=None, rows=None):
-        seen.append(rows)
-        return real(x, mask, rng=rng, rows=rows)
-
-    model.encode = spy
-    return seen
-
-
 def _equivalence_sets():
     from mtpretrain.cli import GRADCHECK_SETS
     from test_taskbuild import GOLDEN_SETS
@@ -368,32 +359,25 @@ def _equivalence_sets():
     return list(dict.fromkeys(tuple(s) for s in sets))
 
 
-@pytest.fixture()
-def float64_mode():
-    tz.set_default_dtype("float64")
-    yield
-    tz.set_default_dtype("float32")
-
-
+@pytest.mark.parametrize("layers", [2, 0], ids=lambda n: f"layers{n}")
 @pytest.mark.parametrize("task_set", _equivalence_sets(), ids=",".join)
 def test_last_layer_at_head_rows_matches_full_layer(
-        task_set, small_reader, word_vocab, float64_mode):
+        task_set, layers, small_reader, word_vocab, float64_mode,
+        spy_encode_rows):
     from mtpretrain.taskbuild import assemble_batch
-    cfg = ModelConfig(vocab=len(word_vocab), layers=2, hidden=16, heads=2,
-                      max_seq_len=24, task_vocab=4, dropout=0.0)
+    cfg = ModelConfig(vocab=len(word_vocab), layers=layers, hidden=16,
+                      heads=2, max_seq_len=24, task_vocab=4, dropout=0.0)
     model = Model(cfg, np.random.default_rng(3))
     batch = assemble_batch(small_reader, word_vocab, task_set, 8, 24,
                            seed=2, step=1)
     seen = spy_encode_rows(model)
     pruned = ls.batch_losses(model, batch)
     loss, grads = loss_and_grads(model, pruned, task_set)
-    all_rows = any(HEADS[t].rows is None for t in task_set)
     (rows,) = seen
-    if all_rows:
-        assert rows is None
+    if set(task_set) <= CLS_TASKS:
+        assert rows.tolist() == list(range(0, 8 * 24, 24))
     else:
-        assert np.issubdtype(rows.dtype, np.integer)
-        assert 0 < rows.size < 8 * 24
+        assert rows is None
     ref = full_layer_losses(model, batch)
     ref_loss, ref_grads = loss_and_grads(model, ref, task_set)
     for t in task_set:
@@ -406,7 +390,19 @@ def test_last_layer_at_head_rows_matches_full_layer(
                                        atol=1e-12, err_msg=name)
 
 
-def test_empty_row_union_runs_and_gives_no_gradient(float64_mode):
+def test_encode_refuses_rows_not_one_per_batch_row():
+    model, cfg = small_model()
+    x = model.embed(FakeBatch(np.ones((2, 8), dtype=int)))
+    mask = np.ones((2, 8), dtype=bool)
+    for rows in ([0, 3, 8], [8, 0], [0, 16], [-1, 8]):
+        with pytest.raises(ValueError, match="one flat row per batch row"):
+            model.encode(x, mask, rows=rows)
+    hidden = model.encode(x, mask, rows=[3, 8])
+    assert np.count_nonzero(np.abs(hidden.data).sum(-1)) == 2
+
+
+def test_empty_row_union_runs_and_gives_no_gradient(float64_mode,
+                                                    spy_encode_rows):
     model, cfg = small_model()
     none = np.zeros((0, 2), dtype=np.int64)
     batch = FakeBatch(np.ones((2, 8), dtype=int), labels={
@@ -416,8 +412,7 @@ def test_empty_row_union_runs_and_gives_no_gradient(float64_mode):
     batch.task_set = ("mlm", "sbo", "tgs")
     seen = spy_encode_rows(model)
     out = ls.batch_losses(model, batch)
-    (rows,) = seen
-    assert rows.size == 0 and np.issubdtype(rows.dtype, np.integer)
+    assert seen == [None]
     assert all(out[t].item() == 0.0 for t in batch.task_set)
     ls.combine_losses(out, batch.task_set).backward()
     assert all(p.grad is None for p in model.params.values())

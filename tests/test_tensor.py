@@ -8,11 +8,7 @@ from mtpretrain import tensor as tz
 from mtpretrain.tensor import Tensor
 
 
-@pytest.fixture(autouse=True)
-def float64_mode():
-    tz.set_default_dtype("float64")
-    yield
-    tz.set_default_dtype("float32")
+pytestmark = pytest.mark.usefixtures("float64_mode")
 
 
 def finite_diff(loss_fn, params, eps=1e-6):

@@ -333,32 +333,23 @@ def test_probe_is_deterministic(small_store, word_vocab_path, tmp_path):
         == tr.evaluate_probe(model, reader, vocab, spec)
 
 
-def test_probe_features_match_the_full_last_layer(small_store,
-                                                  word_vocab_path, tmp_path):
+def test_probe_features_match_the_full_last_layer(
+        small_store, word_vocab_path, tmp_path, float64_mode,
+        spy_encode_rows):
     # the probe runs the last layer at the [CLS] rows only; in float64 its
     # features equal those of the full layer
-    tz.set_default_dtype("float64")
-    try:
-        cfg = make_config(small_store, word_vocab_path, tmp_path,
-                          max_seq_len=32, layers=2)
-        vocab = load_vocab(cfg.vocab)
-        reader = load_corpus(cfg.corpus)
-        model = tr.build_model(cfg, vocab, 1)
-        spec = tr.ProbeSpec(n_train_batches=2, n_eval_batches=2,
-                            batch_size=16, max_seq_len=32)
-        real = model.encode
-        seen = []
-
-        def encode(x, mask, rng=None, rows=None):
-            seen.append(rows)
-            return real(x, mask, rng=rng, rows=rows)
-
-        model.encode = encode
-        x_cls, y_cls = tr._probe_features(model, reader, vocab, spec, 2, 0)
-        assert [r.tolist() for r in seen] == [list(range(0, 16 * 32, 32))] * 2
-        model.encode = lambda x, mask, rng=None, rows=None: real(x, mask)
-        x_full, y_full = tr._probe_features(model, reader, vocab, spec, 2, 0)
-    finally:
-        tz.set_default_dtype("float32")
+    cfg = make_config(small_store, word_vocab_path, tmp_path,
+                      max_seq_len=32, layers=2)
+    vocab = load_vocab(cfg.vocab)
+    reader = load_corpus(cfg.corpus)
+    model = tr.build_model(cfg, vocab, 1)
+    spec = tr.ProbeSpec(n_train_batches=2, n_eval_batches=2,
+                        batch_size=16, max_seq_len=32)
+    real = model.encode
+    seen = spy_encode_rows(model)
+    x_cls, y_cls = tr._probe_features(model, reader, vocab, spec, 2, 0)
+    assert [r.tolist() for r in seen] == [list(range(0, 16 * 32, 32))] * 2
+    model.encode = lambda x, mask, rng=None, rows=None: real(x, mask)
+    x_full, y_full = tr._probe_features(model, reader, vocab, spec, 2, 0)
     assert np.array_equal(y_cls, y_full)
     np.testing.assert_allclose(x_cls, x_full, rtol=0, atol=1e-12)
