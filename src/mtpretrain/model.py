@@ -105,7 +105,7 @@ def _mlm_forward(model, task, hidden, flat, batch, pooled):
     states = tz.index_rows(flat, _mlm_rows(batch, *hidden.shape[:2]))
     states = model._dense(states, "heads.mlm.transform")
     states = model._norm(tz.gelu(states), "heads.mlm.norm")
-    return model._vocab_logits(states, "heads.mlm.vocab_bias")
+    return _vocab_head(model, task, states)
 
 
 def _sbo_forward(model, task, hidden, flat, batch, pooled):
@@ -113,7 +113,14 @@ def _sbo_forward(model, task, hidden, flat, batch, pooled):
                    for r in _sbo_rows(batch, *hidden.shape[:2]))
     states = tz.gelu(model._dense(tz.concat([left, right], axis=-1),
                                   "heads.sbo.dense"))
-    return model._vocab_logits(states, "heads.sbo.vocab_bias")
+    return _vocab_head(model, task, states)
+
+
+def _vocab_head(model, task, states):
+    """The (n, H) states with the tied token table and the task's vocab
+    bias: the operands of the logits, which the loss never forms whole."""
+    return (states, model.params["embeddings.token"],
+            model.params[f"heads.{task}.vocab_bias"])
 
 
 def _token_regression(model, task, hidden, flat, batch, pooled):
@@ -145,8 +152,11 @@ def _fs_forward(model, task, hidden, flat, batch, pooled):
     return model.cls_rows(hidden), hidden
 
 
-def _vocab_loss(task, logits, batch):
-    return ls.loss_token_ce(logits, batch.labels["mlm"]["targets"])
+def _vocab_loss(task, head, batch):
+    targets = batch.labels["mlm"]["targets"]
+    if len(targets) == 0:
+        return ls.zero_loss()
+    return tz.vocab_cross_entropy(*head, targets)
 
 
 def _regression_loss(task, preds, batch):
@@ -387,17 +397,15 @@ class Model:
         b, seq, h = hidden.shape
         return tz.index_rows(hidden.reshape(b * seq, h), _cls_rows(None, b, seq))
 
-    def _vocab_logits(self, states: Tensor, bias_name: str) -> Tensor:
-        table = self.params["embeddings.token"]
-        return tz.linear(states, table.transpose(), self.params[bias_name])
-
     def head_forward(self, task: str, hidden: Tensor, batch,
                      pooled: "Tensor | None" = None):
         """Run one task head; returns that task's predictions.
 
-        Shapes: mlm/sbo (n_masked, V); regressions and 2-way token heads
-        (B, L) and (B, L, 2); tgs (n_valid_rows, 6); sentence heads (B, k);
-        qt the raw [CLS] rows (B, H); fs the ([CLS] rows, hidden) pair.
+        Shapes: mlm/sbo the (n_masked, H) states with the (V, H) token
+        table and the (V,) vocab bias they are scored against; regressions
+        and 2-way token heads (B, L) and (B, L, 2); tgs (n_valid_rows, 6);
+        sentence heads (B, k); qt the raw [CLS] rows (B, H); fs the
+        ([CLS] rows, hidden) pair.
         """
         head = self.head(task, batch)
         b, seq, h = hidden.shape

@@ -5,10 +5,12 @@ checking switches the whole stack to float64 via set_default_dtype so
 central differences have enough headroom.
 
 Every op records one node on the tape. `linear` (x @ W + b), `layer_norm`,
-`gelu`, `softmax`, `dropout` and `cross_entropy` are single nodes, each
-with a closed-form backward pass; the arithmetic operators, reshape,
-transpose, sum, matmul, index_rows, scatter_rows and concat are the
-primitives between them.
+`gelu`, `softmax`, `dropout`, `cross_entropy` and `vocab_cross_entropy`
+(the cross-entropy of logits against a tied vocabulary table, formed a
+row chunk at a time and never kept) are single nodes, each with a
+closed-form backward pass; the arithmetic operators, reshape, transpose,
+sum, matmul, index_rows, scatter_rows and concat are the primitives
+between them.
 
 Gradient buffers: a node's first gradient write takes ownership of the
 array it is handed instead of copying it into a zeroed buffer. Every
@@ -42,6 +44,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-6
 GRADCHECK_STEP = 1e-5  # central-difference step of check_gradients
+VOCAB_CHUNK_ROWS = 256  # rows of the logit block vocab_cross_entropy holds
 
 
 def set_default_dtype(dtype) -> None:
@@ -432,19 +435,31 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return Tensor._result(data, (x, weight, bias), backward)
 
 
+def _class_targets(op: str, targets, n: int, k: int) -> np.ndarray:
+    """targets as n integer class ids in [0, k), or a ShapeError naming
+    the first one that is not."""
+    t = np.asarray(targets)
+    if t.ndim != 1 or t.shape[0] != n:
+        raise ShapeError(f"{op} targets {t.shape} vs {n} rows")
+    if not np.issubdtype(t.dtype, np.integer):
+        raise ShapeError(f"{op} targets must be integer class ids, got "
+                         f"{t.dtype} {t[:1].tolist()}")
+    outside = (t < 0) | (t >= k)
+    if outside.any():
+        raise ShapeError(f"{op} target {t[outside][0]} outside [0, {k})")
+    return t
+
+
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean negative log-likelihood over rows of (N, K) logits.
 
     The backward pass uses the fused softmax-minus-onehot form rather than
     differentiating through an explicit log-softmax graph.
     """
-    t = np.asarray(targets)
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy expects 2-d logits, got {logits.data.shape}")
-    if t.ndim != 1 or t.shape[0] != logits.data.shape[0]:
-        raise ShapeError(
-            f"cross_entropy targets {t.shape} vs logits {logits.data.shape}")
     n = logits.data.shape[0]
+    t = _class_targets("cross_entropy", targets, n, logits.data.shape[1])
     rows = np.arange(n)
     expd = logits.data - logits.data.max(axis=1, keepdims=True)
     picked = expd[rows, t]
@@ -460,6 +475,58 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         logits._accumulate(probs)
 
     return Tensor._result(data, (logits,), backward)
+
+
+def vocab_cross_entropy(states: Tensor, table: Tensor, bias: Tensor,
+                        targets) -> Tensor:
+    """cross_entropy(linear(states, table.T, bias), targets) for (n, H)
+    states, a (V, H) table and a (V,) bias, with no (n, V) array kept.
+
+    One pass over VOCAB_CHUNK_ROWS rows at a time forms that chunk's
+    logits, its loss terms and its logit gradient for an upstream of 1,
+    and reduces the gradient at once into those of states, table and
+    bias. The backward pass only scales the three by its upstream.
+    """
+    s, w, b = states.data, table.data, bias.data
+    if s.ndim != 2 or w.ndim != 2 or s.shape[1] != w.shape[1] \
+            or b.shape != w.shape[:1]:
+        raise ShapeError(f"vocab_cross_entropy shapes: states {s.shape}, "
+                         f"table {w.shape}, bias {b.shape}")
+    n = s.shape[0]
+    t = _class_targets("vocab_cross_entropy", targets, n, w.shape[0])
+    gs = np.empty(s.shape, s.dtype) if states.requires_grad else None
+    gw = np.zeros(w.shape, w.dtype) if table.requires_grad else None
+    gb = np.zeros(b.shape, b.dtype) if bias.requires_grad else None
+    losses = np.empty(n, s.dtype)
+    block = np.empty((min(n, VOCAB_CHUNK_ROWS), w.shape[0]), s.dtype)
+    ones = np.ones(w.shape[0], s.dtype)
+    for lo in range(0, n, VOCAB_CHUNK_ROWS):
+        rows = s[lo:lo + VOCAB_CHUNK_ROWS]
+        picks = (np.arange(rows.shape[0]), t[lo:lo + VOCAB_CHUNK_ROWS])
+        logits = np.matmul(rows, w.T, out=block[:rows.shape[0]])
+        logits += b
+        logits -= logits.max(axis=1, keepdims=True)
+        picked = logits[picks]
+        np.exp(logits, out=logits)
+        denom = logits @ ones
+        losses[lo:lo + VOCAB_CHUNK_ROWS] = np.log(denom) - picked
+        # the logits' gradient: (softmax - onehot) / n
+        logits *= (1.0 / (denom * n))[:, None]
+        logits[picks] -= 1.0 / n
+        if gs is not None:
+            np.matmul(logits, w, out=gs[lo:lo + VOCAB_CHUNK_ROWS])
+        if gw is not None:
+            gw += logits.T @ rows
+        if gb is not None:
+            gb += _sum_leading(logits)
+    data = np.asarray(losses.mean(), dtype=s.dtype)
+
+    def backward(g):
+        for x, grad in ((states, gs), (table, gw), (bias, gb)):
+            if grad is not None:
+                x._accumulate(grad * g)
+
+    return Tensor._result(data, (states, table, bias), backward)
 
 
 def softmax(x: Tensor) -> Tensor:

@@ -210,3 +210,99 @@ def test_backward_from_a_second_root_over_a_shared_graph():
     w.grad = None
     (hidden() * c2).sum().backward()
     np.testing.assert_array_equal(via_shared, w.grad)
+
+
+# ------------------------------------------- vocabulary cross-entropy
+
+CHUNK = tz.VOCAB_CHUNK_ROWS
+
+
+def composed_vocab_ce(states, table, bias, targets):
+    """The node's oracle: the (n, V) logits formed whole, then scored."""
+    return tz.cross_entropy(tz.linear(states, table.transpose(), bias),
+                            targets)
+
+
+def loss_and_grads(loss_fn, inputs, scale):
+    """loss_fn's value, and the gradients of scale * loss_fn()."""
+    for t in inputs:
+        t.grad = None
+    loss = loss_fn()
+    (loss * scale).backward()
+    return loss.item(), [t.grad for t in inputs]
+
+
+def assert_same_loss_and_grads(got, want):
+    assert abs(got[0] - want[0]) <= 1e-12
+    for k, (g, w) in enumerate(zip(got[1], want[1])):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12,
+                                   err_msg=f"input {k}")
+
+
+@pytest.mark.parametrize("scale", [1.0, -2.5])
+@pytest.mark.parametrize("n", [1, CHUNK - 3, CHUNK, 2 * CHUNK + 1])
+def test_vocab_cross_entropy_matches_linear_and_cross_entropy(n, scale):
+    rng = np.random.default_rng(40)
+    states, table, bias = param(rng, n, 5), param(rng, 7, 5), param(rng, 7)
+    targets = rng.integers(0, 7, size=n)
+    inputs = [states, table, bias]
+    got = loss_and_grads(
+        lambda: tz.vocab_cross_entropy(states, table, bias, targets),
+        inputs, scale)
+    want = loss_and_grads(
+        lambda: composed_vocab_ce(states, table, bias, targets),
+        inputs, scale)
+    assert_same_loss_and_grads(got, want)
+
+
+def tied_vocab_loss(ce, emb, w, table, bias, ids, targets):
+    """ce over states built from the rows of emb that ids name, scored
+    against table: emb is table for a tied model."""
+    return ce(tz.gelu(tz.index_rows(emb, ids) @ w), table, bias, targets)
+
+
+def test_vocab_cross_entropy_tied_table_sums_both_paths():
+    rng = np.random.default_rng(41)
+    table, w, bias = param(rng, 9, 4), param(rng, 4, 4), param(rng, 9)
+    ids = rng.integers(0, 9, size=CHUNK + 2)
+    targets = rng.integers(0, 9, size=CHUNK + 2)
+    inputs = [table, w, bias]
+    got = loss_and_grads(lambda: tied_vocab_loss(
+        tz.vocab_cross_entropy, table, w, table, bias, ids, targets),
+        inputs, 1.0)
+    want = loss_and_grads(lambda: tied_vocab_loss(
+        composed_vocab_ce, table, w, table, bias, ids, targets), inputs, 1.0)
+    assert_same_loss_and_grads(got, want)
+    # the same table as two leaves: the tied gradient is their sum
+    emb, head = (tz.parameter(table.data.copy()) for _ in range(2))
+    tied_vocab_loss(tz.vocab_cross_entropy, emb, w, head, bias, ids,
+                    targets).backward()
+    assert np.abs(emb.grad).sum() > 0 and np.abs(head.grad).sum() > 0
+    np.testing.assert_allclose(got[1][0], emb.grad + head.grad, rtol=0,
+                               atol=1e-12)
+
+
+def test_vocab_cross_entropy_from_a_second_root_over_a_shared_graph():
+    rng = np.random.default_rng(42)
+    table, w, bias = param(rng, 9, 4), param(rng, 4, 4), param(rng, 9)
+    ids, targets = rng.integers(0, 9, size=6), rng.integers(0, 9, size=6)
+    inputs = [table, w, bias]
+
+    def loss():
+        return tied_vocab_loss(tz.vocab_cross_entropy, table, w, table, bias,
+                               ids, targets)
+
+    shared = loss()
+    shared.backward()
+    first = [t.grad.copy() for t in inputs]
+    for t in inputs:
+        t.grad = None
+    (shared * -0.5).backward()
+    via_shared = [t.grad for t in inputs]
+    for t in inputs:
+        t.grad = None
+    (loss() * -0.5).backward()
+    for k, t in enumerate(inputs):
+        np.testing.assert_array_equal(via_shared[k], t.grad)
+        np.testing.assert_allclose(first[k] * -0.5, t.grad, rtol=1e-12,
+                                   atol=1e-15)

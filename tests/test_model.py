@@ -223,21 +223,27 @@ def test_mlm_and_sbo_head_shapes():
     ids = np.arange(10).reshape(1, 10) % cfg.vocab
     batch = FakeBatch(ids, labels={"mlm": mlm_labels([[0, 2], [0, 5]], [3, 4], 10)})
     hidden = encoded(model, batch)
-    assert model.head_forward("mlm", hidden, batch).shape == (2, cfg.vocab)
-    assert model.head_forward("sbo", hidden, batch).shape == (2, cfg.vocab)
+    for task in ("mlm", "sbo"):
+        states, table, bias = model.head_forward(task, hidden, batch)
+        assert states.shape == (2, cfg.hidden)
+        assert table is model.params["embeddings.token"]
+        assert bias is model.params[f"heads.{task}.vocab_bias"]
 
 
 def test_mlm_logits_tied_to_token_table():
     model, cfg = small_model()
     ids = np.arange(10).reshape(1, 10) % cfg.vocab
     batch = FakeBatch(ids, labels={"mlm": mlm_labels([[0, 2]], [3], 10)})
-    hidden = encoded(model, batch)
-    before = model.head_forward("mlm", hidden, batch).data.copy()
-    model.params["embeddings.token"].data = \
-        model.params["embeddings.token"].data * 2.0
-    hidden2 = encoded(model, batch)
-    after = model.head_forward("mlm", hidden2, batch).data
-    assert not np.allclose(before, after)
+    batch.task_set = ("mlm",)
+    table = model.params["embeddings.token"]
+    before = ls.batch_losses(model, batch)["mlm"]
+    before.backward()
+    # ids 10..19 are not in the input: only the output projection reads
+    # their rows, so their gradient is the tie's alone
+    assert np.abs(table.grad[10:]).sum(axis=1).min() > 0
+    table.data = table.data * 2.0
+    after = ls.batch_losses(model, batch)["mlm"]
+    assert after.item() != pytest.approx(before.item())
 
 
 def test_regression_and_token_class_head_shapes():
@@ -388,6 +394,91 @@ def test_last_layer_at_head_rows_matches_full_layer(
         if g is not None:
             np.testing.assert_allclose(g, ref_grads[name], rtol=0,
                                        atol=1e-12, err_msg=name)
+
+
+VOCAB_TASKS = {"mlm", "sbo"}
+
+
+def composed_vocab_losses(model, batch):
+    """batch_losses' forward with mlm and sbo scored through the whole
+    (n, V) logits: linear over the transposed table, then cross_entropy."""
+    hidden = model.encode(model.embed(batch), batch.attention_mask)
+    out = {}
+    for t in batch.task_set:
+        preds = model.head_forward(t, hidden, batch)
+        if t in VOCAB_TASKS:
+            states, table, bias = preds
+            out[t] = tz.cross_entropy(
+                tz.linear(states, table.transpose(), bias),
+                batch.labels["mlm"]["targets"])
+        else:
+            out[t] = HEADS[t].loss(t, preds, batch)
+    return out
+
+
+def equivalence_model_and_batch(task_set, reader, vocab):
+    from mtpretrain.taskbuild import assemble_batch
+    cfg = ModelConfig(vocab=len(vocab), layers=2, hidden=16, heads=2,
+                      max_seq_len=24, task_vocab=4, dropout=0.0)
+    model = Model(cfg, np.random.default_rng(3))
+    batch = assemble_batch(reader, vocab, task_set, 8, 24, seed=2, step=1)
+    return model, batch
+
+
+@pytest.mark.parametrize(
+    "task_set", [s for s in _equivalence_sets() if VOCAB_TASKS & set(s)],
+    ids=",".join)
+def test_vocab_loss_matches_linear_and_cross_entropy(
+        task_set, small_reader, word_vocab, float64_mode):
+    model, batch = equivalence_model_and_batch(task_set, small_reader,
+                                               word_vocab)
+    fused = ls.batch_losses(model, batch)
+    loss, grads = loss_and_grads(model, fused, task_set)
+    ref = composed_vocab_losses(model, batch)
+    ref_loss, ref_grads = loss_and_grads(model, ref, task_set)
+    for t in task_set:
+        assert abs(fused[t].item() - ref[t].item()) <= 1e-12, t
+    assert abs(loss - ref_loss) <= 1e-12
+    for name, g in grads.items():
+        assert (g is None) == (ref_grads[name] is None), name
+        if g is not None:
+            np.testing.assert_allclose(g, ref_grads[name], rtol=0,
+                                       atol=1e-12, err_msg=name)
+
+
+def held_arrays(node):
+    """The node's own array and every array its backward closure holds."""
+    yield node.data
+    for cell in node._backward.__closure__ or ():
+        if isinstance(cell.cell_contents, np.ndarray):
+            yield cell.cell_contents
+
+
+def test_no_vocab_sized_array_outlives_the_forward(small_reader, word_vocab):
+    task_set = ("mlm", "sbo")
+    model, batch = equivalence_model_and_batch(task_set, small_reader,
+                                               word_vocab)
+    v, h = model.config.vocab, model.config.hidden
+    n = len(batch.labels["mlm"]["targets"])
+    b, seq = batch.input_ids.shape
+    assert v not in (n, b, seq, b * seq, h, 2 * h, 4 * h, 2, h // 2)
+    total = ls.combine_losses(ls.batch_losses(model, batch), task_set)
+    seen, stack, non_leaf = {id(total)}, [total], 0
+    while stack:
+        node = stack.pop()
+        if node.parents:
+            non_leaf += 1
+            for arr in held_arrays(node):
+                # the table's and the bias's gradients are the only
+                # vocabulary-sized arrays a node may keep
+                assert v not in arr.shape or arr.shape in ((v, h), (v,)), \
+                    arr.shape
+        for p in node.parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    assert non_leaf > 20
+    assert id(model.params["embeddings.token"]) in seen
 
 
 def test_encode_refuses_rows_not_one_per_batch_row():

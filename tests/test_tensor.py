@@ -96,6 +96,40 @@ def test_cross_entropy_shape_errors():
         tz.cross_entropy(Tensor(np.zeros(3)), np.array([0]))
 
 
+@pytest.mark.parametrize("targets,match", [
+    ([-1, 0], "target -1 outside"), ([0, 3], "target 3 outside"),
+    ([2, 7], "target 7 outside"), ([0.0, 1.0], r"float64 \[0.0\]"),
+    ([1, 0.5], r"float64 \[1.0\]")], ids=["-1", "K", "beyond-K", "float",
+                                     "fraction"])
+def test_cross_entropy_nodes_refuse_bad_targets(targets, match):
+    t = np.array(targets)
+    with pytest.raises(tz.ShapeError, match=match):
+        tz.cross_entropy(Tensor(np.zeros((2, 3))), t)
+    with pytest.raises(tz.ShapeError, match=match):
+        tz.vocab_cross_entropy(Tensor(np.zeros((2, 4))),
+                               Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)), t)
+    assert issubclass(tz.ShapeError, ValueError)
+
+
+def test_vocab_cross_entropy_shape_errors():
+    s, w, b = Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))), \
+        Tensor(np.zeros(3))
+    for args in ((Tensor(np.zeros((2, 5))), w, b),
+                 (s, Tensor(np.zeros(4)), b), (s, w, Tensor(np.zeros(4))),
+                 (Tensor(np.zeros(4)), w, b)):
+        with pytest.raises(tz.ShapeError, match="vocab_cross_entropy shapes"):
+            tz.vocab_cross_entropy(*args, np.array([0, 1]))
+    with pytest.raises(tz.ShapeError, match="targets"):
+        tz.vocab_cross_entropy(s, w, b, np.array([0]))
+
+
+def test_vocab_cross_entropy_uniform_logits():
+    loss = tz.vocab_cross_entropy(Tensor(np.zeros((2, 4))),
+                                  Tensor(np.zeros((5, 4))),
+                                  Tensor(np.zeros(5)), np.array([0, 4]))
+    assert loss.item() == pytest.approx(math.log(5.0))
+
+
 def test_matmul_shape_error_names_shapes():
     with pytest.raises(tz.ShapeError, match=r"\(2, 3\)"):
         Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((2, 3)))
