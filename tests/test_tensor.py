@@ -87,6 +87,10 @@ def test_cross_entropy_uniform_logits():
     logits = Tensor(np.zeros((2, 4)))
     loss = tz.cross_entropy(logits, np.array([0, 3]))
     assert loss.item() == pytest.approx(math.log(4.0))
+    loss = tz.vocab_cross_entropy(Tensor(np.zeros((2, 3))),
+                                  Tensor(np.zeros((4, 3))),
+                                  Tensor(np.zeros(4)), np.array([0, 3]))
+    assert loss.item() == pytest.approx(math.log(4.0))
 
 
 def test_cross_entropy_shape_errors():
@@ -121,13 +125,6 @@ def test_vocab_cross_entropy_shape_errors():
             tz.vocab_cross_entropy(*args, np.array([0, 1]))
     with pytest.raises(tz.ShapeError, match="targets"):
         tz.vocab_cross_entropy(s, w, b, np.array([0]))
-
-
-def test_vocab_cross_entropy_uniform_logits():
-    loss = tz.vocab_cross_entropy(Tensor(np.zeros((2, 4))),
-                                  Tensor(np.zeros((5, 4))),
-                                  Tensor(np.zeros(5)), np.array([0, 4]))
-    assert loss.item() == pytest.approx(math.log(5.0))
 
 
 def test_matmul_shape_error_names_shapes():
