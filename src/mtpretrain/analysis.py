@@ -146,7 +146,9 @@ def bonferroni(p_values, m: int) -> "list[float]":
 # ------------------------------------------------------------- lilliefors
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0)))
+    scaled = (z / math.sqrt(2.0)).ravel().tolist()
+    erf = np.fromiter(map(math.erf, scaled), np.float64, len(scaled))
+    return 0.5 * (1.0 + erf.reshape(z.shape))
 
 
 def _ks_distance(z: np.ndarray) -> np.ndarray:

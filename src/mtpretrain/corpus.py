@@ -122,21 +122,36 @@ class StoredDocument:
         return int(self.sentence_offsets.shape[0]) - 1
 
 
-def _ends_sentence(word: str, next_word: str | None) -> bool:
-    core = word.rstrip(_TRAILING_CLOSERS)
-    if not core or core[-1] not in ".!?":
-        return False
-    if core[-1] == ".":
-        lowered = core.lower()
-        if lowered in ABBREVIATIONS:
-            return False
-        # single-letter initials such as "J." never end a sentence
-        if len(core) == 2 and core[0].isalpha() and core[0].isupper():
-            return False
-    if next_word is None:
-        return True
-    start = next_word[0]
-    return start.isupper() or start.isdigit() or start in _OPENING_QUOTES
+# a terminator that ends its word, with the word's trailing closers: in
+# text whose words are joined by single spaces, the only places a sentence
+# can end
+_TERMINATOR = re.compile(rf"[.!?][{re.escape(_TRAILING_CLOSERS)}]*(?![^ ])")
+
+
+def _sentences_of(words: list[str]) -> list[str]:
+    """split_sentences over the text's whitespace-separated words."""
+    text = " ".join(words)
+    sentences: list[str] = []
+    start = 0
+    for match in _TERMINATOR.finditer(text):
+        end = match.end()
+        after = text[end + 1:end + 2]  # the next word's first character
+        if after and not (after.isupper() or after.isdigit()
+                          or after in _OPENING_QUOTES):
+            continue
+        stop = match.start() + 1
+        if text[stop - 1] == ".":
+            core = text[text.rfind(" ", 0, stop) + 1:stop]
+            if core.lower() in ABBREVIATIONS:
+                continue
+            # single-letter initials such as "J." never end a sentence
+            if len(core) == 2 and core[0].isalpha() and core[0].isupper():
+                continue
+        sentences.append(text[start:end])
+        start = end + 1
+    if start < len(text):
+        sentences.append(text[start:])
+    return sentences
 
 
 def split_sentences(text: str) -> list[str]:
@@ -147,18 +162,7 @@ def split_sentences(text: str) -> list[str]:
     abbreviation list. Whitespace inside sentences is collapsed, so joining
     the output with single spaces reproduces the input modulo whitespace.
     """
-    words = text.split()
-    sentences: list[str] = []
-    current: list[str] = []
-    for i, word in enumerate(words):
-        current.append(word)
-        nxt = words[i + 1] if i + 1 < len(words) else None
-        if _ends_sentence(word, nxt):
-            sentences.append(" ".join(current))
-            current = []
-    if current:
-        sentences.append(" ".join(current))
-    return sentences
+    return _sentences_of(text.split())
 
 
 def filter_document(raw: RawDocument, vocab: Vocabulary) -> Document | None:
@@ -166,7 +170,7 @@ def filter_document(raw: RawDocument, vocab: Vocabulary) -> Document | None:
     words = raw.text.split()
     if len(words) < MIN_WORDS:
         return None
-    sentences = split_sentences(raw.text)
+    sentences = _sentences_of(words)
     if len(sentences) < MIN_SENTENCES:
         return None
     ids, word_starts, capitalized = map(

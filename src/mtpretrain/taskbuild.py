@@ -1,39 +1,42 @@
 """Training example construction and fixed-shape batch assembly.
 
-A row is a (3, n) int64 array with one column per token slot:
+A batch is a (3, B, L) int64 grid with one column per token slot:
 
-- ``row[POS]`` is the slot's position in the reader-wide token table
-  (``CorpusReader.token_ids``), or a negative code: ``SPECIAL`` for [CLS]
-  and [SEP], ``FRESH`` for a token that corruption inserted or substituted.
-  A slot's TF, TF-IDF, capitalization and piece-length labels follow its
-  position, so a moved slot keeps them and a fresh or special slot has none.
-- ``row[ID]`` is the slot's current input id.
-- ``row[CORRUPT]`` is 1 where corruption inserted, replaced or moved the slot.
+- ``grid[POS]`` is the slot's position in the reader-wide token table
+  (``CorpusReader.token_ids``), or a negative code: ``SPECIAL`` for [CLS],
+  [SEP] and padding, ``FRESH`` for a token that corruption inserted or
+  substituted. A slot's TF, TF-IDF, capitalization and piece-length labels
+  follow its position, so a moved slot keeps them and a fresh or special
+  slot has none.
+- ``grid[ID]`` is the slot's current input id.
+- ``grid[CORRUPT]`` is 1 where corruption inserted, replaced or moved the
+  slot.
 
-A batch is built in stages. Stage 1 draws the text of every row; stages
-2-4 then permute, insert into or overwrite the columns of one row, all
-three before the next row starts:
+A batch is built in stages. Stage 1 draws the text of every row and lays
+the rows out in the grid; stages 2-4 then each run over the whole batch:
 
 1. topology: draw text spans per row. Sets containing qt/fs use the
    continuation layout (row i + B/2 holds the exact token continuation of
    row i); sets with a pair task draw [CLS] A [SEP] B [SEP] rows; anything
    else gets single-segment rows.
 2. corruption (tcp/scp): insert/replace/permute within each segment, then
-   trim back to the segment's original length so row shapes stay fixed.
+   trim back to the segment's original length so row lengths stay fixed.
 3. trigram shuffle (tgs): permute one uniformly chosen trigram per row.
 4. masking (mlm/sbo): hide 15% of content positions with the 80/10/10
    replacement split, recording targets against the visible (post-stage-3)
    stream.
 
-After the last row the (B, L) grids are filled in one pass each, and the
-token labels are gathered for the whole batch from the grid of positions.
+The token labels are then gathered for the whole batch from the grid of
+positions.
 
 Each stage sees the previous stage's output as ground truth, so jointly
 scheduled tasks stay mutually consistent. All randomness flows from one
 generator seeded by (seed, step), making batches pure functions of those.
-The order of the draws and their arguments are part of that contract: a
-change to either changes every later batch (tests/test_taskbuild.py pins
-digests of assembled batches).
+Stage 1 draws row by row; each later stage takes each kind of draw as one
+array over the whole batch, in row-major slot order, one kind after the
+other (the stage functions list them). The order of the draws and their
+arguments are part of that contract: a change to either changes every
+later batch (tests/test_taskbuild.py pins digests of assembled batches).
 """
 
 from __future__ import annotations
@@ -53,9 +56,9 @@ CORRUPTION_RATE = 0.10
 MAX_DRAW_TRIES = 200
 
 # the six trigram permutations in lexicographic one-line order
-TRIGRAM_PERMS = list(itertools.permutations(range(3)))
+TRIGRAM_PERMS = np.array(list(itertools.permutations(range(3))))
 
-# the sequences of a row, and the negative position codes
+# the rows of the grid, and the negative position codes
 POS, ID, CORRUPT = 0, 1, 2
 SPECIAL, FRESH = -1, -2
 # corruption ops, in the order their draws index them
@@ -95,91 +98,6 @@ class TrainingBatch:
     @property
     def seq_len(self) -> int:
         return self.input_ids.shape[1]
-
-
-# -------------------------------------------------------------- row stages
-
-def _mask(row: np.ndarray, rng, vocab) -> "tuple[np.ndarray, np.ndarray]":
-    """Stage 4: overwrite the ids of chosen non-special slots in place.
-
-    Returns the chosen columns and their ids before masking."""
-    maskable = (row[POS] != SPECIAL).nonzero()[0]
-    if not maskable.size:
-        return maskable, maskable
-    chosen = maskable[rng.random(maskable.size) < MLM_RATE]
-    if not chosen.size:
-        chosen = maskable[[int(rng.integers(maskable.size))]]
-    targets = row[ID, chosen]
-    ids = row[ID]
-    # one split draw per slot, each followed by its random id if it needs
-    # one: the draws interleave, so they cannot be taken as one array
-    for i in chosen.tolist():
-        r = rng.random()
-        if r < MASK_SPLIT[0]:
-            ids[i] = vocab.mask_id
-        elif r < MASK_SPLIT[0] + MASK_SPLIT[1]:
-            ids[i] = vocab.random_regular_id(rng)
-        # else: keep the original id, target still recorded
-    return chosen, targets
-
-
-def _corrupt(row: np.ndarray, rng, vocab, trim_to: int) -> np.ndarray:
-    """Stage 2 on one segment: returns the corrupted, trimmed row.
-
-    Draws, in order: one uniform per slot, one op per selected slot, one
-    partner per permutation, one random id per replaced or inserted slot.
-    """
-    n = row.shape[1]
-    special = row[POS] == SPECIAL
-    selected = ((rng.random(n) < CORRUPTION_RATE)
-                & ~special).nonzero()[0].tolist()
-    if not selected:
-        return row[:, :trim_to]
-    ops = rng.integers(3, size=len(selected)).tolist()
-    take = list(range(n))  # the source column of each output column
-    moved = []
-    for k, i in enumerate(selected):
-        if ops[k] != PERMUTE:
-            continue
-        candidates = [j for j in selected if j != i]
-        for j in (i - 1, i + 1):
-            if 0 <= j < n and not special[j] and j not in candidates:
-                candidates.append(j)
-        if not candidates:
-            ops[k] = REPLACE
-            continue
-        j = candidates[int(rng.integers(len(candidates)))]
-        take[i], take[j] = take[j], take[i]
-        moved += [take[i], take[j]]
-    row[CORRUPT, moved] = 1
-    fresh = [(i, op) for i, op in zip(selected, ops) if op != PERMUTE]
-    if fresh:
-        # one random id per replaced or inserted slot, in column order
-        cols = np.empty((3, len(fresh)), dtype=np.int64)
-        cols[POS] = FRESH
-        cols[ID] = vocab.random_regular_id(rng, size=len(fresh))
-        cols[CORRUPT] = 1
-        row = np.concatenate([row, cols], axis=1)
-        # from the right, so an insertion shifts no column still to come
-        for k in reversed(range(len(fresh))):
-            i, op = fresh[k]
-            if op == REPLACE:
-                take[i] = n + k
-            else:
-                take.insert(i + 1, n + k)
-    return row[:, take[:trim_to]]
-
-
-def _shuffle_trigram(row: np.ndarray, rng) -> "tuple[int, int] | None":
-    """Stage 3: permute one trigram of non-special slots in place."""
-    ok = row[POS] != SPECIAL
-    starts = (ok[:-2] & ok[1:-1] & ok[2:]).nonzero()[0]
-    if not starts.size:
-        return None
-    s = int(starts[int(rng.integers(starts.size))])
-    klass = int(rng.integers(6))
-    row[:, s:s + 3] = row[:, [s + k for k in TRIGRAM_PERMS[klass]]]
-    return s, klass
 
 
 # ------------------------------------------------------------ span drawing
@@ -432,11 +350,180 @@ def _draw_rows(reader, names, rng, batch_size, max_seq_len):
     return rows, False
 
 
-def _type_ids(segments) -> np.ndarray:
-    """Segment index of each slot of a [CLS] A [SEP] (B [SEP]) row."""
-    sizes = [end - start + 1 for start, end in segments]
-    sizes[0] += 1  # [CLS]
-    return np.repeat(np.arange(len(sizes)), sizes)
+# ----------------------------------------------------------- batch stages
+
+def _layout(reader, vocab, rows, seq: int):
+    """The (3, B, L) grid of the [CLS] A [SEP] (B [SEP]) rows before stage 2,
+    each row's length, and the first column of its second segment (L for a
+    row with one segment)."""
+    b = len(rows)
+    counts = [len(segments) for segments, _, _ in rows]
+    spans = np.array([span for segments, _, _ in rows for span in segments],
+                     dtype=np.int64).reshape(-1, 2)
+    seg_row = np.repeat(np.arange(b), counts)
+    sizes = spans[:, 1] - spans[:, 0]
+    # each segment starts after [CLS] and the earlier segments of its row,
+    # each of those followed by its [SEP]
+    before = np.cumsum(sizes + 1) - (sizes + 1)
+    cols = 1 + before - np.repeat(before[np.cumsum(counts) - counts], counts)
+    lengths = np.bincount(seg_row, sizes + 1, b).astype(np.int64) + 1
+    too_long = np.flatnonzero(lengths > seq)
+    if too_long.size:
+        raise TaskBuildError(f"row length {lengths[too_long[0]]} exceeds "
+                             f"max_seq_len {seq}")
+    second = np.full(b, seq, dtype=np.int64)
+    later = cols > 1
+    second[seg_row[later]] = cols[later]
+
+    starts = seg_row * seq + cols  # each segment's first flat slot
+    offsets = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes,
+                                                 sizes)
+    slots = np.repeat(starts, sizes) + offsets
+    grid = np.zeros((3, b * seq), dtype=np.int64)
+    grid[POS] = SPECIAL
+    grid[ID] = vocab.pad_id
+    grid[POS, slots] = np.repeat(spans[:, 0], sizes) + offsets
+    grid[ID, slots] = reader.token_ids[grid[POS, slots]]
+    grid[ID, starts + sizes] = vocab.sep_id
+    grid[ID, np.arange(b) * seq] = vocab.cls_id
+    return grid.reshape(3, b, seq), lengths, second
+
+
+def _corrupt(grid: np.ndarray, rng, vocab) -> np.ndarray:
+    """Stage 2 on every segment of the batch: returns the corrupted grid,
+    each segment trimmed back to its length.
+
+    Draws, in order: one uniform per segment slot, one op per selected
+    slot, one partner per permutation, one id per replaced or inserted
+    slot, each in row-major order over the batch.
+    """
+    flat = grid.reshape(3, -1)
+    size = flat.shape[1]
+    # before this stage the non-special slots are exactly the segments',
+    # and every segment lies between two specials of its row
+    in_seg = flat[POS] >= 0
+    head = in_seg.copy()
+    head[1:] &= ~in_seg[:-1]
+    tail = in_seg.copy()
+    tail[:-1] &= ~in_seg[1:]
+    seg_of = np.cumsum(head) - 1  # a segment slot's segment
+    seg_head, seg_stop = head.nonzero()[0], tail.nonzero()[0] + 1
+
+    slots = in_seg.nonzero()[0]
+    at = slots[rng.random(slots.size) < CORRUPTION_RATE]
+    ops = rng.integers(3, size=at.size)
+
+    # a permutation's partner candidates: the other selected slots of its
+    # segment in column order, then its unselected left and right neighbours
+    seg = seg_of[at]
+    lo = np.searchsorted(seg, seg, "left")
+    others = np.searchsorted(seg, seg, "right") - lo - 1
+    free = in_seg.copy()
+    free[at] = False
+    left, right = free[at - 1], free[at + 1]
+    n_candidates = others + left + right
+    ops[(ops == PERMUTE) & (n_candidates == 0)] = REPLACE
+    swap = (ops == PERMUTE).nonzero()[0]
+    pick = rng.integers(n_candidates[swap])
+    # the pick-th other selected slot skips the slot itself; past the
+    # others, extra is 0 for the first valid neighbour, 1 for the second
+    other = lo[swap] + pick + (pick >= swap - lo[swap])
+    extra = pick - others[swap]
+    partner = np.where(
+        extra < 0, at[np.minimum(other, at.size - 1)],
+        np.where((extra == 0) & left[swap], at[swap] - 1, at[swap] + 1))
+
+    # the swaps compose in column order; source[i] is the slot whose
+    # token now sits at slot i
+    source: "dict[int, int]" = {}
+    moved = []
+    for i, j in zip(at[swap].tolist(), partner.tolist()):
+        a, b = source.get(i, i), source.get(j, j)
+        source[i], source[j] = b, a
+        moved += (a, b)
+    take = np.arange(size)
+    take[list(source)] = list(source.values())
+
+    fresh = ops != PERMUTE
+    fresh_at, inserts = at[fresh], ops[fresh] == INSERT
+    new = np.empty((3, fresh_at.size), dtype=np.int64)
+    new[POS] = FRESH
+    new[ID] = vocab.random_regular_id(rng, fresh_at.size)
+    new[CORRUPT] = 1
+    table = np.concatenate([flat, new], axis=1)
+    table[CORRUPT, moved] = 1
+    fresh_col = size + np.arange(fresh_at.size)
+    take[fresh_at[~inserts]] = fresh_col[~inserts]
+    if inserts.any():
+        # an insertion shifts the rest of its segment one slot right; what
+        # passes the segment's end is dropped
+        ins = np.zeros(size, dtype=np.int64)
+        ins[fresh_at[inserts]] = 1
+        earlier = np.cumsum(ins) - ins
+
+        def moves(cols, after):
+            seg = seg_of[cols]
+            to = cols + earlier[cols] - earlier[seg_head[seg]] + after
+            return to, to < seg_stop[seg]
+
+        shifted = take.copy()
+        to, stays = moves(slots, 0)
+        shifted[to[stays]] = take[slots[stays]]
+        to, stays = moves(fresh_at[inserts], 1)
+        shifted[to[stays]] = fresh_col[inserts][stays]
+        take = shifted
+    return table[:, take].reshape(grid.shape)
+
+
+def _first_true(where: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The column of the k-th (from 0) true cell in each row of where."""
+    return (where.cumsum(axis=1) > k[:, None]).argmax(axis=1)
+
+
+def _shuffle_trigram(grid: np.ndarray, rng) -> "tuple[np.ndarray, np.ndarray]":
+    """Stage 3: permute one trigram of non-special slots per row in place.
+
+    Draws one start per row with a trigram, then one class per such row.
+    Returns each row's start and class, -1 where no trigram fits."""
+    ok = grid[POS] != SPECIAL
+    fits = ok[:, :-2] & ok[:, 1:-1] & ok[:, 2:]
+    counts = fits.sum(axis=1)
+    rows = (counts > 0).nonzero()[0]
+    start = _first_true(fits[rows], rng.integers(counts[rows]))
+    klass = rng.integers(6, size=rows.size)
+    r = rows[:, None]
+    grid[:, r, start[:, None] + np.arange(3)] = \
+        grid[:, r, start[:, None] + TRIGRAM_PERMS[klass]]
+    starts = np.full(grid.shape[1], -1, dtype=np.int64)
+    classes = np.full(grid.shape[1], -1, dtype=np.int64)
+    starts[rows], classes[rows] = start, klass
+    return starts, classes
+
+
+def _mask(grid: np.ndarray, rng, vocab) -> "tuple[np.ndarray, np.ndarray]":
+    """Stage 4: overwrite the ids of chosen non-special slots in place.
+
+    Draws one uniform per maskable slot, one fallback column per row that
+    chose none, one split uniform per chosen slot and one id per random
+    replacement. Returns the chosen (row, column) pairs in row-major order
+    and their ids before masking."""
+    maskable = grid[POS] != SPECIAL
+    chosen = np.zeros_like(maskable)
+    chosen[maskable] = rng.random(int(maskable.sum())) < MLM_RATE
+    counts = maskable.sum(axis=1)
+    rows = ((counts > 0) & ~chosen.any(axis=1)).nonzero()[0]
+    fallback = _first_true(maskable[rows], rng.integers(counts[rows]))
+    chosen[rows, fallback] = True
+    ids = grid[ID]
+    targets = ids[chosen]
+    split = rng.random(targets.size)
+    visible = targets.copy()
+    visible[split < MASK_SPLIT[0]] = vocab.mask_id
+    swapped = (split >= MASK_SPLIT[0]) \
+        & (split < MASK_SPLIT[0] + MASK_SPLIT[1])
+    visible[swapped] = vocab.random_regular_id(rng, int(swapped.sum()))
+    ids[chosen] = visible
+    return np.argwhere(chosen), targets
 
 
 def _grid(where: np.ndarray, values, fill, dtype) -> np.ndarray:
@@ -462,62 +549,26 @@ def assemble_batch(reader, vocab, task_set, batch_size: int, max_seq_len: int,
 
     rows, continuation = _draw_rows(reader, name_set, rng, batch_size,
                                     max_seq_len)
-
-    corrupt = bool(CORRUPTION_TASKS & name_set)
-    masking = bool(MASKING_TASKS & name_set)
-    cls = np.array([[SPECIAL], [vocab.cls_id], [0]], dtype=np.int64)
-    sep = np.array([[SPECIAL], [vocab.sep_id], [0]], dtype=np.int64)
-    built = []
-    tgs_starts = np.full(batch_size, -1, dtype=np.int64)
-    tgs_classes = np.full(batch_size, -1, dtype=np.int64)
-    mask_cols, mask_targets = [], []
-    for r, (segments, _, _) in enumerate(rows):
-        parts = [cls]
-        for start, end in segments:
-            seg = np.zeros((3, end - start), dtype=np.int64)
-            seg[POS] = np.arange(start, end)
-            seg[ID] = reader.token_ids[start:end]
-            if corrupt:
-                seg = _corrupt(seg, rng, vocab, trim_to=end - start)
-            parts += [seg, sep]
-        row = np.concatenate(parts, axis=1)
-        if "tgs" in name_set:
-            hit = _shuffle_trigram(row, rng)
-            if hit is not None:
-                tgs_starts[r], tgs_classes[r] = hit
-        if masking:
-            cols, targets = _mask(row, rng, vocab)
-            mask_cols.append(cols)
-            mask_targets.append(targets)
-        built.append(row)
-
-    b, seq = batch_size, max_seq_len
-    lengths = np.array([row.shape[1] for row in built])
-    too_long = np.flatnonzero(lengths > seq)
-    if too_long.size:
-        raise TaskBuildError(f"row length {lengths[too_long[0]]} exceeds "
-                             f"max_seq_len {seq}")
-    flat = np.concatenate(built, axis=1)
-    attention = np.arange(seq) < lengths[:, None]
-    input_ids = _grid(attention, flat[ID], vocab.pad_id, np.int64)
-    type_ids = _grid(attention,
-                     np.concatenate([_type_ids(segs) for segs, _, _ in rows]),
-                     0, np.int64)
-    position = _grid(attention, flat[POS], SPECIAL, np.int64)
-    special = position == SPECIAL
+    grid, lengths, second = _layout(reader, vocab, rows, max_seq_len)
+    if CORRUPTION_TASKS & name_set:
+        grid = _corrupt(grid, rng, vocab)
+    if "tgs" in name_set:
+        tgs_starts, tgs_classes = _shuffle_trigram(grid, rng)
 
     labels: dict = {}
-    if masking:
-        counts = [cols.size for cols in mask_cols]
-        positions = np.empty((sum(counts), 2), dtype=np.int64)
-        positions[:, 0] = np.repeat(np.arange(b), counts)
-        positions[:, 1] = np.concatenate(mask_cols)
+    if MASKING_TASKS & name_set:
+        positions, targets = _mask(grid, rng, vocab)
         labels["mlm"] = {
             "positions": positions,
-            "targets": np.concatenate(mask_targets),
+            "targets": targets,
             "left": positions - np.array([0, 1], dtype=np.int64),
             "right": positions + np.array([0, 1], dtype=np.int64),
         }
+    columns = np.arange(max_seq_len)
+    attention = columns < lengths[:, None]
+    type_ids = (attention & (columns >= second[:, None])).astype(np.int64)
+    position = grid[POS]
+    special = position == SPECIAL
     source = position >= 0
     at = position[source]
     for task in ("tf", "tfidf", "tlp"):
@@ -531,7 +582,7 @@ def assemble_batch(reader, vocab, task_set, batch_size: int, max_seq_len: int,
         capitalized = (reader.flags[at] & FLAG_CAPITALIZED) != 0
         labels["cap"] = {"labels": _grid(source, capitalized, 0, np.int64),
                          "weights": source.astype(np.float64)}
-    corrupted = _grid(attention, flat[CORRUPT], 0, np.int64)
+    corrupted = grid[CORRUPT]
     if "tcp" in name_set:
         labels["tcp"] = {"labels": corrupted,
                          "weights": (~special).astype(np.float64)}
@@ -543,7 +594,7 @@ def assemble_batch(reader, vocab, task_set, batch_size: int, max_seq_len: int,
         labels[task] = np.asarray([label for _, _, label in rows],
                                   dtype=np.int64)
 
-    return TrainingBatch(input_ids=input_ids, type_ids=type_ids,
+    return TrainingBatch(input_ids=grid[ID], type_ids=type_ids,
                          attention_mask=attention, special_mask=special,
                          task_id=task_id, task_set=tuple(names),
                          continuation_paired=continuation, labels=labels,

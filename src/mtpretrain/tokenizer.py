@@ -83,14 +83,12 @@ class Vocabulary:
             self._piece_ids[word] = ids
         return ids
 
-    def random_regular_id(self, rng: np.random.Generator, size=None):
-        """Uniform draw over non-special vocabulary ids. With size, an array
-        of that many ids, equal to what as many scalar calls would return."""
+    def random_regular_id(self, rng: np.random.Generator,
+                          size: int) -> np.ndarray:
+        """size uniform draws over the non-special vocabulary ids."""
         n = len(self.sampleable_ids)
-        if n == 0:
+        if n == 0 and size:
             raise VocabError("vocabulary has no non-special tokens to sample")
-        if size is None:
-            return int(self.sampleable_ids[rng.integers(0, n)])
         return self.sampleable_ids[rng.integers(0, n, size=size)]
 
 

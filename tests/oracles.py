@@ -122,3 +122,199 @@ def primitive_dropout(x, p, rng):
     keep = 1.0 - p
     mask = (rng.random(x.data.shape) < keep).astype(x.data.dtype) / keep
     return x * tz.constant(mask)
+
+
+# ------------------------------------------------------ batch stages per row
+# taskbuild's stages 2-4 the way they ran before they took whole-batch
+# draws: one segment or row at a time, each slot in column order. They take
+# the draws the library made, handed out front to back by DrawQueue, in
+# place of a generator, so a row built here must equal the library's row.
+
+POS, ID, CORRUPT = 0, 1, 2
+SPECIAL, FRESH = -1, -2
+INSERT, REPLACE, PERMUTE = 0, 1, 2
+TRIGRAM_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1),
+                 (2, 1, 0)]
+
+
+class RecordingRng:
+    """A numpy Generator that records a copy of every draw's result, with
+    the arguments it was called with."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.calls: "list[tuple[str, tuple, np.ndarray]]" = []
+
+    def random(self, *args, **kwargs):
+        out = self.rng.random(*args, **kwargs)
+        self.calls.append(("random", args, np.copy(out)))
+        return out
+
+    def integers(self, *args, **kwargs):
+        out = self.rng.integers(*args, **kwargs)
+        self.calls.append(("integers", args, np.copy(out)))
+        return out
+
+
+class DrawQueue:
+    """One kind of recorded draw, handed out front to back."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.used = 0
+
+    def take(self, n: int) -> list:
+        out = self.values[self.used:self.used + n]
+        assert len(out) == n, "the library drew fewer values than needed"
+        self.used += n
+        return out
+
+    def next(self):
+        return self.take(1)[0]
+
+    def done(self) -> bool:
+        return self.used == len(self.values)
+
+
+def layout_rows(reader, vocab, rows) -> "list[np.ndarray]":
+    """Stage 1's rows as (3, n) arrays: [CLS] A [SEP] (B [SEP])."""
+    out = []
+    for segments, _, _ in rows:
+        cols = [(SPECIAL, vocab.cls_id)]
+        for start, end in segments:
+            cols += [(p, int(reader.token_ids[p])) for p in range(start, end)]
+            cols.append((SPECIAL, vocab.sep_id))
+        row = np.zeros((3, len(cols)), dtype=np.int64)
+        row[POS], row[ID] = zip(*cols)
+        out.append(row)
+    return out
+
+
+def corrupt_segment(row, draws, trim_to: int) -> np.ndarray:
+    """Stage 2 on one segment, from the queues uniform, op, partner (high,
+    value) and fresh id: returns the corrupted, trimmed segment."""
+    n = row.shape[1]
+    special = row[POS] == SPECIAL
+    uniform = np.array(draws["uniform"].take(n))
+    selected = ((uniform < 0.10) & ~special).nonzero()[0].tolist()
+    if not selected:
+        return row[:, :trim_to]
+    ops = draws["op"].take(len(selected))
+    take = list(range(n))  # the source column of each output column
+    moved = []
+    for k, i in enumerate(selected):
+        if ops[k] != PERMUTE:
+            continue
+        candidates = [j for j in selected if j != i]
+        for j in (i - 1, i + 1):
+            if 0 <= j < n and not special[j] and j not in candidates:
+                candidates.append(j)
+        if not candidates:
+            ops[k] = REPLACE
+            continue
+        high, pick = draws["partner"].next()
+        assert high == len(candidates)
+        j = candidates[pick]
+        take[i], take[j] = take[j], take[i]
+        moved += [take[i], take[j]]
+    row[CORRUPT, moved] = 1
+    fresh = [(i, op) for i, op in zip(selected, ops) if op != PERMUTE]
+    if fresh:
+        cols = np.empty((3, len(fresh)), dtype=np.int64)
+        cols[POS] = FRESH
+        cols[ID] = draws["fresh"].take(len(fresh))
+        cols[CORRUPT] = 1
+        row = np.concatenate([row, cols], axis=1)
+        # from the right, so an insertion shifts no column still to come
+        for k in reversed(range(len(fresh))):
+            i, op = fresh[k]
+            if op == REPLACE:
+                take[i] = n + k
+            else:
+                take.insert(i + 1, n + k)
+    return row[:, take[:trim_to]]
+
+
+def corrupt_row(row, draws) -> np.ndarray:
+    """Stage 2 on each segment of a row, the specials kept in place."""
+    parts, start = [], 0
+    for end in (row[POS] == SPECIAL).nonzero()[0].tolist():
+        if end > start:
+            parts.append(corrupt_segment(row[:, start:end].copy(), draws,
+                                         end - start))
+        parts.append(row[:, end:end + 1])
+        start = end + 1
+    return np.concatenate(parts, axis=1)
+
+
+def shuffle_trigram_row(row, draws) -> "tuple[int, int]":
+    """Stage 3 on one row in place, from the queues start (high, value) and
+    class: returns the start and class, or (-1, -1)."""
+    ok = row[POS] != SPECIAL
+    starts = (ok[:-2] & ok[1:-1] & ok[2:]).nonzero()[0]
+    if not starts.size:
+        return -1, -1
+    high, pick = draws["start"].next()
+    assert high == starts.size
+    s = int(starts[pick])
+    klass = int(draws["class"].next())
+    row[:, s:s + 3] = row[:, [s + k for k in TRIGRAM_PERMS[klass]]]
+    return s, klass
+
+
+def mask_row(row, draws, mask_id: int) -> "tuple[list[int], list[int]]":
+    """Stage 4 on one row in place, from the queues uniform, fallback
+    (high, value), split and id: returns the chosen columns and their ids
+    before masking."""
+    maskable = (row[POS] != SPECIAL).nonzero()[0]
+    if not maskable.size:
+        return [], []
+    uniform = np.array(draws["uniform"].take(maskable.size))
+    chosen = maskable[uniform < 0.15]
+    if not chosen.size:
+        high, pick = draws["fallback"].next()
+        assert high == maskable.size
+        chosen = maskable[[pick]]
+    targets = row[ID, chosen].tolist()
+    for i in chosen.tolist():
+        r = draws["split"].next()
+        if r < 0.8:
+            row[ID, i] = mask_id
+        elif r < 0.8 + 0.1:
+            row[ID, i] = draws["id"].next()
+    return chosen.tolist(), targets
+
+
+# ------------------------------------------------------- sentence splitting
+# corpus.split_sentences as it ran before it looked only at terminal words:
+# every word in turn is tested against the rule.
+
+def _ends_sentence(word: str, next_word: "str | None", abbreviations,
+                   closers: str, openers: str) -> bool:
+    core = word.rstrip(closers)
+    if not core or core[-1] not in ".!?":
+        return False
+    if core[-1] == ".":
+        if core.lower() in abbreviations:
+            return False
+        if len(core) == 2 and core[0].isalpha() and core[0].isupper():
+            return False
+    if next_word is None:
+        return True
+    start = next_word[0]
+    return start.isupper() or start.isdigit() or start in openers
+
+
+def split_sentences_per_word(text: str, abbreviations, closers: str,
+                             openers: str) -> "list[str]":
+    words = text.split()
+    sentences, current = [], []
+    for i, word in enumerate(words):
+        current.append(word)
+        nxt = words[i + 1] if i + 1 < len(words) else None
+        if _ends_sentence(word, nxt, abbreviations, closers, openers):
+            sentences.append(" ".join(current))
+            current = []
+    if current:
+        sentences.append(" ".join(current))
+    return sentences

@@ -66,6 +66,29 @@ def test_split_roundtrip_collapsed_whitespace(text):
     assert " ".join(sentences).split() == text.split()
 
 
+SPLIT_WORDS = ["Mr.", "mr.", "MR.", "Dr.", "e.g.", "U.S.", "etc.", "J.", "j.",
+               "É.", "ß.", "A", "a", "cat", "Dog", "3.5", "42.", "7", "x!",
+               "?!", "...", ".", "!", "?", '"Hi!"', "'ok?'", "(end.)",
+               "“Quote.”", "«x.»", "»", "‘y", "[z.]", "{w}", "Über.",
+               "ending?'"]
+SPLIT_SPACES = [" ", "  ", "\t", "\n", "\r\n", "\u00a0", "\u3000", "\x1c",
+                "\u2028", "\x85", "\x0b"]
+
+
+def test_split_matches_per_word_splitter_on_random_texts():
+    """Testing only the words that end in a terminator splits as testing
+    every word did, on texts of abbreviations, initials, quotes, digits and
+    odd whitespace."""
+    rng = np.random.default_rng(2020)
+    for _ in range(3000):
+        n = int(rng.integers(0, 25))
+        words = rng.choice(SPLIT_WORDS, n).tolist()
+        spaces = rng.choice(SPLIT_SPACES, n + 1).tolist()
+        text = "".join(s + w for s, w in zip(spaces, words + [""]))
+        assert cp.split_sentences(text) == oracles.split_sentences_per_word(
+            text, cp.ABBREVIATIONS, cp._TRAILING_CLOSERS, cp._OPENING_QUOTES)
+
+
 # ---------------------------------------------------------------- filtering
 
 def words(n, base="cat"):

@@ -8,6 +8,8 @@ import pytest
 from mtpretrain import taskbuild as tb
 from mtpretrain.corpus import FLAG_CAPITALIZED
 
+import oracles
+
 
 def content_mask(batch):
     return batch.attention_mask & ~batch.special_mask
@@ -458,6 +460,138 @@ def test_padding_rows_marked_special_and_unattended(small_reader, word_vocab):
     assert np.all(batch.input_ids[pad] == word_vocab.pad_id)
 
 
+# ------------------------------------------- whole-batch stages vs per row
+
+ORACLE_CASES = [
+    (("tcp", "scp", "tgs", "mlm"), 16, 64),
+    (("nsp", "tcp", "tgs", "sbo"), 16, 5),  # one-slot segments
+    (("asp", "tcp", "mlm"), 8, 7),
+    (("so", "tcp", "scp", "tgs", "mlm"), 8, 32),
+    (("qt", "fs", "mlm", "tcp", "tgs"), 8, 48),
+    (("mlm", "sbo", "tcp", "scp", "tgs", "cap", "tfidf", "tlp"), 8, 24),
+]
+
+
+def _queues(rec, vocab, kinds):
+    """The draws one stage made, one queue per call in order: a high-bound
+    draw keeps each value with its bound, an id draw maps to the id."""
+    calls = list(rec.calls)
+    rec.calls.clear()
+    assert len(calls) == len(kinds)
+    queues = {}
+    for kind, (_, args, values) in zip(kinds, calls):
+        if kind in ("partner", "start", "fallback"):
+            values = zip(args[0].tolist(), values.tolist())
+        elif kind in ("fresh", "id"):
+            values = vocab.sampleable_ids[values]
+        queues[kind] = oracles.DrawQueue(values)
+    return queues
+
+
+def _assert_rows(grid, lengths, rows, vocab):
+    for r, row in enumerate(rows):
+        n = int(lengths[r])
+        assert row.shape[1] == n
+        assert np.array_equal(grid[:, r, :n], row)
+        assert (grid[tb.POS, r, n:] == tb.SPECIAL).all()
+        assert (grid[tb.ID, r, n:] == vocab.pad_id).all()
+        assert (grid[tb.CORRUPT, r, n:] == 0).all()
+
+
+def test_whole_batch_stages_match_per_row_oracle(small_reader, word_vocab):
+    """Stages 2-4 over the batch build the rows that the per-row stages
+    build from the same draws."""
+    fallbacks = 0
+    for task_set, b, seq in ORACLE_CASES:
+        names = set(task_set)
+        for step in range(15):
+            rec = oracles.RecordingRng(np.random.default_rng([41, step, 11]))
+            rows, _ = tb._draw_rows(small_reader, names, rec, b, seq)
+            rec.calls.clear()
+            want = oracles.layout_rows(small_reader, word_vocab, rows)
+            grid, lengths, _ = tb._layout(small_reader, word_vocab, rows, seq)
+            _assert_rows(grid, lengths, want, word_vocab)
+            queues = {}
+            if names & tb.CORRUPTION_TASKS:
+                grid = tb._corrupt(grid, rec, word_vocab)
+                q = _queues(rec, word_vocab,
+                            ("uniform", "op", "partner", "fresh"))
+                want = [oracles.corrupt_row(row, q) for row in want]
+                fallbacks += (np.count_nonzero(np.array(q["op"].values)
+                                               == tb.PERMUTE)
+                              - len(q["partner"].values))
+                queues.update(corrupt=q)
+            if "tgs" in names:
+                starts, classes = tb._shuffle_trigram(grid, rec)
+                q = _queues(rec, word_vocab, ("start", "class"))
+                hits = [oracles.shuffle_trigram_row(row, q) for row in want]
+                assert starts.tolist() == [s for s, _ in hits]
+                assert classes.tolist() == [k for _, k in hits]
+                queues.update(tgs=q)
+            if names & tb.MASKING_TASKS:
+                positions, targets = tb._mask(grid, rec, word_vocab)
+                q = _queues(rec, word_vocab,
+                            ("uniform", "fallback", "split", "id"))
+                want_positions, want_targets = [], []
+                for r, row in enumerate(want):
+                    cols, t = oracles.mask_row(row, q, word_vocab.mask_id)
+                    want_positions += [[r, c] for c in cols]
+                    want_targets += t
+                assert positions.tolist() == want_positions
+                assert targets.tolist() == want_targets
+                queues.update(mask=q)
+            _assert_rows(grid, lengths, want, word_vocab)
+            assert all(q.done() for stage in queues.values()
+                       for q in stage.values())
+            batch = tb.assemble_batch(small_reader, word_vocab, task_set, b,
+                                      seq, seed=41, step=step)
+            assert np.array_equal(batch.input_ids, grid[tb.ID])
+    assert fallbacks > 0  # a permutation without a partner became a replace
+
+
+def test_corruption_and_mask_split_rates_five_sigma(small_reader, word_vocab):
+    """Over 200 batches: 10% of segment slots selected, each op on a third
+    of them, and the 80/10/10 split of the masked slots."""
+    slots = selected = inserts = replaces = permutes = fallbacks = 0
+    content = chosen = masked = kept = 0
+    names = {"tcp", "mlm"}
+    for step in range(200):
+        rec = oracles.RecordingRng(np.random.default_rng([43, step, 11]))
+        rows, _ = tb._draw_rows(small_reader, names, rec, 16, 64)
+        rec.calls.clear()
+        grid, lengths, _ = tb._layout(small_reader, word_vocab, rows, 64)
+        slots += int(lengths.sum()) - 2 * len(rows)
+        grid = tb._corrupt(grid, rec, word_vocab)
+        ops = rec.calls[1][2]
+        selected += ops.size
+        inserts += int((ops == tb.INSERT).sum())
+        permutes += rec.calls[2][2].size  # one partner per permutation
+        replaces += rec.calls[3][2].size - int((ops == tb.INSERT).sum())
+        fallbacks += int((ops == tb.PERMUTE).sum()) - rec.calls[2][2].size
+        positions, targets = tb._mask(grid, rec, word_vocab)
+        visible = grid[tb.ID][positions[:, 0], positions[:, 1]]
+        content += int((grid[tb.POS] != tb.SPECIAL).sum())
+        chosen += targets.size
+        masked += int((visible == word_vocab.mask_id).sum())
+        kept += int((visible == targets).sum())
+
+    def within(got, n, p, slack=0):
+        return abs(got - p * n) < 5 * math.sqrt(n * p * (1 - p)) + slack
+
+    assert slots > 100_000
+    assert within(selected, slots, tb.CORRUPTION_RATE)
+    assert inserts + replaces + permutes == selected
+    assert within(inserts, selected, 1 / 3)
+    assert within(permutes, selected, 1 / 3, slack=fallbacks)
+    assert within(replaces, selected, 1 / 3, slack=fallbacks)
+    assert within(chosen, content, tb.MLM_RATE)
+    assert within(masked, chosen, 0.8)
+    p_keep = 0.1 + 0.1 / len(word_vocab.sampleable_ids)
+    assert within(kept, chosen, p_keep)
+    assert within(chosen - masked - kept, chosen, 0.1 - 0.1 / len(
+        word_vocab.sampleable_ids))
+
+
 # ----------------------------------------------------------- golden batches
 
 GOLDEN_SETS = [
@@ -499,17 +633,19 @@ def batch_digest(batch) -> str:
     return h.hexdigest()[:16]
 
 
-# digests of the batches built before the array-row rewrite of taskbuild;
-# every stage must keep its draws and its output bit for bit
+# digests of assembled batches. Stage 1 draws row by row; the sets with
+# mlm, sbo, tcp, scp or tgs were re-pinned when stages 2-4 came to take
+# each kind of draw as one whole-batch array. Any change to a stage's draws
+# or output moves these.
 GOLDEN_DIGESTS = {
-    ("mlm,sbo,tf,tfidf,tlp,cap", 8, 24, 0): "6f8b292953ee5bc4",
-    ("mlm,sbo,tf,tfidf,tlp,cap", 8, 24, 3): "f0ecf6e33986fb1c",
-    ("mlm,sbo,tf,tfidf,tlp,cap", 16, 64, 0): "41e1769637210081",
-    ("mlm,sbo,tf,tfidf,tlp,cap", 16, 64, 3): "887843969d17e846",
-    ("tcp,scp,tgs", 8, 24, 0): "cbfbbb90f8e8b81b",
-    ("tcp,scp,tgs", 8, 24, 3): "0163d8ac46cd1ee2",
-    ("tcp,scp,tgs", 16, 64, 0): "fa204703b1795e17",
-    ("tcp,scp,tgs", 16, 64, 3): "56dd166103e07c9e",
+    ("mlm,sbo,tf,tfidf,tlp,cap", 8, 24, 0): "d47911981073cc11",
+    ("mlm,sbo,tf,tfidf,tlp,cap", 8, 24, 3): "f4da5ae8f0048519",
+    ("mlm,sbo,tf,tfidf,tlp,cap", 16, 64, 0): "31f8a60303ecad90",
+    ("mlm,sbo,tf,tfidf,tlp,cap", 16, 64, 3): "25eeda5ede993e06",
+    ("tcp,scp,tgs", 8, 24, 0): "91d56f0ec764b927",
+    ("tcp,scp,tgs", 8, 24, 3): "8304ff05bb9c7036",
+    ("tcp,scp,tgs", 16, 64, 0): "1a311286390a24e2",
+    ("tcp,scp,tgs", 16, 64, 3): "d9dae05e98d8b121",
     ("nsp", 8, 24, 0): "a64c04010c699535",
     ("nsp", 8, 24, 3): "9467d7d44e340b76",
     ("nsp", 16, 64, 0): "18d605f4364233ad",
@@ -530,14 +666,14 @@ GOLDEN_DIGESTS = {
     ("qt,fs", 8, 24, 3): "b82f0df31730d663",
     ("qt,fs", 16, 64, 0): "f1a1fa137be168be",
     ("qt,fs", 16, 64, 3): "23f14c59c12fc075",
-    ("mlm,sbo,tcp,scp,tgs,cap,tfidf,tlp", 8, 24, 0): "62892f38d1474704",
-    ("mlm,sbo,tcp,scp,tgs,cap,tfidf,tlp", 8, 24, 3): "f51cc09b07e55a1b",
-    ("mlm,sbo,tcp,scp,tgs,cap,tfidf,tlp", 16, 64, 0): "54b197f84ca23334",
-    ("mlm,sbo,tcp,scp,tgs,cap,tfidf,tlp", 16, 64, 3): "4a51e2c77245e22a",
-    ("qt,fs,mlm,tcp,tgs", 8, 24, 0): "155b69655cee807f",
-    ("qt,fs,mlm,tcp,tgs", 8, 24, 3): "df319743ced7721f",
-    ("qt,fs,mlm,tcp,tgs", 16, 64, 0): "57d69da72709dbb8",
-    ("qt,fs,mlm,tcp,tgs", 16, 64, 3): "ce745586a5273f5b",
+    ("mlm,sbo,tcp,scp,tgs,cap,tfidf,tlp", 8, 24, 0): "00aba97ed8a1112c",
+    ("mlm,sbo,tcp,scp,tgs,cap,tfidf,tlp", 8, 24, 3): "a5fa17b993b428da",
+    ("mlm,sbo,tcp,scp,tgs,cap,tfidf,tlp", 16, 64, 0): "01890c2338d2dc67",
+    ("mlm,sbo,tcp,scp,tgs,cap,tfidf,tlp", 16, 64, 3): "b9622632e09da890",
+    ("qt,fs,mlm,tcp,tgs", 8, 24, 0): "e11c8e92d1135a87",
+    ("qt,fs,mlm,tcp,tgs", 8, 24, 3): "7cad154ba8a040ae",
+    ("qt,fs,mlm,tcp,tgs", 16, 64, 0): "f53eeed0302c419d",
+    ("qt,fs,mlm,tcp,tgs", 16, 64, 3): "93d07b36a22ef68d",
 }
 
 
