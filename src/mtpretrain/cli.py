@@ -23,7 +23,7 @@ from . import analysis, losses, scheduler, tensor, trainer
 from .corpus import CorpusError, CorpusReader, build_corpus, load_corpus
 from .model import Model, ModelConfig
 from .taskbuild import assemble_batch
-from .tasks import canonical_task, validate_compatibility
+from .tasks import canonical_task
 from .tokenizer import SPECIAL_TOKENS, Vocabulary, load_vocab
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -52,15 +52,14 @@ def cmd_prepare(args) -> int:
 
 # --------------------------------------------------------------- schedule
 
-def _parse_schedule_tasks(raw: str):
+def _parse_schedule_tasks(raw: str) -> "list[str]":
     try:
         count = int(raw)
     except ValueError:
-        names = [canonical_task(t) for t in raw.split(",") if t.strip()]
-        return names, False
+        return [canonical_task(t) for t in raw.split(",") if t.strip()]
     if count < 1:
         raise ValueError("task count must be positive")
-    return [f"task{i + 1}" for i in range(count)], True
+    return [f"task{i + 1}" for i in range(count)]
 
 
 def _print_stage_table(names, alloc) -> None:
@@ -75,22 +74,11 @@ def _print_stage_table(names, alloc) -> None:
 
 
 def cmd_schedule(args) -> int:
-    names, generic = _parse_schedule_tasks(args.tasks)
+    names = _parse_schedule_tasks(args.tasks)
     tokens = int(float(args.tokens))
     strategy = scheduler.canonical_strategy(args.strategy)
     if strategy in ("cmtl", "cmtl_plus"):
-        basis = names
-        if strategy == "cmtl_plus":
-            if generic:
-                raise ValueError("cmtl_plus needs named tasks including mlm")
-            basis = [n for n in names if n != "mlm"]
-            if len(basis) == len(names):
-                raise ValueError("cmtl_plus requires mlm in the task list")
-            for aux in basis:
-                validate_compatibility(("mlm", aux))
-        elif not generic:
-            for name in basis:
-                validate_compatibility((name,))
+        basis = scheduler.task_basis(strategy, names)
         alloc = scheduler.cmtl_allocation(len(basis), tokens,
                                           args.batch_tokens)
         _print_stage_table(basis, alloc)

@@ -73,20 +73,14 @@ def loss_fs(cls_rows: Tensor, hidden: Tensor, content_mask) -> Tensor:
         raise ValueError(f"continuation batch needs even row count, got {b}")
     m = b // 2
     content = np.asarray(content_mask, dtype=bool)
-    owners = []
-    token_idx = []
-    for i in range(m):
-        j = i + m
-        for owner, source in ((i, j), (j, i)):
-            cols = np.nonzero(content[source])[0]
-            if cols.size == 0:
-                continue
-            owners.append(np.full(cols.size, owner))
-            token_idx.append(source * seq + cols)
-    if not owners:
+    # owners in pair order (0, m, 1, m+1, ...), each reading its partner
+    order = np.stack([np.arange(m), np.arange(m) + m], axis=1).reshape(-1)
+    source = (order + m) % b
+    pick, cols = np.nonzero(content[source])
+    if pick.size == 0:
         return zero_loss()
-    owners = np.concatenate(owners)
-    token_idx = np.concatenate(token_idx)
+    owners = order[pick]
+    token_idx = source[pick] * seq + cols
     cls_sel = tz.index_rows(cls_rows, owners)
     tok_sel = tz.index_rows(hidden.reshape(b * seq, h), token_idx)
     cos = tz.cosine_similarity(cls_sel, tok_sel)
@@ -123,22 +117,16 @@ def batch_losses(model, batch, rng=None) -> "dict[str, Tensor]":
     """Full forward pass: embed, encode, run each task head and its loss.
 
     The heads come from the model's head table (`model.heads`); an unknown
-    task is refused by `model.head`. When the union of the rows the heads
-    declare is one row per batch row (the [CLS] heads), the encoder's last
-    layer runs at those rows only. Dropout is on exactly when `rng` is
-    given: it draws the masks."""
+    task is refused by `model.head`. When every head reads [CLS], the
+    encoder's last layer runs at the [CLS] rows only. Dropout is on
+    exactly when `rng` is given: it draws the masks."""
     names = batch.task_set
     heads = [model.head(t, batch) for t in names]
-    rows = None
-    if heads and all(head.rows for head in heads):
-        b, seq = np.shape(batch.input_ids)
-        union = np.unique(np.concatenate(
-            [np.reshape(head.rows(batch, b, seq), -1) for head in heads]))
-        if np.array_equal(union // seq, np.arange(b)):
-            rows = union
     emb = model.embed(batch, rng=rng)
-    hidden = model.encode(emb, batch.attention_mask, rng=rng, rows=rows)
-    pooled = model.pool(hidden) if any(head.pooled for head in heads) else None
+    hidden = model.encode(emb, batch.attention_mask, rng=rng,
+                          cls_only=bool(heads) and all(h.reads for h in heads))
+    pooled = model.pool(hidden) \
+        if any(h.reads == "pooled" for h in heads) else None
     out: "dict[str, Tensor]" = {}
     for t, head in zip(names, heads):
         preds = model.head_forward(t, hidden, batch, pooled)

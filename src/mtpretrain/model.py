@@ -9,11 +9,11 @@ so their geometry is not squashed through an extra affinity layer.
 
 Every head is one entry of `HEADS`: the label key it reads, the input and
 output widths of its dense layer (the output width is the task's class
-count, or 1 for a regression), its forward and loss functions, whether
-it reads the pooler and which rows of the final states it reads.
+count, or 1 for a regression), its forward and loss functions, and
+whether it reads the pooled [CLS], the raw [CLS] or the final states.
 Parameter shapes, `head_forward` and `losses.batch_losses` all read that
-table. When the rows a step's heads read are one per batch row (the
-[CLS] heads), the last encoder layer runs only at those rows.
+table. When every head of a step reads [CLS], `encode(cls_only=True)`
+runs the last encoder layer at the [CLS] rows only.
 """
 
 from __future__ import annotations
@@ -73,44 +73,22 @@ def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02):
 # A head's forward takes (model, task, hidden, flat, batch, pooled), where
 # flat is hidden reshaped to (B*L, H) once per call and pooled is the tanh
 # pooler output for heads that read it; its loss takes (task, predictions,
-# batch) and returns the loss as a scalar Tensor. A head that reads only
-# some rows of flat declares them with a rows function of (batch, B, L),
-# which its forward also reads them through.
-
-def _cls_rows(batch, b, seq):
-    return np.arange(b) * seq
-
-
-def _mlm_rows(batch, b, seq):
-    pos = batch.labels["mlm"]["positions"]
-    return pos[:, 0] * seq + pos[:, 1]
-
-
-def _sbo_rows(batch, b, seq):
-    """(2, n): the left and the right boundary of each masked span."""
-    lab = batch.labels["mlm"]
-    return np.stack([lab[side][:, 0] * seq + lab[side][:, 1]
-                     for side in ("left", "right")])
-
-
-def _tgs_rows(batch, b, seq):
-    """(3, n): the trigram's three positions in each row that has one."""
-    starts = batch.labels["tgs"]["starts"]
-    rows = np.nonzero(starts >= 0)[0]
-    base = rows * seq + starts[rows]
-    return np.stack([base + j for j in range(3)])
-
+# batch) and returns the loss as a scalar Tensor.
 
 def _mlm_forward(model, task, hidden, flat, batch, pooled):
-    states = tz.index_rows(flat, _mlm_rows(batch, *hidden.shape[:2]))
+    pos = batch.labels["mlm"]["positions"]
+    states = tz.index_rows(flat, pos[:, 0] * hidden.shape[1] + pos[:, 1])
     states = model._dense(states, "heads.mlm.transform")
     states = model._norm(tz.gelu(states), "heads.mlm.norm")
     return _vocab_head(model, task, states)
 
 
 def _sbo_forward(model, task, hidden, flat, batch, pooled):
-    left, right = (tz.index_rows(flat, r)
-                   for r in _sbo_rows(batch, *hidden.shape[:2]))
+    """Reads the left and the right boundary of each masked span."""
+    lab = batch.labels["mlm"]
+    left, right = (tz.index_rows(flat, lab[side][:, 0] * hidden.shape[1]
+                                 + lab[side][:, 1])
+                   for side in ("left", "right"))
     states = tz.gelu(model._dense(tz.concat([left, right], axis=-1),
                                   "heads.sbo.dense"))
     return _vocab_head(model, task, states)
@@ -135,8 +113,11 @@ def _token_class(model, task, hidden, flat, batch, pooled):
 
 
 def _tgs_forward(model, task, hidden, flat, batch, pooled):
-    parts = [tz.index_rows(flat, r)
-             for r in _tgs_rows(batch, *hidden.shape[:2])]
+    """Reads the trigram's three positions in each row that has one."""
+    starts = batch.labels["tgs"]["starts"]
+    rows = np.nonzero(starts >= 0)[0]
+    base = rows * hidden.shape[1] + starts[rows]
+    parts = [tz.index_rows(flat, base + j) for j in range(3)]
     return model._dense(tz.concat(parts, axis=-1), "heads.tgs")
 
 
@@ -205,10 +186,9 @@ class Head:
                           # for a regression (0: no dense head)
     forward: Callable
     loss: Callable
-    pooled: bool = False  # reads the tanh pooler over [CLS]
-    # the flat rows of the final states it reads, (batch, B, L) -> int
-    # array of any shape; None: every row
-    rows: "Callable | None" = None
+    # what the forward reads: "pooled", the tanh pooler over [CLS]; "cls",
+    # the raw [CLS] states; None, the final states
+    reads: "str | None" = None
     # parameters beyond the dense head, as (name below heads.<task>, shape)
     shapes: Callable = lambda h, v: []
 
@@ -217,27 +197,21 @@ class Head:
 HEADS: "dict[str, Head]" = {
     "mlm": Head("mlm", 0, 0, _mlm_forward, _vocab_loss, shapes=lambda h, v: (
         _dense_shapes("transform", h, h) + _norm_shapes("norm", h)
-        + [("vocab_bias", (v,))]), rows=_mlm_rows),
+        + [("vocab_bias", (v,))])),
     "sbo": Head("mlm", 0, 0, _sbo_forward, _vocab_loss, shapes=lambda h, v: (
-        _dense_shapes("dense", 2 * h, h) + [("vocab_bias", (v,))]),
-        rows=_sbo_rows),
+        _dense_shapes("dense", 2 * h, h) + [("vocab_bias", (v,))])),
     "tf": Head("tf", 1, 1, _token_regression, _regression_loss),
     "tfidf": Head("tfidf", 1, 1, _token_regression, _regression_loss),
     "tlp": Head("tlp", 1, 1, _token_regression, _regression_loss),
     "cap": Head("cap", 1, 2, _token_class, _token_class_loss),
     "tcp": Head("tcp", 1, 2, _token_class, _token_class_loss),
-    "tgs": Head("tgs", 3, 6, _tgs_forward, _tgs_loss, rows=_tgs_rows),
-    "nsp": Head("nsp", 1, 2, _sentence_class, _sentence_loss, pooled=True,
-                rows=_cls_rows),
-    "asp": Head("asp", 1, 3, _sentence_class, _sentence_loss, pooled=True,
-                rows=_cls_rows),
-    "so": Head("so", 1, 2, _sentence_class, _sentence_loss, pooled=True,
-                rows=_cls_rows),
-    "sdp": Head("sdp", 1, 3, _sentence_class, _sentence_loss, pooled=True,
-                rows=_cls_rows),
-    "scp": Head("scp", 1, 2, _sentence_class, _sentence_loss, pooled=True,
-                rows=_cls_rows),
-    "qt": Head(None, 0, 0, _cls_forward, _qt_loss, rows=_cls_rows),
+    "tgs": Head("tgs", 3, 6, _tgs_forward, _tgs_loss),
+    "nsp": Head("nsp", 1, 2, _sentence_class, _sentence_loss, "pooled"),
+    "asp": Head("asp", 1, 3, _sentence_class, _sentence_loss, "pooled"),
+    "so": Head("so", 1, 2, _sentence_class, _sentence_loss, "pooled"),
+    "sdp": Head("sdp", 1, 3, _sentence_class, _sentence_loss, "pooled"),
+    "scp": Head("scp", 1, 2, _sentence_class, _sentence_loss, "pooled"),
+    "qt": Head(None, 0, 0, _cls_forward, _qt_loss, "cls"),
     "fs": Head(None, 0, 0, _fs_forward, _fs_loss),
 }
 
@@ -339,42 +313,35 @@ class Model:
 
     def encode(self, x: Tensor, attention_mask,
                rng: "np.random.Generator | None" = None,
-               rows=None) -> Tensor:
+               cls_only: bool = False) -> Tensor:
         """The encoder stack; with `rng`, dropout draws from it.
 
-        `rows`, one flat row index into (B*L) per batch row in batch order
-        (such as the [CLS] rows), makes the last layer run its queries,
-        output projection, norms and feed-forward at those rows only (keys
-        and values still cover every row); every other row of the result
-        is zero. With no layer to prune, `rows` is ignored."""
+        With `cls_only`, the last layer runs its queries, output projection,
+        norms and feed-forward at the [CLS] rows only (keys and values
+        still cover every row) and returns the (B, 1, H) [CLS] states. With
+        no layer to prune, `cls_only` is ignored."""
         cfg = self.config
         b, seq, h = x.shape
-        if rows is not None:
-            rows = np.asarray(rows)
-            if not np.array_equal(rows // seq, np.arange(b)):
-                raise ValueError("encode's rows must name one flat row per "
-                                 "batch row, in batch order")
-            if not cfg.layers:
-                rows = None
         heads = cfg.heads
         d = h // heads
         mask = np.asarray(attention_mask, dtype=x.data.dtype)
         bias = tz.constant(((1.0 - mask) * MASK_BIAS)[:, None, None, :])
         scale = 1.0 / math.sqrt(d)
         for i in range(cfg.layers):
+            pruned = cls_only and i == cfg.layers - 1
             flat = x.reshape(b * seq, h)
             k = self._dense(flat, f"layers.{i}.attn.k")
             v = self._dense(flat, f"layers.{i}.attn.v")
             k = k.reshape(b, seq, heads, d).transpose(0, 2, 3, 1)
             v = v.reshape(b, seq, heads, d).transpose(0, 2, 1, 3)
-            if rows is None or i < cfg.layers - 1:
+            if pruned:
+                # one query per batch row, at [CLS], over that row's keys,
+                # values and mask
+                x = tz.index_rows(flat, np.arange(b) * seq)
+                q = self._dense(x, f"layers.{i}.attn.q").reshape(b, heads, 1, d)
+            else:
                 q = self._dense(flat, f"layers.{i}.attn.q")
                 q = q.reshape(b, seq, heads, d).transpose(0, 2, 1, 3)
-            else:
-                # the last layer: one query per batch row, over that row's
-                # keys, values and mask
-                x = tz.index_rows(flat, rows)
-                q = self._dense(x, f"layers.{i}.attn.q").reshape(b, heads, 1, d)
             scores = (q @ k) * scale + bias
             probs = tz.dropout(tz.softmax(scores), cfg.dropout, rng)
             ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(-1, h)
@@ -386,16 +353,20 @@ class Model:
             ff = tz.dropout(self._dense(ff, f"layers.{i}.ff.w2"),
                             cfg.dropout, rng)
             x = self._norm(x + ff.reshape(x.shape), f"layers.{i}.ff_norm")
-        if rows is not None:
-            x = tz.scatter_rows(x, rows, b * seq).reshape(b, seq, h)
+            if pruned:
+                x = x.reshape(b, 1, h)
         return x
 
     def pool(self, hidden: Tensor) -> Tensor:
         return self._dense(self.cls_rows(hidden), "pooler.dense").tanh()
 
     def cls_rows(self, hidden: Tensor) -> Tensor:
+        """The (B, H) [CLS] rows of (B, L, H) final states, or of the
+        (B, 1, H) [CLS] states `encode(cls_only=True)` returns."""
         b, seq, h = hidden.shape
-        return tz.index_rows(hidden.reshape(b * seq, h), _cls_rows(None, b, seq))
+        if seq == 1:
+            return hidden.reshape(b, h)
+        return tz.index_rows(hidden.reshape(b * seq, h), np.arange(b) * seq)
 
     def head_forward(self, task: str, hidden: Tensor, batch,
                      pooled: "Tensor | None" = None):
@@ -410,7 +381,7 @@ class Model:
         head = self.head(task, batch)
         b, seq, h = hidden.shape
         flat = hidden.reshape(b * seq, h)
-        if head.pooled and pooled is None:
+        if head.reads == "pooled" and pooled is None:
             pooled = self.pool(hidden)
         return head.forward(self, task, hidden, flat, batch, pooled)
 

@@ -142,6 +142,22 @@ def _interleave_stage(budgets: "list[int]") -> "list[int]":
     return order
 
 
+def task_basis(strategy: str, names) -> "list[str]":
+    """The tasks a strategy rotates or stages over: for alt_plus and
+    cmtl_plus the auxiliary tasks, each paired with mlm, which joins every
+    step; for the others the whole list."""
+    if strategy not in ("alt_plus", "cmtl_plus"):
+        return list(names)
+    if "mlm" not in names:
+        raise SchedulerError(f"strategy {strategy} requires mlm in the "
+                             f"task list")
+    aux = [t for t in names if t != "mlm"]
+    if not aux:
+        raise SchedulerError(f"strategy {strategy} needs at least one "
+                             f"auxiliary task besides mlm")
+    return aux
+
+
 def make_schedule(strategy: str, tasks, total_tokens: int,
                   batch_tokens: int) -> Schedule:
     strategy = canonical_strategy(strategy)
@@ -160,15 +176,7 @@ def make_schedule(strategy: str, tasks, total_tokens: int,
         raise SchedulerError(
             f"{n_steps_cap} steps is beyond materialization; use "
             f"cmtl_allocation for closed-form budgets")
-
-    if strategy in ("alt_plus", "cmtl_plus"):
-        if "mlm" not in names:
-            raise SchedulerError(f"strategy {strategy} requires mlm in the "
-                                 f"task list")
-        aux = [t for t in names if t != "mlm"]
-        if not aux:
-            raise SchedulerError(f"strategy {strategy} needs at least one "
-                                 f"auxiliary task besides mlm")
+    basis = task_basis(strategy, names)
 
     step_sets: "list[tuple[str, ...]]" = []
     if strategy == "sum":
@@ -183,9 +191,9 @@ def make_schedule(strategy: str, tasks, total_tokens: int,
     elif strategy == "alt":
         step_sets = [(names[s % len(names)],) for s in range(n_steps_cap)]
     elif strategy == "alt_plus":
-        step_sets = [("mlm", aux[s % len(aux)]) for s in range(n_steps_cap)]
+        step_sets = [("mlm", basis[s % len(basis)])
+                     for s in range(n_steps_cap)]
     elif strategy in ("cmtl", "cmtl_plus"):
-        basis = aux if strategy == "cmtl_plus" else names
         alloc = cmtl_allocation(len(basis), total_tokens, batch_tokens)
         for stage in alloc.stage_table:
             counts = [b // batch_tokens for b in stage]

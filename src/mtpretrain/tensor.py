@@ -9,8 +9,7 @@ Every op records one node on the tape. `linear` (x @ W + b), `layer_norm`,
 (the cross-entropy of logits against a tied vocabulary table, formed a
 row chunk at a time and never kept) are single nodes, each with a
 closed-form backward pass; the arithmetic operators, reshape, transpose,
-sum, matmul, index_rows, scatter_rows and concat are the primitives
-between them.
+sum, matmul, index_rows and concat are the primitives between them.
 
 Gradient buffers: a node's first gradient write takes ownership of the
 array it is handed instead of copying it into a zeroed buffer. Every
@@ -397,19 +396,6 @@ def index_rows(table: Tensor, indices) -> Tensor:
         table._accumulate(grad)
 
     return Tensor._result(data, (table,), backward)
-
-
-def scatter_rows(x: Tensor, rows, n: int) -> Tensor:
-    """n rows of zeros with x's rows placed at the distinct indices `rows`;
-    the gradient is the gather of those rows."""
-    idx = np.asarray(rows)
-    data = np.zeros((n,) + x.data.shape[1:], dtype=x.data.dtype)
-    data[idx] = x.data
-
-    def backward(g):
-        x._accumulate(g[idx])
-
-    return Tensor._result(data, (x,), backward)
 
 
 # ------------------------------------------------------------ fused nodes

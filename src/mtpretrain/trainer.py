@@ -268,6 +268,9 @@ def train(config: TrainConfig) -> TrainResult:
 
 # ------------------------------------------------------------------ probe
 
+PROBE_LR = 0.05
+
+
 @dataclass
 class ProbeSpec:
     n_train_batches: int = 8
@@ -275,7 +278,6 @@ class ProbeSpec:
     batch_size: int = 32
     max_seq_len: int = 64
     epochs: int = 3
-    lr: float = 0.05
     seed: int = 0
 
 
@@ -287,10 +289,8 @@ def _probe_features(model: Model, reader, vocab, spec: ProbeSpec,
         batch = assemble_batch(
             reader, vocab, ("so",), spec.batch_size, spec.max_seq_len,
             rng=np.random.default_rng([spec.seed, _PROBE_TAG, tag, k]))
-        # the last layer runs at the [CLS] rows only, the rows `so` reads
-        rows = model.heads["so"].rows(batch, *batch.input_ids.shape)
         hidden = model.encode(model.embed(batch), batch.attention_mask,
-                              rows=rows)
+                              cls_only=True)
         feats.append(model.cls_rows(hidden).data.copy())
         labels.append(batch.labels["so"].copy())
     return np.concatenate(feats), np.concatenate(labels)
@@ -324,6 +324,6 @@ def evaluate_probe(model: Model, reader, vocab,
             loss = tz.cross_entropy(logits, y_train[sel])
             opt.zero_grad()
             loss.backward()
-            opt.step(spec.lr)
+            opt.step(PROBE_LR)
     scores = x_eval @ w.data + b.data
     return float((scores.argmax(axis=1) == y_eval).mean())

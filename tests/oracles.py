@@ -318,3 +318,18 @@ def split_sentences_per_word(text: str, abbreviations, closers: str,
     if current:
         sentences.append(" ".join(current))
     return sentences
+
+
+def fs_loss_per_pair(cls, hidden, content, floor: float) -> float:
+    """loss_fs pair by pair: row i's [CLS] against row i + B/2's content
+    tokens and back, one cosine per token, in plain float64 numpy."""
+    b = len(cls)
+    m = b // 2
+    logs = []
+    for i in range(m):
+        for owner, source in ((i, i + m), (i + m, i)):
+            for col in np.nonzero(content[source])[0]:
+                u, v = cls[owner], hidden[source, col]
+                cos = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
+                logs.append(math.log(min(max((cos + 1) / 2, floor), 1.0)))
+    return -sum(logs) / len(logs) if logs else 0.0

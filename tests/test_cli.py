@@ -72,6 +72,16 @@ def test_schedule_staged_needs_shared_task(capsys):
     assert code == 1 and "mlm" in err
 
 
+@pytest.mark.parametrize("strategy", ["cmtl_plus", "alt_plus"])
+def test_schedule_shared_task_alone_is_refused_by_name(capsys, strategy):
+    code, _, err = run(capsys, "schedule", "--strategy", strategy,
+                       "--tasks", "mlm", "--tokens", "2048",
+                       "--batch-tokens", "1024")
+    assert code == 1
+    assert err.strip() == (f"error: strategy {strategy} needs at least one "
+                           f"auxiliary task besides mlm")
+
+
 # ----------------------------------------------------------------- analyze
 
 def test_analyze_bundled_table(capsys):

@@ -58,13 +58,32 @@ ROOT = PACKAGE.parent.parent
 CALLER_DIRS = ("src", "tests", "perfbench")
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.id if isinstance(target, ast.Name) else \
+            target.attr if isinstance(target, ast.Attribute) else None
+        if name == "dataclass":
+            return True
+    return False
+
+
 def _defaulted_parameters(tree: ast.Module):
     """(call name, function name, parameter, positional index or None) for
     every defaulted parameter; a method's index skips self, and a class's
-    __init__ is called by the class name."""
+    __init__ is called by the class name. A dataclass's annotated fields
+    are its constructor's parameters, in order."""
     def visit(body, cls):
         for node in body:
             if isinstance(node, ast.ClassDef):
+                if _is_dataclass(node):
+                    fields = [f for f in node.body
+                              if isinstance(f, ast.AnnAssign)
+                              and isinstance(f.target, ast.Name)]
+                    for i, f in enumerate(fields):
+                        if f.value is not None:
+                            yield (node.name, f"{node.name}.__init__",
+                                   f.target.id, i)
                 yield from visit(node.body, node.name)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = node.args
@@ -120,10 +139,12 @@ def dead_parameters(package_sources, caller_sources) -> "list[str]":
 def test_dead_parameters_are_found():
     package = [("m", "class A:\n    def __init__(self, x, y=1, *, z=2): pass\n"
                      "    def f(self, a=0, b=0): pass\n"
-                     "def g(p=1, q=2): pass\ndef h(r=1): pass\n")]
-    callers = ["A(1, 2)\nA(0).f(5)\ng(q=3)\nh(*[1])\n"]
+                     "def g(p=1, q=2): pass\ndef h(r=1): pass\n"
+                     "@dataclass(frozen=True)\nclass D:\n    u: int\n"
+                     "    v: int = 0\n    w: int = 1\n    x: int = 2\n")]
+    callers = ["A(1, 2)\nA(0).f(5)\ng(q=3)\nh(*[1])\nD(0, 1)\nD(0, x=3)\n"]
     assert dead_parameters(package, callers) == [
-        "m: A.__init__(z)", "m: A.f(b)", "m: g(p)"]
+        "m: A.__init__(z)", "m: A.f(b)", "m: g(p)", "m: D.__init__(w)"]
 
 
 def test_no_defaulted_parameter_goes_unpassed():

@@ -6,6 +6,7 @@ import pytest
 from mtpretrain import losses as ls
 from mtpretrain import tensor as tz
 from mtpretrain.tasks import TaskError
+from oracles import fs_loss_per_pair
 
 
 # ------------------------------------------------------------ cross entropy
@@ -145,6 +146,18 @@ def test_fs_pairs_cross_batch_halves():
     content = np.ones((2, 1), dtype=bool)
     out = ls.loss_fs(tz.constant(cls), tz.constant(hidden), content)
     assert out.item() < 1e-6
+
+
+def test_fs_matches_per_pair_reference(float64_mode):
+    rng = np.random.default_rng(4)
+    for b in (2, 4, 6, 10, 16):
+        for density in (0.0, 0.1, 0.6, 1.0):
+            cls = rng.normal(size=(b, 5))
+            hidden = rng.normal(size=(b, 7, 5))
+            content = rng.random((b, 7)) < density
+            out = ls.loss_fs(tz.constant(cls), tz.constant(hidden), content)
+            ref = fs_loss_per_pair(cls, hidden, content, ls.FS_PROB_FLOOR)
+            assert out.item() == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 # -------------------------------------------------------------- combining

@@ -159,10 +159,16 @@ def test_masked_positions_cannot_influence_attended_ones():
     mask[:, 5:] = False
     ids_b = ids.copy()
     ids_b[:, 5:] = rng.integers(5, cfg.vocab, size=(2, 3))
-    out_a = model.encode(model.embed(FakeBatch(ids, attention_mask=mask)), mask)
+    x = model.embed(FakeBatch(ids, attention_mask=mask))
+    out_a = model.encode(x, mask)
     out_b = model.encode(model.embed(FakeBatch(ids_b, attention_mask=mask)), mask)
     assert np.array_equal(out_a.data[:, :5], out_b.data[:, :5])
     assert not np.array_equal(out_a.data[:, 5:], out_b.data[:, 5:])
+    # the last layer at [CLS] only gives the full layer's [CLS] states
+    cls = model.encode(x, mask, cls_only=True)
+    assert cls.shape == (2, 1, cfg.hidden)
+    np.testing.assert_allclose(cls.data, out_a.data[:, :1], rtol=0, atol=1e-5)
+    np.testing.assert_array_equal(model.cls_rows(cls).data, cls.data[:, 0])
 
 
 def test_attention_sees_unmasked_context():
@@ -379,11 +385,7 @@ def test_last_layer_at_head_rows_matches_full_layer(
     seen = spy_encode_rows(model)
     pruned = ls.batch_losses(model, batch)
     loss, grads = loss_and_grads(model, pruned, task_set)
-    (rows,) = seen
-    if set(task_set) <= CLS_TASKS:
-        assert rows.tolist() == list(range(0, 8 * 24, 24))
-    else:
-        assert rows is None
+    assert seen == [set(task_set) <= CLS_TASKS]
     ref = full_layer_losses(model, batch)
     ref_loss, ref_grads = loss_and_grads(model, ref, task_set)
     for t in task_set:
@@ -481,17 +483,6 @@ def test_no_vocab_sized_array_outlives_the_forward(small_reader, word_vocab):
     assert id(model.params["embeddings.token"]) in seen
 
 
-def test_encode_refuses_rows_not_one_per_batch_row():
-    model, cfg = small_model()
-    x = model.embed(FakeBatch(np.ones((2, 8), dtype=int)))
-    mask = np.ones((2, 8), dtype=bool)
-    for rows in ([0, 3, 8], [8, 0], [0, 16], [-1, 8]):
-        with pytest.raises(ValueError, match="one flat row per batch row"):
-            model.encode(x, mask, rows=rows)
-    hidden = model.encode(x, mask, rows=[3, 8])
-    assert np.count_nonzero(np.abs(hidden.data).sum(-1)) == 2
-
-
 def test_empty_row_union_runs_and_gives_no_gradient(float64_mode,
                                                     spy_encode_rows):
     model, cfg = small_model()
@@ -503,7 +494,7 @@ def test_empty_row_union_runs_and_gives_no_gradient(float64_mode,
     batch.task_set = ("mlm", "sbo", "tgs")
     seen = spy_encode_rows(model)
     out = ls.batch_losses(model, batch)
-    assert seen == [None]
+    assert seen == [False]
     assert all(out[t].item() == 0.0 for t in batch.task_set)
     ls.combine_losses(out, batch.task_set).backward()
     assert all(p.grad is None for p in model.params.values())

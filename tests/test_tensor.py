@@ -225,17 +225,6 @@ def test_index_rows_gradient_reaches_a_transposed_table():
     assert p.grad.sum() == 60.0
 
 
-def test_scatter_rows_places_rows_and_gathers_gradient():
-    x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    out = tz.scatter_rows(x, [4, 0, 2], 5)
-    expected = np.zeros((5, 2))
-    expected[[4, 0, 2]] = x.data
-    np.testing.assert_array_equal(out.data, expected)
-    weights = np.arange(10.0).reshape(5, 2)
-    (out * Tensor(weights)).sum().backward()
-    np.testing.assert_array_equal(x.grad, weights[[4, 0, 2]])
-
-
 def test_softmax_cosine_clamp_concat_gradcheck():
     rng = np.random.default_rng(9)
     params = {
