@@ -58,6 +58,31 @@ def greedy_fill_spans(counts, target) -> list[tuple[int, int]]:
     return spans
 
 
+def greedy_end_loop(off, s0: int, limit: int, budget: int) -> int:
+    """The last sentence end from s0, at or before limit, whose run from s0
+    fits the budget, stepped one sentence at a time (s0 when none fit)."""
+    s = s0
+    while s < limit and off[s + 1] - off[s0] <= budget:
+        s += 1
+    return s
+
+
+def run_backward_loop(off, s_end: int, budget: int):
+    """The greedy run of whole sentences ending at sentence s_end, grown one
+    sentence at a time, with the mid-sentence fallback when none fits:
+    (token_start, token_end, first sentence)."""
+    end = int(off[s_end])
+    s = s_end
+    total = 0
+    while s > 0 and total + (off[s] - off[s - 1]) <= budget:
+        total += int(off[s] - off[s - 1])
+        s -= 1
+    if s == s_end:
+        start = max(int(off[s_end - 1]), end - max(1, budget))
+        return start, end, s_end - 1
+    return end - total, end, s
+
+
 def student_t_two_sided_p_quadrature(t_stat, df, n_points=2_000_001) -> float:
     """Two-sided p via Simpson integration of the t density over [0, |t|]."""
     t_abs = abs(float(t_stat))

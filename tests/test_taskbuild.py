@@ -355,6 +355,11 @@ def test_foreign_segment_needs_second_document(small_reader, word_vocab):
         tb.assemble_batch(single, word_vocab, ("nsp",), 4, 32, seed=1)
 
 
+def test_pairs_need_room_for_two_segments(small_reader, word_vocab):
+    with pytest.raises(tb.TaskBuildError, match="too small for pairs"):
+        tb.assemble_batch(small_reader, word_vocab, ("nsp",), 4, 4)
+
+
 # ------------------------------------------------------------ continuation
 
 def test_continuation_rows_contiguous(small_reader, word_vocab):
@@ -381,6 +386,27 @@ def test_continuation_visible_tokens_match_corpus(small_reader, word_vocab):
 def test_continuation_odd_batch_rejected(small_reader, word_vocab):
     with pytest.raises(tb.TaskBuildError):
         tb.assemble_batch(small_reader, word_vocab, ("qt",), 7, 32)
+
+
+def test_continuation_mid_sentence_fallback(small_reader, word_vocab):
+    """At capacity 3 no sentence fits, so the halves are cut mid-sentence;
+    each second-half row still starts where its partner ends."""
+    batch = tb.assemble_batch(small_reader, word_vocab, ("qt",), 8, 5,
+                              seed=31, step=0)
+    content = content_mask(batch)
+    aligned = 0
+    for i in range(4):
+        a, b = batch.meta[i], batch.meta[i + 4]
+        assert a.doc_index == b.doc_index and a.token_end == b.token_start
+        assert 0 < a.token_end - a.token_start <= 3
+        assert 0 < b.token_end - b.token_start <= 3
+        offsets = small_reader.documents[a.doc_index].sentence_offsets
+        aligned += a.token_start in offsets and b.token_end in offsets
+    assert aligned < 4
+    for r in range(8):
+        visible = batch.input_ids[r, content[r]]
+        assert np.array_equal(visible, doc_tokens(small_reader, batch.meta[r]))
+    assert batch_digest(batch) == "54f55557c35c4b67"
 
 
 def test_so_within_continuation_unswap_restores_corpus(small_reader,
@@ -458,6 +484,35 @@ def test_padding_rows_marked_special_and_unattended(small_reader, word_vocab):
     assert pad.any()
     assert batch.special_mask[pad].all()
     assert np.all(batch.input_ids[pad] == word_vocab.pad_id)
+
+
+def test_row_longer_than_max_seq_len_is_refused(small_reader, word_vocab):
+    # at max_seq_len 2 a single row still takes one token: [CLS] t [SEP]
+    with pytest.raises(tb.TaskBuildError,
+                       match="row length 3 exceeds max_seq_len 2"):
+        tb.assemble_batch(small_reader, word_vocab, ("mlm",), 4, 2)
+
+
+# ------------------------------------------------------------ span drawing
+
+def test_sentence_runs_match_loop_forms():
+    """The run ends found by search equal the sentence-by-sentence loops,
+    on random offsets that include zero-length sentences."""
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        n = int(rng.integers(1, 12))
+        off = np.concatenate([[0], np.cumsum(rng.integers(0, 5, n))])
+        doc = type("Doc", (), {"sentence_offsets": off})
+        for budget in range(-1, int(off[-1]) + 3):
+            for s0 in range(n):
+                for limit in range(s0, n + 1):
+                    assert tb._greedy_end(off, s0, limit, budget) == \
+                        oracles.greedy_end_loop(off, s0, limit, budget)
+            if budget < 0:
+                continue
+            for s_end in range(1, n + 1):
+                assert tb._run_backward(doc, s_end, budget) == \
+                    oracles.run_backward_loop(off, s_end, budget)
 
 
 # ------------------------------------------- whole-batch stages vs per row
@@ -604,6 +659,8 @@ GOLDEN_SETS = [
     ("qt", "fs"),
     ("mlm", "sbo", "tcp", "scp", "tgs", "cap", "tfidf", "tlp"),
     ("qt", "fs", "mlm", "tcp", "tgs"),
+    ("so", "qt"),
+    ("qt", "fs", "so", "mlm"),
 ]
 GOLDEN_SHAPES = [(8, 24), (16, 64)]
 GOLDEN_STEPS = [0, 3]
@@ -673,6 +730,14 @@ GOLDEN_DIGESTS = {
     ("qt,fs,mlm,tcp,tgs", 8, 24, 3): "7cad154ba8a040ae",
     ("qt,fs,mlm,tcp,tgs", 16, 64, 0): "f53eeed0302c419d",
     ("qt,fs,mlm,tcp,tgs", 16, 64, 3): "93d07b36a22ef68d",
+    ("so,qt", 8, 24, 0): "f17178d309a0616a",
+    ("so,qt", 8, 24, 3): "149d7eaca95213c2",
+    ("so,qt", 16, 64, 0): "29fc9a56a8e7432e",
+    ("so,qt", 16, 64, 3): "b30eab1a499d18d6",
+    ("qt,fs,so,mlm", 8, 24, 0): "be7978dcf46f13d1",
+    ("qt,fs,so,mlm", 8, 24, 3): "9ed0eda642013724",
+    ("qt,fs,so,mlm", 16, 64, 0): "af051abc05c0c030",
+    ("qt,fs,so,mlm", 16, 64, 3): "c71b2c667ee89b75",
 }
 
 
