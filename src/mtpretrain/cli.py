@@ -13,6 +13,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -75,7 +76,10 @@ def _print_stage_table(names, alloc) -> None:
 
 def cmd_schedule(args) -> int:
     names = _parse_schedule_tasks(args.tasks)
-    tokens = int(float(args.tokens))
+    tokens = float(args.tokens)
+    if not math.isfinite(tokens):
+        raise ValueError(f"token budget must be finite, got {args.tokens}")
+    tokens = int(tokens)
     strategy = scheduler.canonical_strategy(args.strategy)
     if strategy in ("cmtl", "cmtl_plus"):
         basis = scheduler.task_basis(strategy, names)

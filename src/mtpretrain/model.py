@@ -30,6 +30,7 @@ from .tasks import TaskError
 from .tensor import Tensor
 
 MASK_BIAS = -1e9
+TYPE_VOCAB = 2  # segment types: A and B
 
 
 @dataclass
@@ -39,11 +40,16 @@ class ModelConfig:
     hidden: int = 64
     heads: int = 2
     max_seq_len: int = 128
-    type_vocab: int = 2
     task_vocab: int = 16
     dropout: float = 0.1
 
     def __post_init__(self):
+        if self.heads < 1 or self.hidden < 1 or self.layers < 0:
+            raise ValueError(
+                f"need heads >= 1, hidden >= 1 and layers >= 0, got heads "
+                f"{self.heads}, hidden {self.hidden}, layers {self.layers}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout {self.dropout} not in [0, 1)")
         if self.hidden % self.heads != 0:
             raise ValueError(
                 f"hidden {self.hidden} not divisible by heads {self.heads}")
@@ -221,7 +227,7 @@ def param_shapes(config: ModelConfig) -> "list[tuple[str, tuple[int, ...]]]":
     h, v = config.hidden, config.vocab
     shapes = [("embeddings.token", (v, h)),
               ("embeddings.position", (config.max_seq_len, h)),
-              ("embeddings.type", (config.type_vocab, h)),
+              ("embeddings.type", (TYPE_VOCAB, h)),
               ("embeddings.task", (config.task_vocab, h))]
     shapes += _norm_shapes("embeddings.norm", h)
     for i in range(config.layers):
@@ -294,7 +300,7 @@ class Model:
         if not (0 <= batch.task_id < cfg.task_vocab):
             raise ValueError(
                 f"task id {batch.task_id} out of range [0, {cfg.task_vocab})")
-        if types.min() < 0 or types.max() >= cfg.type_vocab:
+        if types.min() < 0 or types.max() >= TYPE_VOCAB:
             raise ValueError("type id out of range")
         b, seq = ids.shape
         if seq > cfg.max_seq_len:
@@ -304,7 +310,7 @@ class Model:
         # over the batch rather than a scatter over every slot: positions
         # repeat across rows, a step has one task id, and the few type rows
         # are a one-hot product.
-        one_hot = types.reshape(-1, 1) == np.arange(cfg.type_vocab)
+        one_hot = types.reshape(-1, 1) == np.arange(TYPE_VOCAB)
         type_rows = tz.constant(one_hot) @ self.params["embeddings.type"]
         x = x + type_rows.reshape(b, seq, -1)
         x = x + (tz.index_rows(self.params["embeddings.position"], np.arange(seq))

@@ -88,7 +88,6 @@ def cmtl_allocation(n_tasks: int, total_tokens: int,
 class ScheduleStep:
     index: int
     tasks: "tuple[str, ...]"
-    tokens: int
     task_id: int
 
 
@@ -106,7 +105,7 @@ class Schedule:
         return iter(self.steps)
 
     def total_tokens(self) -> int:
-        return sum(s.tokens for s in self.steps)
+        return self.batch_tokens * len(self.steps)
 
 
 def _assign_task_ids(step_sets: "list[tuple[str, ...]]") -> "list[int]":
@@ -210,7 +209,7 @@ def make_schedule(strategy: str, tasks, total_tokens: int,
             raise SchedulerError(str(exc)) from exc
 
     ids = _assign_task_ids(step_sets)
-    steps = [ScheduleStep(index=i, tasks=s, tokens=batch_tokens, task_id=t)
+    steps = [ScheduleStep(index=i, tasks=s, task_id=t)
              for i, (s, t) in enumerate(zip(step_sets, ids))]
     return Schedule(strategy=strategy, tasks=tuple(names),
                     batch_tokens=batch_tokens, steps=steps)
@@ -220,6 +219,6 @@ def token_accounting(schedule: Schedule) -> "dict[str, int]":
     totals = {t: 0 for t in schedule.tasks}
     for step in schedule.steps:
         for t in step.tasks:
-            totals[t] += step.tokens
+            totals[t] += schedule.batch_tokens
     return totals
 

@@ -12,13 +12,17 @@ A batch is a (3, B, L) int64 grid with one column per token slot:
 - ``grid[CORRUPT]`` is 1 where corruption inserted, replaced or moved the
   slot.
 
-A batch is built in stages. Stage 1 draws the text of every row and lays
-the rows out in the grid; stages 2-4 then each run over the whole batch:
+A batch is built in stages. Stage 1 draws the text of every row; stages 2-4
+then each run over the whole batch:
 
-1. topology: draw text spans per row. Sets containing qt/fs use the
-   continuation layout (row i + B/2 holds the exact token continuation of
-   row i); sets with a pair task draw [CLS] A [SEP] B [SEP] rows; anything
-   else gets single-segment rows.
+1. topology: draw each row's segments, (document, start, end) token spans
+   in row order. Sets containing qt/fs use the continuation layout (row
+   i + B/2 holds the exact token continuation of row i); sets with a pair
+   task draw [CLS] A [SEP] B [SEP] rows; anything else gets single-segment
+   rows. The segments are laid out in the grid, and each row's RowMeta is
+   derived from them: a pair or single row's is its segments flattened in
+   row order, a continuation row's the one document span its segments
+   cover, however so split or swapped it.
 2. corruption (tcp/scp): insert/replace/permute within each segment, then
    trim back to the segment's original length so row lengths stay fixed.
 3. trigram shuffle (tgs): permute one uniformly chosen trigram per row.
@@ -41,6 +45,7 @@ later batch (tests/test_taskbuild.py pins digests of assembled batches).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 
@@ -91,24 +96,19 @@ class TrainingBatch:
     labels: dict = field(default_factory=dict)
     meta: "list[RowMeta]" = field(default_factory=list)
 
-    @property
-    def batch_size(self) -> int:
-        return self.input_ids.shape[0]
-
-    @property
-    def seq_len(self) -> int:
-        return self.input_ids.shape[1]
-
 
 # ------------------------------------------------------------ span drawing
+#
+# A segment is a (document, start, end) token span within one document;
+# stage 1 describes each row by its segments, in row order. Sentence
+# offsets never decrease, so each end of a run of whole sentences is one
+# binary search: bisect, bounded to the sentences the run may end at,
+# which costs less than one np.searchsorted call on a scalar.
 
 def _greedy_end(off, s0: int, limit: int, budget: int) -> int:
     """The end of the longest run of whole sentences from s0, ending at or
     before sentence limit, whose tokens fit the budget (s0 when none fit)."""
-    s = s0
-    while s < limit and off[s + 1] - off[s0] <= budget:
-        s += 1
-    return s
+    return bisect.bisect_right(off, off[s0] + budget, s0 + 1, limit + 1) - 1
 
 
 def _run_forward(doc, s0: int, budget: int, max_sentence_end: "int | None" = None):
@@ -129,15 +129,11 @@ def _run_backward(doc, s_end: int, budget: int):
     """Greedy run of whole sentences ending exactly at sentence s_end."""
     off = doc.sentence_offsets
     end = int(off[s_end])
-    s = s_end
-    total = 0
-    while s > 0 and total + (off[s] - off[s - 1]) <= budget:
-        total += int(off[s] - off[s - 1])
-        s -= 1
+    s = bisect.bisect_left(off, end - budget, 0, s_end)
     if s == s_end:
         start = max(int(off[s_end - 1]), end - max(1, budget))
         return start, end, s_end - 1
-    return end - total, end, s
+    return int(off[s]), end, s
 
 
 def _a_then_next(doc, rng, budget_a: int, total_budget: int):
@@ -151,8 +147,8 @@ def _a_then_next(doc, rng, budget_a: int, total_budget: int):
 
 
 def _foreign_b(reader, rng, exclude: int, budget: int):
-    """B from a uniformly drawn sentence of another document than exclude;
-    returns that document's index and B's span."""
+    """B from a uniformly drawn sentence of another document than exclude,
+    as a segment."""
     n = len(reader.documents)
     if n < 2:
         raise TaskBuildError(
@@ -163,19 +159,11 @@ def _foreign_b(reader, rng, exclude: int, budget: int):
     other = reader.documents[dj]
     b0, b1, _ = _run_forward(other, int(rng.integers(other.n_sentences)),
                              budget)
-    return dj, (b0, b1)
+    return dj, b0, b1
 
 
-def _pair(a_doc: int, a: "tuple[int, int]", b_doc: int, b: "tuple[int, int]",
-          label: int) -> "tuple[RowMeta, int]":
-    """A pair row's spans as its RowMeta, with its label."""
-    return RowMeta(doc_index=a_doc, token_start=a[0], token_end=a[1],
-                   b_doc_index=b_doc, b_token_start=b[0],
-                   b_token_end=b[1]), label
-
-
-def _draw_pair(reader, mode: str, rng,
-               max_seq_len: int) -> "tuple[RowMeta, int]":
+def _draw_pair(reader, mode: str, rng, max_seq_len: int):
+    """One pair row's two segments, in row order, and its label."""
     total_budget = max_seq_len - 3
     if total_budget < 2:
         raise TaskBuildError(f"max_seq_len {max_seq_len} too small for pairs")
@@ -189,29 +177,29 @@ def _draw_pair(reader, mode: str, rng,
             label = int(rng.random() < 0.5)
             a, b = _a_then_next(doc, rng, budget_a, total_budget)
             if label == 1:
-                return _pair(di, a, di, b, 1)
-            dj, b = _foreign_b(reader, rng, di, total_budget - (a[1] - a[0]))
-            return _pair(di, a, dj, b, 0)
+                return [(di, *a), (di, *b)], 1
+            return [(di, *a), _foreign_b(reader, rng, di,
+                                         total_budget - (a[1] - a[0]))], 0
         if mode == "so":
             a, b = _a_then_next(doc, rng, budget_a, total_budget)
             if rng.random() < 0.5:
-                return _pair(di, b, di, a, 1)
-            return _pair(di, a, di, b, 0)
+                return [(di, *b), (di, *a)], 1
+            return [(di, *a), (di, *b)], 0
         # asp and sdp: label 0 is the next run, 2 a foreign B, 1 differs
         label = int(rng.integers(3))
         if label == 0:
             a, b = _a_then_next(doc, rng, budget_a, total_budget)
-            return _pair(di, a, di, b, 0)
+            return [(di, *a), (di, *b)], 0
         if label == 2:
             a0, a1, _ = _run_forward(doc, int(rng.integers(n)), budget_a)
-            dj, b = _foreign_b(reader, rng, di, total_budget - (a1 - a0))
-            return _pair(di, (a0, a1), dj, b, 2)
+            return [(di, a0, a1), _foreign_b(reader, rng, di,
+                                             total_budget - (a1 - a0))], 2
         if mode == "asp":
             # B precedes A
             s0 = 1 + int(rng.integers(n - 1))
             a0, a1, _ = _run_forward(doc, s0, budget_a)
             b0, b1, _ = _run_backward(doc, s0, total_budget - (a1 - a0))
-            return _pair(di, (a0, a1), di, (b0, b1), 1)
+            return [(di, a0, a1), (di, b0, b1)], 1
         # sdp: B from the same document, at least one sentence after A
         if n < 3:
             continue
@@ -222,24 +210,15 @@ def _draw_pair(reader, mode: str, rng,
             continue
         b_start = a_end + 1 + int(rng.integers(n - a_end - 1))
         b0, b1, _ = _run_forward(doc, b_start, total_budget - (a1 - a0))
-        return _pair(di, (a0, a1), di, (b0, b1), 1)
+        return [(di, a0, a1), (di, b0, b1)], 1
     raise TaskBuildError(f"could not draw a {mode} pair after "
                          f"{MAX_DRAW_TRIES} attempts")
 
 
-@dataclass
-class _ContinuationDraw:
-    doc: int
-    # token spans of the two rows; row 2 starts exactly where row 1 ends
-    row1: "tuple[int, int]"
-    row2: "tuple[int, int]"
-    # sentence index ranges when rows are whole-sentence runs, else None
-    row1_sents: "tuple[int, int] | None"
-    row2_sents: "tuple[int, int] | None"
-
-
-def _draw_continuation(reader, rng, capacity: int,
-                       min_sentences: int) -> _ContinuationDraw:
+def _draw_continuation(reader, rng, capacity: int, min_sentences: int):
+    """A document and three token cuts: the first row holds [c0, c1), its
+    continuation row [c1, c2). Also the sentences at the cuts when the rows
+    are whole-sentence runs, else None."""
     docs = reader.documents
     for _ in range(MAX_DRAW_TRIES):
         di = int(rng.integers(len(docs)))
@@ -255,10 +234,8 @@ def _draw_continuation(reader, rng, capacity: int,
         b_end = _greedy_end(off, a_end, n, capacity)
         if b_end - a_end < min_sentences:
             continue
-        return _ContinuationDraw(
-            di, (int(off[s0]), int(off[a_end])),
-            (int(off[a_end]), int(off[b_end])),
-            (s0, a_end), (a_end, b_end))
+        sentences = (s0, a_end, b_end)
+        return di, [int(off[s]) for s in sentences], sentences
     if min_sentences > 1:
         raise TaskBuildError(
             "no document supports continuation pairing with a sentence-"
@@ -275,79 +252,68 @@ def _draw_continuation(reader, rng, capacity: int,
         end = min(doc.n_tokens, mid + half)
         if mid <= t0 or end <= mid:
             continue
-        return _ContinuationDraw(di, (t0, mid), (mid, end), None, None)
+        return di, [t0, mid, end], None
     raise TaskBuildError("no document long enough for continuation pairing")
-
-
-# ------------------------------------------------------------ row assembly
-
-def _table_span(reader, doc_index: int, start: int, end: int):
-    """A document's [start, end) token span in the reader-wide table."""
-    base = int(reader.doc_starts[doc_index])
-    return base + start, base + end
 
 
 def _draw_rows(reader, names, rng, batch_size, max_seq_len):
     """Stage 1: choose text.
 
-    Returns one (segments, meta, pair label) tuple per row, where segments
-    are [start, end) spans of the reader-wide token table and the pair
-    label is None for sets without a pair task, and the continuation flag.
+    Returns each row's segments, the pair labels (None for a set without a
+    pair task) and the continuation flag.
     """
-    continuation = bool(CONTINUATION_TASKS & set(names))
-    pair_mode = next((t for t in ("nsp", "asp", "sdp", "so") if t in names), None)
     docs = reader.documents
-    rows = []
-
-    if continuation:
+    if CONTINUATION_TASKS & names:
         if batch_size % 2 != 0:
             raise TaskBuildError(
                 f"continuation pairing needs an even batch size, got {batch_size}")
         with_so = "so" in names
         capacity = max_seq_len - (3 if with_so else 2)
-        min_sentences = 2 if with_so else 1
-        firsts, seconds = [], []
-        for _ in range(batch_size // 2):
-            draw = _draw_continuation(reader, rng, capacity, min_sentences)
-            doc = docs[draw.doc]
-            for span, sents, bucket in ((draw.row1, draw.row1_sents, firsts),
-                                        (draw.row2, draw.row2_sents, seconds)):
-                meta = RowMeta(doc_index=draw.doc, token_start=span[0],
-                               token_end=span[1])
-                if with_so:
-                    s_lo, s_hi = sents
-                    split = s_lo + 1 + int(rng.integers(s_hi - s_lo - 1))
-                    cut = int(doc.sentence_offsets[split])
-                    seg_a = _table_span(reader, draw.doc, span[0], cut)
-                    seg_b = _table_span(reader, draw.doc, cut, span[1])
-                    swapped = int(rng.random() < 0.5)
-                    segments = [seg_b, seg_a] if swapped else [seg_a, seg_b]
-                    bucket.append((segments, meta, swapped))
-                else:
-                    bucket.append(([_table_span(reader, draw.doc, *span)],
-                                   meta, None))
-        return firsts + seconds, True
+        half = batch_size // 2
+        rows = [None] * batch_size
+        labels = [0] * batch_size if with_so else None
+        for i in range(half):
+            di, cuts, sentences = _draw_continuation(
+                reader, rng, capacity, 2 if with_so else 1)
+            # row i holds the first run, row i + half its continuation; so
+            # splits each at a sentence inside it and may swap the halves
+            for r, k in ((i, 0), (i + half, 1)):
+                if not with_so:
+                    rows[r] = [(di, cuts[k], cuts[k + 1])]
+                    continue
+                s_lo, s_hi = sentences[k], sentences[k + 1]
+                split = s_lo + 1 + int(rng.integers(s_hi - s_lo - 1))
+                cut = int(docs[di].sentence_offsets[split])
+                labels[r] = int(rng.random() < 0.5)
+                a, b = (di, cuts[k], cut), (di, cut, cuts[k + 1])
+                rows[r] = [b, a] if labels[r] else [a, b]
+        return rows, labels, True
 
+    pair_mode = next((t for t in ("nsp", "asp", "sdp", "so") if t in names), None)
     if pair_mode is not None:
-        for _ in range(batch_size):
-            meta, label = _draw_pair(reader, pair_mode, rng, max_seq_len)
-            segments = [
-                _table_span(reader, meta.doc_index, meta.token_start,
-                            meta.token_end),
-                _table_span(reader, meta.b_doc_index, meta.b_token_start,
-                            meta.b_token_end)]
-            rows.append((segments, meta, label))
-        return rows, False
+        drawn = [_draw_pair(reader, pair_mode, rng, max_seq_len)
+                 for _ in range(batch_size)]
+        return [s for s, _ in drawn], [label for _, label in drawn], False
 
     budget = max_seq_len - 2
+    rows = []
     for _ in range(batch_size):
         di = int(rng.integers(len(docs)))
         doc = docs[di]
-        s0 = int(rng.integers(doc.n_sentences))
-        a0, a1, _ = _run_forward(doc, s0, budget)
-        meta = RowMeta(doc_index=di, token_start=a0, token_end=a1)
-        rows.append(([_table_span(reader, di, a0, a1)], meta, None))
-    return rows, False
+        a0, a1, _ = _run_forward(doc, int(rng.integers(doc.n_sentences)),
+                                 budget)
+        rows.append([(di, a0, a1)])
+    return rows, None, False
+
+
+def _row_meta(segments, continuation: bool) -> RowMeta:
+    """A row's provenance: a continuation row's one document span, however
+    so split or swapped it; else its segments flattened in row order."""
+    if continuation:
+        di = segments[0][0]
+        return RowMeta(di, min(s for _, s, _ in segments),
+                       max(e for _, _, e in segments))
+    return RowMeta(*(v for segment in segments for v in segment))
 
 
 # ----------------------------------------------------------- batch stages
@@ -357,9 +323,11 @@ def _layout(reader, vocab, rows, seq: int):
     each row's length, and the first column of its second segment (L for a
     row with one segment)."""
     b = len(rows)
-    counts = [len(segments) for segments, _, _ in rows]
-    spans = np.array([span for segments, _, _ in rows for span in segments],
-                     dtype=np.int64).reshape(-1, 2)
+    counts = [len(segments) for segments in rows]
+    segments = np.array([s for row in rows for s in row],
+                        dtype=np.int64).reshape(-1, 3)
+    # each segment's [start, end) in the reader-wide token table
+    spans = reader.doc_starts[segments[:, :1]] + segments[:, 1:]
     seg_row = np.repeat(np.arange(b), counts)
     sizes = spans[:, 1] - spans[:, 0]
     # each segment starts after [CLS] and the earlier segments of its row,
@@ -547,8 +515,8 @@ def assemble_batch(reader, vocab, task_set, batch_size: int, max_seq_len: int,
         rng = np.random.default_rng([abs(int(seed)), int(step), 11])
     name_set = set(names)
 
-    rows, continuation = _draw_rows(reader, name_set, rng, batch_size,
-                                    max_seq_len)
+    rows, pair_labels, continuation = _draw_rows(reader, name_set, rng,
+                                                 batch_size, max_seq_len)
     grid, lengths, second = _layout(reader, vocab, rows, max_seq_len)
     if CORRUPTION_TASKS & name_set:
         grid = _corrupt(grid, rng, vocab)
@@ -591,11 +559,11 @@ def assemble_batch(reader, vocab, task_set, batch_size: int, max_seq_len: int,
     if "tgs" in name_set:
         labels["tgs"] = {"starts": tgs_starts, "labels": tgs_classes}
     for task in PAIR_TASKS & name_set:
-        labels[task] = np.asarray([label for _, _, label in rows],
-                                  dtype=np.int64)
+        labels[task] = np.asarray(pair_labels, dtype=np.int64)
 
     return TrainingBatch(input_ids=grid[ID], type_ids=type_ids,
                          attention_mask=attention, special_mask=special,
                          task_id=task_id, task_set=tuple(names),
                          continuation_paired=continuation, labels=labels,
-                         meta=[meta for _, meta, _ in rows])
+                         meta=[_row_meta(segments, continuation)
+                               for segments in rows])

@@ -698,6 +698,9 @@ def check_gradients(loss_fn: Callable[[], Tensor], params: "dict[str, Tensor]",
     gradient pairs are judged on absolute terms. Requires float64 tensors;
     float32 does not give the differences enough precision to mean anything.
     """
+    if max_entries is not None and max_entries < 1:
+        raise ValueError(f"gradient check needs at least one entry per "
+                         f"parameter, got {max_entries}")
     for name, p in params.items():
         if p.data.dtype != np.float64:
             raise ValueError(

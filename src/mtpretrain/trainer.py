@@ -237,7 +237,7 @@ def train(config: TrainConfig) -> TrainResult:
                     f"non-finite loss at step {step.index}: {value}")
             optimizer.zero_grad()
             total.backward()
-            tokens_seen += step.tokens
+            tokens_seen += schedule.batch_tokens
             lr = tz.lr_at(tokens_seen, total_for_lr, base_lr=config.base_lr,
                           warmup_frac=config.warmup_frac)
             optimizer.step(lr)

@@ -202,12 +202,15 @@ class DrawQueue:
 
 
 def layout_rows(reader, vocab, rows) -> "list[np.ndarray]":
-    """Stage 1's rows as (3, n) arrays: [CLS] A [SEP] (B [SEP])."""
+    """Stage 1's rows of (document, start, end) segments as (3, n) arrays:
+    [CLS] A [SEP] (B [SEP])."""
     out = []
-    for segments, _, _ in rows:
+    for segments in rows:
         cols = [(SPECIAL, vocab.cls_id)]
-        for start, end in segments:
-            cols += [(p, int(reader.token_ids[p])) for p in range(start, end)]
+        for doc, start, end in segments:
+            base = int(reader.doc_starts[doc])
+            tokens = reader.documents[doc].token_ids[start:end]
+            cols += [(base + start + k, int(t)) for k, t in enumerate(tokens)]
             cols.append((SPECIAL, vocab.sep_id))
         row = np.zeros((3, len(cols)), dtype=np.int64)
         row[POS], row[ID] = zip(*cols)

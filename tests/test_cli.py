@@ -82,6 +82,14 @@ def test_schedule_shared_task_alone_is_refused_by_name(capsys, strategy):
                            f"auxiliary task besides mlm")
 
 
+@pytest.mark.parametrize("tokens", ["1e400", "inf", "nan"])
+def test_schedule_refuses_non_finite_budget(capsys, tokens):
+    code, out, err = run(capsys, "schedule", "--strategy", "sum",
+                         "--tasks", "mlm", "--tokens", tokens)
+    assert code == 1 and not out
+    assert err.startswith("error: token budget must be finite")
+
+
 # ----------------------------------------------------------------- analyze
 
 def test_analyze_bundled_table(capsys):
@@ -131,6 +139,13 @@ def test_gradcheck_passes_at_small_scale(capsys):
     assert code == 0, err
     assert "overall max relative error" in out
     assert "qt,fs" in out
+
+
+def test_gradcheck_of_no_entries_is_refused(capsys):
+    code, out, err = run(capsys, "gradcheck", "--samples", "0")
+    assert code == 1
+    assert "overall max relative error" not in out
+    assert err.startswith("error: gradient check needs at least one entry")
 
 
 # ----------------------------------------------------------------- prepare

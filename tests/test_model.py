@@ -124,6 +124,17 @@ def test_config_validation_and_roundtrip():
         ModelConfig(vocab=10, hidden=30, heads=4)
     cfg = ModelConfig(vocab=10, hidden=32, heads=4, dropout=0.2)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    # configs written when the type table size was a field still load
+    assert ModelConfig.from_dict({**cfg.to_dict(), "type_vocab": 2}) == cfg
+
+
+@pytest.mark.parametrize("bad", [
+    {"heads": 0}, {"heads": -2}, {"hidden": 0}, {"layers": -1},
+    {"dropout": 1.0}, {"dropout": 1.5}, {"dropout": -0.1},
+    {"dropout": float("nan")}])
+def test_config_refuses_impossible_sizes_and_rates(bad):
+    with pytest.raises(ValueError):
+        ModelConfig(**{"vocab": 10, "hidden": 8, "heads": 2, **bad})
 
 
 # ---------------------------------------------------------------- forward

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -502,14 +503,12 @@ def test_sentence_runs_match_loop_forms():
     for _ in range(60):
         n = int(rng.integers(1, 12))
         off = np.concatenate([[0], np.cumsum(rng.integers(0, 5, n))])
-        doc = type("Doc", (), {"sentence_offsets": off})
+        doc = SimpleNamespace(sentence_offsets=off)
         for budget in range(-1, int(off[-1]) + 3):
             for s0 in range(n):
                 for limit in range(s0, n + 1):
                     assert tb._greedy_end(off, s0, limit, budget) == \
                         oracles.greedy_end_loop(off, s0, limit, budget)
-            if budget < 0:
-                continue
             for s_end in range(1, n + 1):
                 assert tb._run_backward(doc, s_end, budget) == \
                     oracles.run_backward_loop(off, s_end, budget)
@@ -561,7 +560,7 @@ def test_whole_batch_stages_match_per_row_oracle(small_reader, word_vocab):
         names = set(task_set)
         for step in range(15):
             rec = oracles.RecordingRng(np.random.default_rng([41, step, 11]))
-            rows, _ = tb._draw_rows(small_reader, names, rec, b, seq)
+            rows, _, _ = tb._draw_rows(small_reader, names, rec, b, seq)
             rec.calls.clear()
             want = oracles.layout_rows(small_reader, word_vocab, rows)
             grid, lengths, _ = tb._layout(small_reader, word_vocab, rows, seq)
@@ -612,7 +611,7 @@ def test_corruption_and_mask_split_rates_five_sigma(small_reader, word_vocab):
     names = {"tcp", "mlm"}
     for step in range(200):
         rec = oracles.RecordingRng(np.random.default_rng([43, step, 11]))
-        rows, _ = tb._draw_rows(small_reader, names, rec, 16, 64)
+        rows, _, _ = tb._draw_rows(small_reader, names, rec, 16, 64)
         rec.calls.clear()
         grid, lengths, _ = tb._layout(small_reader, word_vocab, rows, 64)
         slots += int(lengths.sum()) - 2 * len(rows)

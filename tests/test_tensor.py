@@ -270,6 +270,14 @@ def test_check_gradients_requires_float64():
     tz.set_default_dtype("float64")
 
 
+@pytest.mark.parametrize("max_entries", [0, -1])
+def test_check_gradients_refuses_fewer_than_one_entry(max_entries):
+    w = Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(ValueError, match="at least one entry"):
+        tz.check_gradients(lambda: (w * w).sum(), {"w": w},
+                           max_entries=max_entries)
+
+
 # --------------------------------------------------------------------- adam
 
 def test_adam_zero_gradient_fixed_point():
