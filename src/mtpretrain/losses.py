@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as tz
+from .taskbuild import trim
 from .tasks import TaskError
 from .tensor import Tensor
 
@@ -117,9 +118,11 @@ def batch_losses(model, batch, rng=None) -> "dict[str, Tensor]":
     """Full forward pass: embed, encode, run each task head and its loss.
 
     The heads come from the model's head table (`model.heads`); an unknown
-    task is refused by `model.head`. When every head reads [CLS], the
+    task is refused by `model.head`. The forward runs on the batch cut to
+    its longest row (`taskbuild.trim`). When every head reads [CLS], the
     encoder's last layer runs at the [CLS] rows only. Dropout is on
     exactly when `rng` is given: it draws the masks."""
+    batch = trim(batch)
     names = batch.task_set
     heads = [model.head(t, batch) for t in names]
     emb = model.embed(batch, rng=rng)

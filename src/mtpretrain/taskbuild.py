@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,6 +68,9 @@ POS, ID, CORRUPT = 0, 1, 2
 SPECIAL, FRESH = -1, -2
 # corruption ops, in the order their draws index them
 INSERT, REPLACE, PERMUTE = 0, 1, 2
+# the tasks whose labels are (B, L) grids, one cell per slot; every other
+# label is per row or a column inside its row
+GRID_TASKS = ("tf", "tfidf", "tlp", "cap", "tcp")
 
 
 class TaskBuildError(ValueError):
@@ -95,6 +98,27 @@ class TrainingBatch:
     continuation_paired: bool
     labels: dict = field(default_factory=dict)
     meta: "list[RowMeta]" = field(default_factory=list)
+
+
+def trim(batch: TrainingBatch) -> TrainingBatch:
+    """The batch cut to w, the length of its longest row: views over
+    columns [0, w) of the input grids and the label grids, every other
+    label as it is. A batch whose longest row fills it comes back as is.
+
+    Batches keep their (B, max_seq_len) shape, which the token accounting
+    counts; the forward and backward run on the cut, since the columns
+    past w hold only padding."""
+    w = int(batch.attention_mask.sum(axis=1).max())
+    if w == batch.input_ids.shape[1]:
+        return batch
+    labels = dict(batch.labels)
+    for task in GRID_TASKS:
+        if task in labels:
+            labels[task] = {k: grid[:, :w] for k, grid in labels[task].items()}
+    return replace(batch, input_ids=batch.input_ids[:, :w],
+                   type_ids=batch.type_ids[:, :w],
+                   attention_mask=batch.attention_mask[:, :w],
+                   special_mask=batch.special_mask[:, :w], labels=labels)
 
 
 # ------------------------------------------------------------ span drawing
@@ -509,6 +533,8 @@ def assemble_batch(reader, vocab, task_set, batch_size: int, max_seq_len: int,
     Deterministic given (seed, step); the rng argument overrides that
     derivation when a caller manages its own stream.
     """
+    if batch_size < 1:
+        raise TaskBuildError(f"batch size must be at least 1, got {batch_size}")
     names = [canonical_task(t) for t in task_set]
     validate_compatibility(names)
     if rng is None:

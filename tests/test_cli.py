@@ -148,6 +148,15 @@ def test_gradcheck_of_no_entries_is_refused(capsys):
     assert err.startswith("error: gradient check needs at least one entry")
 
 
+@pytest.mark.parametrize("size", ["0", "-2"])
+def test_gradcheck_of_an_empty_batch_is_refused(capsys, size):
+    code, out, err = run(capsys, "gradcheck", "--samples", "1",
+                         "--batch-size", size)
+    assert code == 1
+    assert "overall max relative error" not in out
+    assert err.startswith(f"error: batch size must be at least 1, got {size}")
+
+
 # ----------------------------------------------------------------- prepare
 
 def test_prepare_and_rerun_up_to_date(capsys, tmp_path):

@@ -487,11 +487,55 @@ def test_padding_rows_marked_special_and_unattended(small_reader, word_vocab):
     assert np.all(batch.input_ids[pad] == word_vocab.pad_id)
 
 
+@pytest.mark.parametrize("size", [0, -2])
+def test_batch_size_below_one_is_refused(small_reader, word_vocab, size):
+    with pytest.raises(tb.TaskBuildError, match="batch size must be at least"):
+        tb.assemble_batch(small_reader, word_vocab, ("mlm",), size, 16)
+
+
 def test_row_longer_than_max_seq_len_is_refused(small_reader, word_vocab):
     # at max_seq_len 2 a single row still takes one token: [CLS] t [SEP]
     with pytest.raises(tb.TaskBuildError,
                        match="row length 3 exceeds max_seq_len 2"):
         tb.assemble_batch(small_reader, word_vocab, ("mlm",), 4, 2)
+
+
+# ------------------------------------------------------------------ trim
+
+@pytest.mark.parametrize("task_set", [
+    ("tf", "tfidf", "tlp", "cap", "tcp", "mlm", "sbo", "tgs", "scp"),
+    ("nsp",), ("qt", "fs")], ids=",".join)
+def test_trim_cuts_inputs_and_label_grids_to_views(small_reader, word_vocab,
+                                                   task_set):
+    batch = tb.assemble_batch(small_reader, word_vocab, task_set, 8, 40,
+                              seed=3, step=2)
+    w = int(batch.attention_mask.sum(axis=1).max())
+    assert w < 40
+    # past the longest row every column is padding
+    assert not batch.attention_mask[:, w:].any()
+    assert batch.special_mask[:, w:].all()
+    cut = tb.trim(batch)
+    for name in ("input_ids", "type_ids", "attention_mask", "special_mask"):
+        full, part = getattr(batch, name), getattr(cut, name)
+        assert part.shape == (8, w) and np.shares_memory(part, full), name
+        assert np.array_equal(part, full[:, :w]), name
+    for task, lab in batch.labels.items():
+        if task in tb.GRID_TASKS:
+            for key, grid in lab.items():
+                assert cut.labels[task][key].shape == (8, w), (task, key)
+                assert np.shares_memory(cut.labels[task][key], grid)
+                assert not grid[:, w:].any(), (task, key)
+        else:
+            assert cut.labels[task] is lab, task
+    if "mlm" in batch.labels:
+        assert batch.labels["mlm"]["right"][:, 1].max() < w
+    if "tgs" in batch.labels:
+        assert batch.labels["tgs"]["starts"].max() + 2 < w
+    assert (cut.meta, cut.task_set, cut.task_id) \
+        == (batch.meta, batch.task_set, batch.task_id)
+    # the batch itself keeps its full width
+    assert batch.input_ids.shape == (8, 40)
+    assert tb.trim(cut) is cut
 
 
 # ------------------------------------------------------------ span drawing

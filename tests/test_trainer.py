@@ -353,3 +353,30 @@ def test_probe_features_match_the_full_last_layer(
     x_full, y_full = tr._probe_features(model, reader, vocab, spec, 2, 0)
     assert np.array_equal(y_cls, y_full)
     np.testing.assert_allclose(x_cls, x_full, rtol=0, atol=1e-12)
+
+
+def test_probe_features_match_the_untrimmed_batches(
+        small_store, word_vocab_path, tmp_path, float64_mode, monkeypatch):
+    # the probe encodes each batch cut to its longest row; in float64 its
+    # features equal those of the full-width batch
+    cfg = make_config(small_store, word_vocab_path, tmp_path,
+                      max_seq_len=32, layers=2)
+    vocab = load_vocab(cfg.vocab)
+    reader = load_corpus(cfg.corpus)
+    model = tr.build_model(cfg, vocab, 1)
+    spec = tr.ProbeSpec(n_train_batches=2, n_eval_batches=2,
+                        batch_size=16, max_seq_len=32)
+    real = model.encode
+    widths = []
+
+    def spy(x, mask, rng=None, cls_only=False):
+        widths.append(x.shape[1])
+        return real(x, mask, rng=rng, cls_only=cls_only)
+
+    model.encode = spy
+    x_cut, y_cut = tr._probe_features(model, reader, vocab, spec, 2, 0)
+    monkeypatch.setattr(tr, "trim", lambda batch: batch)
+    x_full, y_full = tr._probe_features(model, reader, vocab, spec, 2, 0)
+    assert max(widths[:2]) < 32 and widths[2:] == [32, 32]
+    assert np.array_equal(y_cut, y_full)
+    np.testing.assert_allclose(x_cut, x_full, rtol=1e-12, atol=0)
