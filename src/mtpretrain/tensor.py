@@ -44,9 +44,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-6
 GRADCHECK_STEP = 1e-5  # central-difference step of check_gradients
 VOCAB_CHUNK_ROWS = 256  # rows of the logit block vocab_cross_entropy holds
-# _rows_max takes numpy's reduction from this row length or above this size
-ROWS_MAX_LONG_ROW = 96
-ROWS_MAX_LARGE_SIZE = 1 << 18
 
 
 def set_default_dtype(dtype) -> None:
@@ -87,13 +84,9 @@ def _rows_dot(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _rows_max(a: np.ndarray) -> np.ndarray:
-    """The max over the last axis, keeping it. For short rows of a small
-    array it is taken over the first axis of a transposed copy, an
-    elementwise maximum of whole rows, several times faster than numpy's
-    reduction along short rows; long rows or a large array, where the copy
-    costs more than it saves, take numpy's reduction."""
-    if a.shape[-1] >= ROWS_MAX_LONG_ROW or a.size > ROWS_MAX_LARGE_SIZE:
-        return a.max(axis=-1, keepdims=True)
+    """The max over the last axis, keeping it. Taken over the first axis of
+    a transposed copy it is an elementwise maximum of whole rows, several
+    times faster than numpy's reduction along short rows."""
     rows = np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T)
     return rows.max(axis=0).reshape(a.shape[:-1] + (1,))
 

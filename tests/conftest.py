@@ -16,13 +16,13 @@ def float64_mode():
 @pytest.fixture()
 def spy_encode_rows():
     """Install a spy on a model's encode; it returns the list of the
-    `cls_only` flag of each later call."""
+    (`cls_only` flag, input width) of each later call."""
     def install(model):
         seen = []
         real = model.encode
 
         def spy(x, mask, rng=None, cls_only=False):
-            seen.append(cls_only)
+            seen.append((cls_only, x.shape[1]))
             return real(x, mask, rng=rng, cls_only=cls_only)
 
         model.encode = spy

@@ -3,8 +3,7 @@
 Everything here is deliberately written from scratch with different
 machinery than the library (plain loops, collections.Counter, quadrature)
 so that agreement is meaningful. The fused tensor ops are checked against
-chains of the library's primitive ops instead, and the forward cut to a
-batch's longest row against the same loop over the full-width batch.
+chains of the library's primitive ops instead.
 """
 
 from __future__ import annotations
@@ -148,20 +147,6 @@ def primitive_dropout(x, p, rng):
     keep = 1.0 - p
     mask = (rng.random(x.data.shape) < keep).astype(x.data.dtype) / keep
     return x * tz.constant(mask)
-
-
-# ------------------------------------------------------ untrimmed forward
-
-def untrimmed_batch_losses(model, batch):
-    """losses.batch_losses' embed -> encode -> head loop on the full-width
-    batch: every trailing pad column runs through the forward."""
-    heads = [model.head(t, batch) for t in batch.task_set]
-    hidden = model.encode(model.embed(batch), batch.attention_mask,
-                          cls_only=bool(heads) and all(h.reads for h in heads))
-    pooled = model.pool(hidden) \
-        if any(h.reads == "pooled" for h in heads) else None
-    return {t: head.loss(t, model.head_forward(t, hidden, batch, pooled), batch)
-            for t, head in zip(batch.task_set, heads)}
 
 
 # ------------------------------------------------------ batch stages per row

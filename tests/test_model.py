@@ -9,7 +9,6 @@ from mtpretrain import tensor as tz
 from mtpretrain.model import (HEADS, Model, ModelConfig, param_shapes,
                               truncated_normal)
 from mtpretrain.tasks import TASK_ORDER, TaskError
-from oracles import untrimmed_batch_losses
 
 
 class FakeBatch:
@@ -355,14 +354,15 @@ def test_batch_losses_refuses_unknown_task_by_name():
         ls.batch_losses(model, batch)
 
 
-# ------------------------------------------------- last layer at head rows
+# ------------------------- last layer at head rows, up to the longest row
 
 #: the tasks whose heads read only the [CLS] row of each batch row
 CLS_TASKS = {"nsp", "asp", "so", "sdp", "scp", "qt"}
 
 
 def full_layer_losses(model, batch):
-    """batch_losses' forward with the last layer run at every row."""
+    """batch_losses' forward with the last layer run at every row of the
+    full-width batch, trailing pad columns included."""
     hidden = model.encode(model.embed(batch), batch.attention_mask)
     return {t: HEADS[t].loss(t, model.head_forward(t, hidden, batch), batch)
             for t in batch.task_set}
@@ -394,10 +394,13 @@ def test_last_layer_at_head_rows_matches_full_layer(
     model = Model(cfg, np.random.default_rng(3))
     batch = assemble_batch(small_reader, word_vocab, task_set, 8, 24,
                            seed=2, step=1)
+    # the forward runs up to the longest row, short of the batch's width
+    w = int(batch.attention_mask.sum(axis=1).max())
+    assert w < 24
     seen = spy_encode_rows(model)
     pruned = ls.batch_losses(model, batch)
     loss, grads = loss_and_grads(model, pruned, task_set)
-    assert seen == [set(task_set) <= CLS_TASKS]
+    assert seen == [(set(task_set) <= CLS_TASKS, w)]
     ref = full_layer_losses(model, batch)
     ref_loss, ref_grads = loss_and_grads(model, ref, task_set)
     for t in task_set:
@@ -462,67 +465,12 @@ def test_vocab_loss_matches_linear_and_cross_entropy(
 
 # ------------------------------------------------ forward up to the longest row
 
-#: the task set of the benchmark's token-mix workload
-TOKEN_MIX_TASKS = ("mlm", "sbo", "tcp", "scp", "tgs", "cap", "tfidf", "tlp")
-
-
-def _trim_sets():
-    from mtpretrain.cli import GRADCHECK_SETS
-    return [tuple(s) for s in GRADCHECK_SETS] + [TOKEN_MIX_TASKS]
-
-
-def spy_encode_width(model):
-    """Record the (width, cls_only) of each later encode call."""
-    seen = []
-    real = model.encode
-
-    def spy(x, mask, rng=None, cls_only=False):
-        seen.append((x.shape[1], cls_only))
-        return real(x, mask, rng=rng, cls_only=cls_only)
-
-    model.encode = spy
-    return seen
-
-
-@pytest.mark.parametrize("layers", [2, 0], ids=lambda n: f"layers{n}")
-@pytest.mark.parametrize("task_set", _trim_sets(), ids=",".join)
-def test_trimmed_forward_matches_untrimmed_oracle(
-        task_set, layers, small_reader, word_vocab, float64_mode):
-    from mtpretrain.taskbuild import assemble_batch
-    cfg = ModelConfig(vocab=len(word_vocab), layers=layers, hidden=16,
-                      heads=2, max_seq_len=24, task_vocab=4, dropout=0.0)
-    model = Model(cfg, np.random.default_rng(3))
-    batch = assemble_batch(small_reader, word_vocab, task_set, 8, 24,
-                           seed=2, step=1)
-    w = int(batch.attention_mask.sum(axis=1).max())
-    assert w < 24
-    seen = spy_encode_width(model)
-    trimmed = ls.batch_losses(model, batch)
-    loss, grads = loss_and_grads(model, trimmed, task_set)
-    ref = untrimmed_batch_losses(model, batch)
-    ref_loss, ref_grads = loss_and_grads(model, ref, task_set)
-    cls_only = set(task_set) <= CLS_TASKS
-    assert seen == [(w, cls_only), (24, cls_only)]
-    for t in task_set:
-        assert abs(trimmed[t].item() - ref[t].item()) \
-            <= 1e-12 * max(1.0, abs(ref[t].item())), t
-    assert abs(loss - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
-    for name, g in grads.items():
-        assert (g is None) == (ref_grads[name] is None), name
-        if g is None:
-            continue
-        # the key bias's gradient is analytically zero (a softmax ignores a
-        # shift along its row): both sides are rounding noise, so absolute
-        scale = 1.0 if name.endswith("attn.k.bias") \
-            else float(np.abs(ref_grads[name]).max())
-        assert np.abs(g - ref_grads[name]).max() <= 1e-12 * scale, name
-
-
 def test_full_width_batch_reaches_the_forward_uncopied(small_reader,
                                                        word_vocab):
     from mtpretrain.taskbuild import trim
-    model, batch = equivalence_model_and_batch(TOKEN_MIX_TASKS, small_reader,
-                                               word_vocab)
+    model, batch = equivalence_model_and_batch(
+        ("mlm", "sbo", "tcp", "scp", "tgs", "cap", "tfidf", "tlp"),
+        small_reader, word_vocab)
     full = trim(batch)  # its longest row fills its width
     seen = []
     real = model.embed
@@ -580,7 +528,7 @@ def test_empty_row_union_runs_and_gives_no_gradient(float64_mode,
     batch.task_set = ("mlm", "sbo", "tgs")
     seen = spy_encode_rows(model)
     out = ls.batch_losses(model, batch)
-    assert seen == [False]
+    assert seen == [(False, 8)]
     assert all(out[t].item() == 0.0 for t in batch.task_set)
     ls.combine_losses(out, batch.task_set).backward()
     assert all(p.grad is None for p in model.params.values())

@@ -68,33 +68,6 @@ def test_softmax_rows_sum_to_one():
     np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(4), atol=1e-6)
 
 
-# short rows of small arrays (the benchmark's score shapes), then long rows,
-# then a large array of short rows
-ROWS_MAX_SHAPES = [(8, 2, 24, 24), (32, 4, 30, 30), (64, 1, 57, 57),
-                   (16, 95), (3, 96), (2, 2, 130, 130), (4097, 64)]
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_rows_max_paths_agree_bit_for_bit(dtype, monkeypatch):
-    rng = np.random.default_rng(4)
-    arrays = []
-    for shape in ROWS_MAX_SHAPES:
-        a = (rng.standard_normal(shape) * 30).astype(dtype)
-        a[..., -3:] = -1e9  # masked columns, as the attention scores have
-        arrays.append(a)
-    numpy_path = [a.shape[-1] >= tz.ROWS_MAX_LONG_ROW
-                  or a.size > tz.ROWS_MAX_LARGE_SIZE for a in arrays]
-    assert numpy_path == [False] * 4 + [True] * 3
-    chosen = [tz._rows_max(a) for a in arrays]
-    monkeypatch.setattr(tz, "ROWS_MAX_LONG_ROW", 1 << 62)
-    monkeypatch.setattr(tz, "ROWS_MAX_LARGE_SIZE", 1 << 62)
-    for a, got in zip(arrays, chosen):
-        want = a.max(axis=-1, keepdims=True)
-        assert got.dtype == dtype and got.shape == want.shape
-        assert np.array_equal(got, want)
-        assert np.array_equal(tz._rows_max(a), want)
-
-
 def test_layer_norm_standardizes():
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(loc=3.0, scale=2.0, size=(5, 16)))

@@ -335,9 +335,10 @@ def test_probe_is_deterministic(small_store, word_vocab_path, tmp_path):
 
 def test_probe_features_match_the_full_last_layer(
         small_store, word_vocab_path, tmp_path, float64_mode,
-        spy_encode_rows):
-    # the probe runs the last layer at the [CLS] rows only; in float64 its
-    # features equal those of the full layer
+        spy_encode_rows, monkeypatch):
+    # the probe runs the last layer at the [CLS] rows only, on each batch
+    # cut to its longest row; in float64 its features equal those of the
+    # full layer over the full-width batches
     cfg = make_config(small_store, word_vocab_path, tmp_path,
                       max_seq_len=32, layers=2)
     vocab = load_vocab(cfg.vocab)
@@ -348,35 +349,11 @@ def test_probe_features_match_the_full_last_layer(
     real = model.encode
     seen = spy_encode_rows(model)
     x_cls, y_cls = tr._probe_features(model, reader, vocab, spec, 2, 0)
-    assert seen == [True, True]
+    assert [cls_only for cls_only, _ in seen] == [True, True]
+    assert max(w for _, w in seen) < 32
     model.encode = lambda x, mask, rng=None, cls_only=False: real(x, mask)
+    monkeypatch.setattr(tr, "trim", lambda batch: batch)
     x_full, y_full = tr._probe_features(model, reader, vocab, spec, 2, 0)
     assert np.array_equal(y_cls, y_full)
     np.testing.assert_allclose(x_cls, x_full, rtol=0, atol=1e-12)
 
-
-def test_probe_features_match_the_untrimmed_batches(
-        small_store, word_vocab_path, tmp_path, float64_mode, monkeypatch):
-    # the probe encodes each batch cut to its longest row; in float64 its
-    # features equal those of the full-width batch
-    cfg = make_config(small_store, word_vocab_path, tmp_path,
-                      max_seq_len=32, layers=2)
-    vocab = load_vocab(cfg.vocab)
-    reader = load_corpus(cfg.corpus)
-    model = tr.build_model(cfg, vocab, 1)
-    spec = tr.ProbeSpec(n_train_batches=2, n_eval_batches=2,
-                        batch_size=16, max_seq_len=32)
-    real = model.encode
-    widths = []
-
-    def spy(x, mask, rng=None, cls_only=False):
-        widths.append(x.shape[1])
-        return real(x, mask, rng=rng, cls_only=cls_only)
-
-    model.encode = spy
-    x_cut, y_cut = tr._probe_features(model, reader, vocab, spec, 2, 0)
-    monkeypatch.setattr(tr, "trim", lambda batch: batch)
-    x_full, y_full = tr._probe_features(model, reader, vocab, spec, 2, 0)
-    assert max(widths[:2]) < 32 and widths[2:] == [32, 32]
-    assert np.array_equal(y_cut, y_full)
-    np.testing.assert_allclose(x_cut, x_full, rtol=1e-12, atol=0)
