@@ -320,7 +320,13 @@ class Model:
     def encode(self, x: Tensor, attention_mask,
                rng: "np.random.Generator | None" = None,
                cls_only: bool = False) -> Tensor:
-        """The encoder stack; with `rng`, dropout draws from it.
+        """The encoder stack over (B, L, H) embeddings; with `rng`, dropout
+        draws from it.
+
+        Each layer runs on the flat (B*L, H) rows: the q, k and v
+        projections, one `tz.attention` node, the output projection and
+        the feed-forward, with the residuals and norms between them. The
+        rows are reshaped back to (B, L, H) once, on return.
 
         With `cls_only`, the last layer runs its queries, output projection,
         norms and feed-forward at the [CLS] rows only (keys and values
@@ -328,40 +334,32 @@ class Model:
         no layer to prune, `cls_only` is ignored."""
         cfg = self.config
         b, seq, h = x.shape
-        heads = cfg.heads
-        d = h // heads
         mask = np.asarray(attention_mask, dtype=x.data.dtype)
-        bias = tz.constant(((1.0 - mask) * MASK_BIAS)[:, None, None, :])
-        scale = 1.0 / math.sqrt(d)
+        bias = (1.0 - mask) * MASK_BIAS
+        scale = 1.0 / math.sqrt(h // cfg.heads)
+        x = x.reshape(b * seq, h)
         for i in range(cfg.layers):
             pruned = cls_only and i == cfg.layers - 1
-            flat = x.reshape(b * seq, h)
-            k = self._dense(flat, f"layers.{i}.attn.k")
-            v = self._dense(flat, f"layers.{i}.attn.v")
-            k = k.reshape(b, seq, heads, d).transpose(0, 2, 3, 1)
-            v = v.reshape(b, seq, heads, d).transpose(0, 2, 1, 3)
+            # the projections read x through a node of their own, so x's
+            # gradient adds their sum in one step, as the residual's partner
+            rows = x.reshape(b * seq, h)
+            k = self._dense(rows, f"layers.{i}.attn.k")
+            v = self._dense(rows, f"layers.{i}.attn.v")
             if pruned:
                 # one query per batch row, at [CLS], over that row's keys,
                 # values and mask
-                x = tz.index_rows(flat, np.arange(b) * seq)
-                q = self._dense(x, f"layers.{i}.attn.q").reshape(b, heads, 1, d)
-            else:
-                q = self._dense(flat, f"layers.{i}.attn.q")
-                q = q.reshape(b, seq, heads, d).transpose(0, 2, 1, 3)
-            scores = (q @ k) * scale + bias
-            probs = tz.dropout(tz.softmax(scores), cfg.dropout, rng)
-            ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(-1, h)
+                x = tz.index_rows(rows, np.arange(b) * seq)
+            q = self._dense(x if pruned else rows, f"layers.{i}.attn.q")
+            ctx = tz.attention(q, k, v, bias, cfg.heads, scale, cfg.dropout,
+                               rng)
             attn_out = tz.dropout(self._dense(ctx, f"layers.{i}.attn.out"),
                                   cfg.dropout, rng)
-            x = self._norm(x + attn_out.reshape(x.shape), f"layers.{i}.attn_norm")
-            flat = x.reshape(-1, h)
-            ff = tz.gelu(self._dense(flat, f"layers.{i}.ff.w1"))
+            x = self._norm(x + attn_out, f"layers.{i}.attn_norm")
+            ff = tz.gelu(self._dense(x, f"layers.{i}.ff.w1"))
             ff = tz.dropout(self._dense(ff, f"layers.{i}.ff.w2"),
                             cfg.dropout, rng)
-            x = self._norm(x + ff.reshape(x.shape), f"layers.{i}.ff_norm")
-            if pruned:
-                x = x.reshape(b, 1, h)
-        return x
+            x = self._norm(x + ff, f"layers.{i}.ff_norm")
+        return x.reshape(b, -1, h)
 
     def pool(self, hidden: Tensor) -> Tensor:
         return self._dense(self.cls_rows(hidden), "pooler.dense").tanh()

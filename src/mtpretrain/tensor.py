@@ -5,11 +5,14 @@ checking switches the whole stack to float64 via set_default_dtype so
 central differences have enough headroom.
 
 Every op records one node on the tape. `linear` (x @ W + b), `layer_norm`,
-`gelu`, `softmax`, `dropout`, `cross_entropy` and `vocab_cross_entropy`
+`gelu`, `softmax`, `dropout`, `cross_entropy`, `vocab_cross_entropy`
 (the cross-entropy of logits against a tied vocabulary table, formed a
-row chunk at a time and never kept) are single nodes, each with a
-closed-form backward pass; the arithmetic operators, reshape, transpose,
-sum, matmul, index_rows and concat are the primitives between them.
+row chunk at a time and never kept) and `attention` (multi-head scaled
+dot-product attention from flat query, key and value rows to flat
+context rows, keeping only its probabilities and a boolean dropout
+mask) are single nodes, each with a closed-form backward pass; the
+arithmetic operators, reshape, transpose, sum, matmul, index_rows and
+concat are the primitives between them.
 
 Gradient buffers: a node's first gradient write takes ownership of the
 array it is handed instead of copying it into a zeroed buffer. Every
@@ -20,8 +23,8 @@ parents is copied for the second one. A node drops its own gradient once
 its backward has run, so after `backward()` only leaves hold a `.grad`.
 
 Constants get no gradient: an input that neither requires a gradient nor
-has parents (the attention-mask bias, dropout masks, regression targets)
-is skipped, and its backward term is never computed.
+has parents (dropout masks, regression targets) is skipped, and its
+backward term is never computed.
 """
 
 from __future__ import annotations
@@ -176,14 +179,16 @@ class Tensor:
         out.data = data
         out.grad = None
         out.name = ""
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out.parents = tuple(parents)
-            out._backward = backward
-        else:
-            out.requires_grad = False
-            out.parents = ()
-            out._backward = None
+        # a plain loop: a generator for any() costs more than the test
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out.parents = tuple(parents)
+                out._backward = backward
+                return out
+        out.requires_grad = False
+        out.parents = ()
+        out._backward = None
         return out
 
     @staticmethod
@@ -515,21 +520,104 @@ def vocab_cross_entropy(states: Tensor, table: Tensor, bias: Tensor,
     return Tensor._result(data, (states, table, bias), backward)
 
 
+def _softmax(a: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of an array, as a new array."""
+    probs = a - _rows_max(a)
+    np.exp(probs, out=probs)
+    probs /= _rows_dot(probs, np.ones(a.shape[-1], a.dtype))
+    return probs
+
+
+def _softmax_backward(g: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """The gradient at a softmax's input, given the gradient g at its
+    output probs: p * (g - sum(g * p)), exactly 0 wherever p underflowed
+    to 0."""
+    gx = g * probs
+    np.subtract(g, _rows_dot(gx, np.ones(probs.shape[-1], probs.dtype)),
+                out=gx)
+    gx *= probs
+    return gx
+
+
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    ones = np.ones(x.data.shape[-1], x.data.dtype)
-    probs = x.data - _rows_max(x.data)
-    np.exp(probs, out=probs)
-    probs /= _rows_dot(probs, ones)
+    probs = _softmax(x.data)
 
     def backward(g):
-        # p * (g - sum(g * p)): exactly 0 wherever p underflowed to 0
-        gx = g * probs
-        np.subtract(g, _rows_dot(gx, ones), out=gx)
-        gx *= probs
-        x._accumulate(gx)
+        x._accumulate(_softmax_backward(g, probs))
 
     return Tensor._result(probs, (x,), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray,
+              heads: int, scale: float, p: float,
+              rng: "np.random.Generator | None") -> Tensor:
+    """Multi-head scaled dot-product attention over flat rows, as one node.
+
+    q holds B*m query rows and k, v hold B*L key and value rows, each H
+    wide and split into `heads` heads of H/heads columns; batch row i owns
+    query rows [i*m, (i+1)*m) and key rows [i*L, (i+1)*L). bias is the
+    (B, L) additive key bias (0 for a real key, a large negative number
+    for padding). Returns the (B*m, H) context rows.
+
+    The forward runs the steps of the composed ops in their order: q @ k,
+    times scale (cast to the input dtype), plus bias, softmax, inverted
+    dropout with a mask drawn from `rng` over the (B, heads, m, L)
+    probabilities (none when `rng` is None or p is 0), then probs @ v; the
+    backward applies their backward formulas. So values and gradients are
+    bit-identical to that chain's, and the same draws are taken. The node
+    keeps the probabilities and a boolean keep mask.
+    """
+    bias = np.asarray(bias, dtype=q.data.dtype)
+    qs = q.data.shape
+    if not (bias.ndim == len(qs) == 2 and bias.size and heads >= 1
+            and qs[1] % heads == 0 and qs[0] % bias.shape[0] == 0
+            and k.data.shape == v.data.shape == (bias.size, qs[1])):
+        raise ShapeError(f"attention shapes: q {qs}, k {k.data.shape}, v "
+                         f"{v.data.shape}, bias {bias.shape}, {heads} heads")
+    (b, seq), (rows, h) = bias.shape, qs
+    m, d = rows // b, h // heads
+    q4 = q.data.reshape(b, m, heads, d).transpose(0, 2, 1, 3)
+    k4 = k.data.reshape(b, seq, heads, d).transpose(0, 2, 3, 1)
+    v4 = v.data.reshape(b, seq, heads, d).transpose(0, 2, 1, 3)
+    scale = np.asarray(scale, dtype=q.data.dtype)
+    scores = np.matmul(q4, k4)
+    scores *= scale
+    scores += bias[:, None, None, :]
+    probs = _softmax(scores)
+    keep = 1.0 - p
+    kept = None if rng is None or p <= 0.0 else rng.random(probs.shape) < keep
+
+    def dropped() -> "tuple[np.ndarray, np.ndarray | None]":
+        """The probabilities after dropout, and the scaled keep mask."""
+        if kept is None:
+            return probs, None
+        mask = kept.astype(probs.dtype)
+        mask /= keep
+        return probs * mask, mask
+
+    ctx = np.matmul(dropped()[0], v4)
+    data = ctx.transpose(0, 2, 1, 3).reshape(rows, h)
+
+    def backward(g):
+        g4 = g.reshape(b, m, heads, d).transpose(0, 2, 1, 3)
+        used, mask = dropped()
+        if v.requires_grad:
+            gv = np.matmul(np.swapaxes(used, -1, -2), g4)
+            v._accumulate(gv.transpose(0, 2, 1, 3).reshape(b * seq, h))
+        gs = np.matmul(g4, np.swapaxes(v4, -1, -2))
+        if mask is not None:
+            gs *= mask
+        gs = _softmax_backward(gs, probs)
+        gs *= scale
+        if q.requires_grad:
+            gq = np.matmul(gs, np.swapaxes(k4, -1, -2))
+            q._accumulate(gq.transpose(0, 2, 1, 3).reshape(rows, h))
+        if k.requires_grad:
+            gk = np.matmul(np.swapaxes(q4, -1, -2), gs)
+            k._accumulate(gk.transpose(0, 3, 1, 2).reshape(b * seq, h))
+
+    return Tensor._result(data, (q, k, v), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

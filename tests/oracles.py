@@ -149,6 +149,22 @@ def primitive_dropout(x, p, rng):
     return x * tz.constant(mask)
 
 
+def primitive_attention(q, k, v, bias, heads, scale, p, rng):
+    """tz.attention as the chain of ops it replaced in Model.encode: the
+    flat rows reshaped and transposed into heads, q @ k, the scale, the
+    (B, L) key bias as a constant, tz.softmax, tz.dropout, probs @ v, and
+    the context transposed back to flat rows."""
+    b, seq = bias.shape
+    rows, h = q.shape
+    m, d = rows // b, h // heads
+    q4 = q.reshape(b, m, heads, d).transpose(0, 2, 1, 3)
+    k4 = k.reshape(b, seq, heads, d).transpose(0, 2, 3, 1)
+    v4 = v.reshape(b, seq, heads, d).transpose(0, 2, 1, 3)
+    scores = (q4 @ k4) * scale + tz.constant(bias[:, None, None, :])
+    probs = tz.dropout(tz.softmax(scores), p, rng)
+    return (probs @ v4).transpose(0, 2, 1, 3).reshape(rows, h)
+
+
 # ------------------------------------------------------ batch stages per row
 # taskbuild's stages 2-4 the way they ran before they took whole-batch
 # draws: one segment or row at a time, each slot in column order. They take

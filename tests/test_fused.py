@@ -110,6 +110,80 @@ def test_dropout_consumes_the_same_generator_stream():
     assert a.random() == b.random()
 
 
+# --------------------------------------------------------- attention
+
+ATT_B, ATT_L, ATT_HEADS, ATT_H = 3, 5, 2, 8
+
+
+def attention_inputs(rng, m):
+    """Flat q (B*m, H), k and v (B*L, H), and a (B, L) key bias that pads
+    the tail of row 0 and one key inside row 2."""
+    q = param(rng, ATT_B * m, ATT_H)
+    k, v = param(rng, ATT_B * ATT_L, ATT_H), param(rng, ATT_B * ATT_L, ATT_H)
+    bias = np.zeros((ATT_B, ATT_L))
+    bias[0, 3:] = MASK_BIAS
+    bias[2, 1] = MASK_BIAS
+    return [q, k, v], bias
+
+
+@pytest.mark.parametrize("p", [0.0, 0.4])
+@pytest.mark.parametrize("m", [ATT_L, 1])
+def test_attention_matches_primitive_chain(m, p):
+    rng = np.random.default_rng(50)
+    inputs, bias = attention_inputs(rng, m)
+    upstream = rng.normal(size=(ATT_B * m, ATT_H))
+    results, states = [], []
+    for fn in (tz.attention, oracles.primitive_attention):
+        draws = np.random.default_rng(7)
+        results.append(run(
+            lambda *qkv: fn(*qkv, bias, ATT_HEADS, 0.35, p, draws),
+            inputs, upstream))
+        states.append(draws.bit_generator.state)
+    (got, got_grads), (want, want_grads) = results
+    np.testing.assert_array_equal(got, want)
+    for k, (g, w) in enumerate(zip(got_grads, want_grads)):
+        np.testing.assert_array_equal(g, w, err_msg=f"input {k}")
+    # both drew the same mask, and nothing with dropout off
+    assert states[0] == states[1]
+    assert (states[0] == np.random.default_rng(7).bit_generator.state) \
+        == (p == 0.0)
+    # padded keys pass no gradient to their values
+    value_grad = got_grads[2].reshape(ATT_B, ATT_L, ATT_H)
+    assert np.all(value_grad[0, 3:] == 0.0) and np.all(value_grad[2, 1] == 0.0)
+    if p == 0.0:
+        assert np.all(value_grad[1] != 0.0)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.4])
+@pytest.mark.parametrize("m", [ATT_L, 1])
+def test_attention_gradient_check(m, p):
+    rng = np.random.default_rng(51)
+    (q, k, v), bias = attention_inputs(rng, m)
+    c = tz.constant(rng.normal(size=(ATT_B * m, ATT_H)))
+
+    def loss_fn():
+        draws = np.random.default_rng(8)
+        return (tz.attention(q, k, v, bias, ATT_HEADS, 0.35, p, draws)
+                * c).sum()
+
+    result = tz.check_gradients(loss_fn, {"q": q, "k": k, "v": v})
+    assert result.max_error < 1e-4, result
+
+
+@pytest.mark.parametrize("q_rows, kv_rows, bias_shape, heads", [
+    (15, 15, (3, 5), 3),      # H=8 does not split into 3 heads
+    (14, 15, (3, 5), 2),      # query rows not a multiple of B
+    (15, 12, (3, 5), 2),      # key rows not B*L
+    (15, 15, (15,), 2),       # bias not (B, L)
+])
+def test_attention_refuses_mismatched_shapes(q_rows, kv_rows, bias_shape,
+                                             heads):
+    rng = np.random.default_rng(52)
+    q, k, v = (param(rng, n, ATT_H) for n in (q_rows, kv_rows, kv_rows))
+    with pytest.raises(tz.ShapeError, match="attention shapes"):
+        tz.attention(q, k, v, np.zeros(bias_shape), heads, 0.5, 0.0, None)
+
+
 # ------------------------------------------------- buffer ownership
 
 def test_constants_get_no_gradient():

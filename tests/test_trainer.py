@@ -3,12 +3,16 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from mtpretrain import arrayfile
 from mtpretrain import scheduler as sch
 from mtpretrain import tensor as tz
 from mtpretrain import trainer as tr
 from mtpretrain.corpus import CorpusError, load_corpus
+from mtpretrain.tasks import RANDOM_SECOND_TASKS
 from mtpretrain.tokenizer import SPECIAL_TOKENS, load_vocab
 
 
@@ -146,6 +150,36 @@ def test_training_is_deterministic(small_store, word_vocab_path, tmp_path):
         assert np.array_equal(a[k], b[k])
 
 
+def assert_same_checkpoint(path_a, path_b) -> None:
+    """Equal parameters, Adam moments and Adam step in two checkpoints."""
+    a, b = tz.load_checkpoint(path_a), tz.load_checkpoint(path_b)
+    assert set(a.params) == set(b.params)
+    for k in a.params:
+        assert np.array_equal(a.params[k], b.params[k]), k
+        assert np.array_equal(a.adam_m[k], b.adam_m[k]), k
+        assert np.array_equal(a.adam_v[k], b.adam_v[k]), k
+    assert a.adam_t == b.adam_t
+
+
+@pytest.mark.parametrize("tasks", [["so", "qt"], ["mlm", "sbo", "tcp"]])
+def test_attention_node_trains_like_the_primitive_chain(
+        small_store, word_vocab_path, tmp_path, monkeypatch, tasks):
+    # float32 with dropout on, over a [CLS]-only set (its last layer
+    # pruned) and a token-level set: the node and the chain of ops it
+    # replaced give bit-identical losses and parameters
+    def run(name):
+        return tr.train(make_config(
+            small_store, word_vocab_path, tmp_path, tasks=tasks, layers=2,
+            total_tokens=4 * 8 * 24, checkpoint_path=str(tmp_path / name)))
+
+    node = run("node.mtpt")
+    monkeypatch.setattr(tz, "attention", oracles.primitive_attention)
+    chain = run("chain.mtpt")
+    assert [r.losses for r in node.records] \
+        == [r.losses for r in chain.records]
+    assert_same_checkpoint(node.checkpoint_path, chain.checkpoint_path)
+
+
 def test_resume_is_bit_identical(small_store, word_vocab_path, tmp_path,
                                  monkeypatch):
     mid = tmp_path / "mid.mtpt"
@@ -170,14 +204,62 @@ def test_resume_is_bit_identical(small_store, word_vocab_path, tmp_path,
     assert [r.step for r in resumed.records] == list(range(5, 10))
     assert [r.losses for r in resumed.records] \
         == [r.losses for r in full.records[5:]]
-    a = tz.load_checkpoint(full.checkpoint_path)
+    assert_same_checkpoint(full.checkpoint_path, resumed.checkpoint_path)
     b = tz.load_checkpoint(resumed.checkpoint_path)
-    for k in a.params:
-        assert np.array_equal(a.params[k], b.params[k])
-        assert np.array_equal(a.adam_m[k], b.adam_m[k])
-        assert np.array_equal(a.adam_v[k], b.adam_v[k])
-    assert a.adam_t == b.adam_t == 10
+    assert b.adam_t == 10
     assert b.train_state == {"step": 9, "tokens_seen": 1920}
+
+
+RESUME_STEPS = 20
+
+
+@st.composite
+def resume_cases(draw):
+    """A strategy, mlm with a compatible draw of a pair task, a
+    continuation task and a corruption task, a dropout and the step whose
+    checkpoint the run resumes from."""
+    pair = draw(st.sampled_from([None, "nsp", "asp", "so", "sdp"]))
+    continuation = None if pair in RANDOM_SECOND_TASKS \
+        else draw(st.sampled_from([None, "qt", "fs"]))
+    corruption = draw(st.sampled_from([None, "tcp", "scp"]))
+    aux = [t for t in (pair, continuation, corruption) if t]
+    assume(aux)
+    return (draw(st.sampled_from(sch.STRATEGIES)), ["mlm"] + aux,
+            draw(st.sampled_from([0.0, 0.1])),
+            draw(st.integers(0, RESUME_STEPS - 2)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=resume_cases())
+def test_resume_is_bit_identical_under_every_strategy(
+        small_store, word_vocab_path, tmp_path_factory, case):
+    strategy, tasks, dropout, stop = case
+    tmp = tmp_path_factory.mktemp("resume")
+    batch = 4 * 24
+    kw = dict(tasks=tasks, strategy=strategy, dropout=dropout, batch_size=4,
+              hidden=16, layers=2, total_tokens=RESUME_STEPS * batch,
+              checkpoint_interval=batch)
+    mid = tmp / "mid.mtpt"
+    real_save = tz.save_checkpoint
+
+    def capture(path, *args, step, **kwargs):
+        real_save(path, *args, step=step, **kwargs)
+        if step == stop:
+            shutil.copy(path, mid)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tr.tz, "save_checkpoint", capture)
+        full = tr.train(make_config(
+            small_store, word_vocab_path, tmp,
+            checkpoint_path=str(tmp / "full.mtpt"), **kw))
+    resumed = tr.train(make_config(
+        small_store, word_vocab_path, tmp, resume_from=str(mid),
+        checkpoint_path=str(tmp / "resumed.mtpt"), **kw))
+    assert [r.step for r in resumed.records] \
+        == list(range(stop + 1, RESUME_STEPS))
+    assert [r.losses for r in resumed.records] \
+        == [r.losses for r in full.records[stop + 1:]]
+    assert_same_checkpoint(full.checkpoint_path, resumed.checkpoint_path)
 
 
 def test_resume_after_crash_logs_each_step_once(small_store, word_vocab_path,
@@ -212,13 +294,8 @@ def test_resume_after_crash_logs_each_step_once(small_store, word_vocab_path,
     assert [row["step"] for row in rows] == list(range(10))
     assert [row["losses"] for row in rows] == [r.losses for r in full.records]
     assert [r.step for r in resumed.records] == list(range(5, 10))
-    a = tz.load_checkpoint(full.checkpoint_path)
-    b = tz.load_checkpoint(resumed.checkpoint_path)
-    for k in a.params:
-        assert np.array_equal(a.params[k], b.params[k])
-        assert np.array_equal(a.adam_m[k], b.adam_m[k])
-        assert np.array_equal(a.adam_v[k], b.adam_v[k])
-    assert a.adam_t == b.adam_t == 10
+    assert_same_checkpoint(full.checkpoint_path, resumed.checkpoint_path)
+    assert tz.load_checkpoint(resumed.checkpoint_path).adam_t == 10
 
 
 def test_failed_metrics_rewrite_keeps_the_old_log(tmp_path,
