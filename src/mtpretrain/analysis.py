@@ -137,7 +137,8 @@ def ttest_independent(a: RunStats, b: RunStats,
 
 
 def bonferroni(p_values, m: int) -> "list[float]":
-    if m < len(list(p_values)):
+    p_values = list(p_values)
+    if m < len(p_values):
         raise AnalysisError(
             f"correction factor {m} below the number of comparisons")
     return [min(1.0, p * m) for p in p_values]
@@ -195,7 +196,10 @@ def lilliefors_test(samples,
 # ------------------------------------------------------------ run tables
 
 def load_runs_csv(path) -> "list[RunStats]":
+    """One RunStats per row of a `label,run1,...` table; a label may
+    appear on one row only."""
     runs = []
+    lines: "dict[str, int]" = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -205,8 +209,13 @@ def load_runs_csv(path) -> "list[RunStats]":
         for lineno, row in enumerate(reader, 2):
             if not row or not "".join(row).strip():
                 continue
+            label = row[0].strip()
+            if label in lines:
+                raise AnalysisError(f"{path}:{lineno}: label {label!r} "
+                                    f"repeats line {lines[label]}")
+            lines[label] = lineno
             try:
-                runs.append(RunStats(row[0].strip(),
+                runs.append(RunStats(label,
                                      [float(v) for v in row[1:] if v.strip()]))
             except ValueError as exc:
                 raise AnalysisError(f"{path}:{lineno}: {exc}") from exc

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as tz
-from .taskbuild import trim
+from .taskbuild import slot_rows, trim
 from .tasks import TaskError
 from .tensor import Tensor
 
@@ -61,15 +61,15 @@ def loss_qt(cls_rows: Tensor) -> Tensor:
             + tz.cross_entropy(logits.transpose(), diag)) * 0.5
 
 
-def loss_fs(cls_rows: Tensor, hidden: Tensor, content_mask) -> Tensor:
+def loss_fs(cls_rows: Tensor, rows: Tensor, content_mask) -> Tensor:
     """Cosine-based cross-entropy pulling [CLS] toward continuation tokens.
 
     For each row pair (i, i + B/2), every content token of one row is a
     positive target for the other row's [CLS]: p = (1 + cos)/2, loss -ln p,
     clamped away from zero. Padding and structural specials are excluded
-    via content_mask.
+    via content_mask. rows are the encoder's flat (B*L, H) final states.
     """
-    b, seq, h = hidden.shape
+    b = len(content_mask)
     if b % 2 != 0:
         raise ValueError(f"continuation batch needs even row count, got {b}")
     m = b // 2
@@ -81,9 +81,8 @@ def loss_fs(cls_rows: Tensor, hidden: Tensor, content_mask) -> Tensor:
     if pick.size == 0:
         return zero_loss()
     owners = order[pick]
-    token_idx = source[pick] * seq + cols
     cls_sel = tz.index_rows(cls_rows, owners)
-    tok_sel = tz.index_rows(hidden.reshape(b * seq, h), token_idx)
+    tok_sel = tz.index_rows(rows, slot_rows(rows, b, source[pick], cols))
     cos = tz.cosine_similarity(cls_sel, tok_sel)
     p = ((cos + 1.0) * 0.5).clamp(FS_PROB_FLOOR, 1.0)
     return -(p.log().mean())
@@ -126,12 +125,12 @@ def batch_losses(model, batch, rng=None) -> "dict[str, Tensor]":
     names = batch.task_set
     heads = [model.head(t, batch) for t in names]
     emb = model.embed(batch, rng=rng)
-    hidden = model.encode(emb, batch.attention_mask, rng=rng,
-                          cls_only=bool(heads) and all(h.reads for h in heads))
-    pooled = model.pool(hidden) \
+    rows = model.encode(emb, batch.attention_mask, rng=rng,
+                        cls_only=bool(heads) and all(h.reads for h in heads))
+    pooled = model.pool(rows, len(batch.input_ids)) \
         if any(h.reads == "pooled" for h in heads) else None
     out: "dict[str, Tensor]" = {}
     for t, head in zip(names, heads):
-        preds = model.head_forward(t, hidden, batch, pooled)
+        preds = model.head_forward(t, rows, batch, pooled)
         out[t] = head.loss(t, preds, batch)
     return out

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import losses as ls
 from . import tensor as tz
+from .taskbuild import slot_rows
 from .tasks import TaskError
 from .tensor import Tensor
 
@@ -76,24 +77,23 @@ def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02):
 
 # ------------------------------------------------------------------ heads
 #
-# A head's forward takes (model, task, hidden, flat, batch, pooled), where
-# flat is hidden reshaped to (B*L, H) once per call and pooled is the tanh
-# pooler output for heads that read it; its loss takes (task, predictions,
-# batch) and returns the loss as a scalar Tensor.
+# A head's forward takes (model, task, rows, batch, pooled), where rows are
+# the encoder's flat output, whose slots `slot_rows` locates, and pooled is
+# the tanh pooler output for heads that read it; its loss takes (task,
+# predictions, batch) and returns the loss as a scalar Tensor.
 
-def _mlm_forward(model, task, hidden, flat, batch, pooled):
+def _mlm_forward(model, task, rows, batch, pooled):
     pos = batch.labels["mlm"]["positions"]
-    states = tz.index_rows(flat, pos[:, 0] * hidden.shape[1] + pos[:, 1])
+    states = tz.index_rows(rows, slot_rows(rows, len(batch.input_ids), *pos.T))
     states = model._dense(states, "heads.mlm.transform")
     states = model._norm(tz.gelu(states), "heads.mlm.norm")
     return _vocab_head(model, task, states)
 
 
-def _sbo_forward(model, task, hidden, flat, batch, pooled):
+def _sbo_forward(model, task, rows, batch, pooled):
     """Reads the left and the right boundary of each masked span."""
-    lab = batch.labels["mlm"]
-    left, right = (tz.index_rows(flat, lab[side][:, 0] * hidden.shape[1]
-                                 + lab[side][:, 1])
+    lab, b = batch.labels["mlm"], len(batch.input_ids)
+    left, right = (tz.index_rows(rows, slot_rows(rows, b, *lab[side].T))
                    for side in ("left", "right"))
     states = tz.gelu(model._dense(tz.concat([left, right], axis=-1),
                                   "heads.sbo.dense"))
@@ -107,36 +107,34 @@ def _vocab_head(model, task, states):
             model.params[f"heads.{task}.vocab_bias"])
 
 
-def _token_regression(model, task, hidden, flat, batch, pooled):
-    b, seq, _ = hidden.shape
-    return model._dense(flat, f"heads.{task}").reshape(b, seq)
+def _token_regression(model, task, rows, batch, pooled):
+    return model._dense(rows, f"heads.{task}").reshape(batch.input_ids.shape)
 
 
-def _token_class(model, task, hidden, flat, batch, pooled):
-    b, seq, _ = hidden.shape
-    return model._dense(flat, f"heads.{task}").reshape(
-        b, seq, model.heads[task].outputs)
+def _token_class(model, task, rows, batch, pooled):
+    return model._dense(rows, f"heads.{task}").reshape(
+        *batch.input_ids.shape, model.heads[task].outputs)
 
 
-def _tgs_forward(model, task, hidden, flat, batch, pooled):
+def _tgs_forward(model, task, rows, batch, pooled):
     """Reads the trigram's three positions in each row that has one."""
     starts = batch.labels["tgs"]["starts"]
-    rows = np.nonzero(starts >= 0)[0]
-    base = rows * hidden.shape[1] + starts[rows]
-    parts = [tz.index_rows(flat, base + j) for j in range(3)]
+    valid = np.nonzero(starts >= 0)[0]
+    base = slot_rows(rows, len(starts), valid, starts[valid])
+    parts = [tz.index_rows(rows, base + j) for j in range(3)]
     return model._dense(tz.concat(parts, axis=-1), "heads.tgs")
 
 
-def _sentence_class(model, task, hidden, flat, batch, pooled):
+def _sentence_class(model, task, rows, batch, pooled):
     return model._dense(pooled, f"heads.{task}")
 
 
-def _cls_forward(model, task, hidden, flat, batch, pooled):
-    return model.cls_rows(hidden)
+def _cls_forward(model, task, rows, batch, pooled):
+    return model.cls_rows(rows, len(batch.input_ids))
 
 
-def _fs_forward(model, task, hidden, flat, batch, pooled):
-    return model.cls_rows(hidden), hidden
+def _fs_forward(model, task, rows, batch, pooled):
+    return model.cls_rows(rows, len(batch.input_ids)), rows
 
 
 def _vocab_loss(task, head, batch):
@@ -170,10 +168,10 @@ def _qt_loss(task, cls, batch):
 
 
 def _fs_loss(task, preds, batch):
-    cls, hidden = preds
+    cls, rows = preds
     content = np.asarray(batch.attention_mask, dtype=bool) \
         & ~np.asarray(batch.special_mask, dtype=bool)
-    return ls.loss_fs(cls, hidden, content)
+    return ls.loss_fs(cls, rows, content)
 
 
 def _dense_shapes(prefix: str, n_in: int, n_out: int):
@@ -263,7 +261,7 @@ class Model:
                 values = np.zeros(shape)
             else:
                 values = truncated_normal(rng, shape)
-            self.params[name] = tz.parameter(values, name=name)
+            self.params[name] = tz.parameter(values)
 
     def load_values(self, values: "dict[str, np.ndarray]") -> None:
         missing = set(self.params) - set(values)
@@ -321,16 +319,16 @@ class Model:
                rng: "np.random.Generator | None" = None,
                cls_only: bool = False) -> Tensor:
         """The encoder stack over (B, L, H) embeddings; with `rng`, dropout
-        draws from it.
+        draws from it. Returns the final states as flat (B*L, H) rows,
+        which `taskbuild.slot_rows` maps batch slots to.
 
-        Each layer runs on the flat (B*L, H) rows: the q, k and v
-        projections, one `tz.attention` node, the output projection and
-        the feed-forward, with the residuals and norms between them. The
-        rows are reshaped back to (B, L, H) once, on return.
+        Each layer runs on the flat rows: the q, k and v projections, one
+        `tz.attention` node, the output projection and the feed-forward,
+        with the residuals and norms between them.
 
         With `cls_only`, the last layer runs its queries, output projection,
         norms and feed-forward at the [CLS] rows only (keys and values
-        still cover every row) and returns the (B, 1, H) [CLS] states. With
+        still cover every row) and returns the (B, H) [CLS] states. With
         no layer to prune, `cls_only` is ignored."""
         cfg = self.config
         b, seq, h = x.shape
@@ -348,7 +346,7 @@ class Model:
             if pruned:
                 # one query per batch row, at [CLS], over that row's keys,
                 # values and mask
-                x = tz.index_rows(rows, np.arange(b) * seq)
+                x = tz.index_rows(rows, slot_rows(rows, b, np.arange(b)))
             q = self._dense(x if pruned else rows, f"layers.{i}.attn.q")
             ctx = tz.attention(q, k, v, bias, cfg.heads, scale, cfg.dropout,
                                rng)
@@ -359,35 +357,30 @@ class Model:
             ff = tz.dropout(self._dense(ff, f"layers.{i}.ff.w2"),
                             cfg.dropout, rng)
             x = self._norm(x + ff, f"layers.{i}.ff_norm")
-        return x.reshape(b, -1, h)
+        return x
 
-    def pool(self, hidden: Tensor) -> Tensor:
-        return self._dense(self.cls_rows(hidden), "pooler.dense").tanh()
+    def pool(self, rows: Tensor, b: int) -> Tensor:
+        return self._dense(self.cls_rows(rows, b), "pooler.dense").tanh()
 
-    def cls_rows(self, hidden: Tensor) -> Tensor:
-        """The (B, H) [CLS] rows of (B, L, H) final states, or of the
-        (B, 1, H) [CLS] states `encode(cls_only=True)` returns."""
-        b, seq, h = hidden.shape
-        if seq == 1:
-            return hidden.reshape(b, h)
-        return tz.index_rows(hidden.reshape(b * seq, h), np.arange(b) * seq)
+    def cls_rows(self, rows: Tensor, b: int) -> Tensor:
+        """The (b, H) [CLS] rows of the encoder's rows for b batch rows."""
+        return tz.index_rows(rows, slot_rows(rows, b, np.arange(b)))
 
-    def head_forward(self, task: str, hidden: Tensor, batch,
-                     pooled: "Tensor | None" = None):
-        """Run one task head; returns that task's predictions.
+    def head_forward(self, task: str, rows: Tensor, batch,
+                     pooled: "Tensor | None"):
+        """Run one task head on the encoder's rows; returns its predictions.
 
         Shapes: mlm/sbo the (n_masked, H) states with the (V, H) token
         table and the (V,) vocab bias they are scored against; regressions
         and 2-way token heads (B, L) and (B, L, 2); tgs (n_valid_rows, 6);
         sentence heads (B, k); qt the raw [CLS] rows (B, H); fs the
-        ([CLS] rows, hidden) pair.
+        ([CLS] rows, rows) pair.
         """
         head = self.head(task, batch)
-        b, seq, h = hidden.shape
-        flat = hidden.reshape(b * seq, h)
-        if head.reads == "pooled" and pooled is None:
-            pooled = self.pool(hidden)
-        return head.forward(self, task, hidden, flat, batch, pooled)
+        # each head reads the rows through a node of its own, which fixes
+        # the order in which the heads' gradients are summed into the rows
+        return head.forward(self, task, rows.reshape(rows.shape), batch,
+                            pooled)
 
     def head(self, task: str, batch) -> Head:
         """The task's head, refusing an unknown task or missing labels."""

@@ -121,6 +121,12 @@ def trim(batch: TrainingBatch) -> TrainingBatch:
                    special_mask=batch.special_mask[:, :w], labels=labels)
 
 
+def slot_rows(rows, b: int, r, c=0) -> np.ndarray:
+    """The rows of slots (r, c) of b batch rows in the encoder's flat rows,
+    m per batch row: the trimmed width, or 1 for the [CLS] rows only."""
+    return np.asarray(r) * (rows.shape[0] // b) + c
+
+
 # ------------------------------------------------------------ span drawing
 #
 # A segment is a (document, start, end) token span within one document;

@@ -103,9 +103,9 @@ def _sum_leading(a: np.ndarray) -> np.ndarray:
 class Tensor:
     """A numpy array plus an optional gradient and backward closure."""
 
-    __slots__ = ("data", "grad", "requires_grad", "parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, name: str = ""):
+    def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             data = data.data
         self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
@@ -113,7 +113,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.parents: tuple = ()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
-        self.name = name
 
     # ------------------------------------------------------------- basics
     @property
@@ -128,8 +127,7 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, grad={self.grad is not None}{tag})"
+        return f"Tensor(shape={self.data.shape}, grad={self.grad is not None})"
 
     def _accumulate(self, g: np.ndarray) -> None:
         """Add g into .grad. The first write keeps g itself when it already
@@ -178,7 +176,6 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.name = ""
         # a plain loop: a generator for any() costs more than the test
         for p in parents:
             if p.requires_grad:
@@ -201,7 +198,6 @@ class Tensor:
         t.requires_grad = False
         t.parents = ()
         t._backward = None
-        t.name = ""
         return t
 
     # ---------------------------------------------------------- arithmetic
@@ -363,7 +359,10 @@ def constant(data) -> Tensor:
 
 
 def parameter(data, name: str = "") -> Tensor:
-    return Tensor(data, requires_grad=True, name=name)
+    """A tensor that takes gradients. Parameters are named by their keys in
+    `Model.params` and `Adam`; `name` is ignored, and stays only while
+    `perfbench/selftest.py` passes it."""
+    return Tensor(data, requires_grad=True)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:

@@ -291,9 +291,9 @@ def _probe_features(model: Model, reader, vocab, spec: ProbeSpec,
         batch = trim(assemble_batch(
             reader, vocab, ("so",), spec.batch_size, spec.max_seq_len,
             rng=np.random.default_rng([spec.seed, _PROBE_TAG, tag, k])))
-        hidden = model.encode(model.embed(batch), batch.attention_mask,
-                              cls_only=True)
-        feats.append(model.cls_rows(hidden).data.copy())
+        rows = model.encode(model.embed(batch), batch.attention_mask,
+                            cls_only=True)
+        feats.append(model.cls_rows(rows, len(batch.input_ids)).data.copy())
         labels.append(batch.labels["so"].copy())
     return np.concatenate(feats), np.concatenate(labels)
 
@@ -312,8 +312,8 @@ def evaluate_probe(model: Model, reader, vocab,
     x_eval, y_eval = _probe_features(model, reader, vocab, spec,
                                      spec.n_eval_batches, tag=1)
     h = x_train.shape[1]
-    w = tz.parameter(np.zeros((h, 2)), name="probe.head.weight")
-    b = tz.parameter(np.zeros(2), name="probe.head.bias")
+    w = tz.parameter(np.zeros((h, 2)))
+    b = tz.parameter(np.zeros(2))
     opt = tz.Adam({"probe.head.weight": w, "probe.head.bias": b},
                   weight_decay=0.0)
     rng = np.random.default_rng([spec.seed, _PROBE_TAG, 2])

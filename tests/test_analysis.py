@@ -120,6 +120,8 @@ def test_ttest_identical_constant_samples_rejected():
 def test_bonferroni_scales_and_clips():
     assert an.bonferroni([0.01, 0.4, 0.9], 3) == [0.03, 1.0, 1.0]
     assert an.bonferroni([], 0) == []
+    # an iterator is read once
+    assert an.bonferroni((p for p in [0.01, 0.02]), 2) == [0.02, 0.04]
     with pytest.raises(an.AnalysisError):
         an.bonferroni([0.1, 0.2], 1)
 

@@ -131,6 +131,18 @@ def test_analyze_missing_file(capsys):
     assert code == 1 and err.startswith("error:")
 
 
+def test_analyze_refuses_a_repeated_label(capsys, tmp_path):
+    path = tmp_path / "runs.csv"
+    path.write_text("label,r1,r2,r3,r4\n"
+                    "base,70.0,70.5,69.5,70.2\n"
+                    "new,75.0,75.4,74.8,75.1\n"
+                    "base,71.0,71.5,70.5,71.2\n")
+    code, out, err = run(capsys, "analyze", "--runs", str(path),
+                         "--simulations", "1000")
+    assert code == 1 and not out
+    assert err.strip() == f"error: {path}:4: label 'base' repeats line 2"
+
+
 # --------------------------------------------------------------- gradcheck
 
 def test_gradcheck_passes_at_small_scale(capsys):
@@ -228,7 +240,7 @@ def test_train_and_probe_round_trip(capsys, train_config, small_store,
 def test_probe_without_model_config_fails(capsys, small_store,
                                           word_vocab_path, tmp_path):
     ck = tmp_path / "bare.mtpt"
-    params = {"w.bias": tensor.parameter(np.zeros(3), name="w.bias")}
+    params = {"w.bias": tensor.parameter(np.zeros(3))}
     tensor.save_checkpoint(ck, params, tensor.Adam(params),
                            config={"layers": 1}, step=0, tokens_seen=0)
     code, _, err = run(capsys, "probe", "--checkpoint", str(ck),

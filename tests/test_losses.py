@@ -91,6 +91,11 @@ def test_qt_rejects_odd_batch():
 
 # ----------------------------------------------------------- continuation
 
+def rows(hidden):
+    """(B, L, H) final states as the encoder's flat (B*L, H) rows."""
+    return tz.constant(hidden.reshape(-1, hidden.shape[-1]))
+
+
 def test_fs_orthogonal_gives_ln2():
     # cos = 0 everywhere: p = 1/2, loss = ln 2
     cls = np.zeros((2, 4))
@@ -99,7 +104,7 @@ def test_fs_orthogonal_gives_ln2():
     hidden = np.zeros((2, 3, 4))
     hidden[:, :, 2] = 1.0
     content = np.ones((2, 3), dtype=bool)
-    out = ls.loss_fs(tz.constant(cls), tz.constant(hidden), content)
+    out = ls.loss_fs(tz.constant(cls), rows(hidden), content)
     assert out.item() == pytest.approx(math.log(2), rel=1e-6)
 
 
@@ -108,8 +113,8 @@ def test_fs_aligned_better_than_opposed():
     aligned = np.ones((2, 2, 2)) * np.array([1.0, 0.0])
     opposed = np.ones((2, 2, 2)) * np.array([-1.0, 0.0])
     content = np.ones((2, 2), dtype=bool)
-    lo = ls.loss_fs(tz.constant(cls), tz.constant(aligned), content).item()
-    hi = ls.loss_fs(tz.constant(cls), tz.constant(opposed), content).item()
+    lo = ls.loss_fs(tz.constant(cls), rows(aligned), content).item()
+    hi = ls.loss_fs(tz.constant(cls), rows(opposed), content).item()
     assert lo < 1e-6
     assert hi > 10.0  # clamped at the probability floor, not infinite
     assert math.isfinite(hi)
@@ -121,17 +126,17 @@ def test_fs_excludes_non_content_positions():
     hidden = rng.normal(size=(2, 5, 4))
     content = np.zeros((2, 5), dtype=bool)
     content[:, 1] = True
-    out = ls.loss_fs(tz.constant(cls), tz.constant(hidden), content)
+    out = ls.loss_fs(tz.constant(cls), rows(hidden), content)
     # corrupt every excluded position: loss must not move
     hidden2 = hidden.copy()
     hidden2[:, [0, 2, 3, 4]] = 99.0
-    out2 = ls.loss_fs(tz.constant(cls), tz.constant(hidden2), content)
+    out2 = ls.loss_fs(tz.constant(cls), rows(hidden2), content)
     assert out.item() == pytest.approx(out2.item(), rel=1e-12)
 
 
 def test_fs_empty_content_zero_loss():
     out = ls.loss_fs(tz.constant(np.zeros((2, 4))),
-                     tz.constant(np.zeros((2, 3, 4))),
+                     rows(np.zeros((2, 3, 4))),
                      np.zeros((2, 3), dtype=bool))
     assert out.item() == 0.0
 
@@ -144,7 +149,7 @@ def test_fs_pairs_cross_batch_halves():
     hidden[0, 0] = [0.0, 1.0]   # row 0 tokens align with row 1's [CLS]
     hidden[1, 0] = [1.0, 0.0]   # row 1 tokens align with row 0's [CLS]
     content = np.ones((2, 1), dtype=bool)
-    out = ls.loss_fs(tz.constant(cls), tz.constant(hidden), content)
+    out = ls.loss_fs(tz.constant(cls), rows(hidden), content)
     assert out.item() < 1e-6
 
 
@@ -155,7 +160,7 @@ def test_fs_matches_per_pair_reference(float64_mode):
             cls = rng.normal(size=(b, 5))
             hidden = rng.normal(size=(b, 7, 5))
             content = rng.random((b, 7)) < density
-            out = ls.loss_fs(tz.constant(cls), tz.constant(hidden), content)
+            out = ls.loss_fs(tz.constant(cls), rows(hidden), content)
             ref = fs_loss_per_pair(cls, hidden, content, ls.FS_PROB_FLOOR)
             assert out.item() == pytest.approx(ref, rel=1e-12, abs=1e-12)
 

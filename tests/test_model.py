@@ -173,13 +173,18 @@ def test_masked_positions_cannot_influence_attended_ones():
     x = model.embed(FakeBatch(ids, attention_mask=mask))
     out_a = model.encode(x, mask)
     out_b = model.encode(model.embed(FakeBatch(ids_b, attention_mask=mask)), mask)
-    assert np.array_equal(out_a.data[:, :5], out_b.data[:, :5])
-    assert not np.array_equal(out_a.data[:, 5:], out_b.data[:, 5:])
+    # flat rows, one per slot in row order
+    assert out_a.shape == (2 * 8, cfg.hidden)
+    grid_a = out_a.data.reshape(2, 8, -1)
+    grid_b = out_b.data.reshape(2, 8, -1)
+    assert np.array_equal(grid_a[:, :5], grid_b[:, :5])
+    assert not np.array_equal(grid_a[:, 5:], grid_b[:, 5:])
+    np.testing.assert_array_equal(model.cls_rows(out_a, 2).data, grid_a[:, 0])
     # the last layer at [CLS] only gives the full layer's [CLS] states
     cls = model.encode(x, mask, cls_only=True)
-    assert cls.shape == (2, 1, cfg.hidden)
-    np.testing.assert_allclose(cls.data, out_a.data[:, :1], rtol=0, atol=1e-5)
-    np.testing.assert_array_equal(model.cls_rows(cls).data, cls.data[:, 0])
+    assert cls.shape == (2, cfg.hidden)
+    np.testing.assert_allclose(cls.data, grid_a[:, 0], rtol=0, atol=1e-5)
+    np.testing.assert_array_equal(model.cls_rows(cls, 2).data, cls.data)
 
 
 def test_attention_sees_unmasked_context():
@@ -192,7 +197,7 @@ def test_attention_sees_unmasked_context():
     out_a = model.encode(model.embed(FakeBatch(ids)), mask)
     out_b = model.encode(model.embed(FakeBatch(ids_b)), mask)
     # a visible token change must propagate to every position
-    assert not np.allclose(out_a.data[0, 0], out_b.data[0, 0])
+    assert not np.allclose(out_a.data[0], out_b.data[0])
 
 
 def test_pool_reads_only_first_position():
@@ -201,8 +206,8 @@ def test_pool_reads_only_first_position():
     base = rng.normal(size=(2, 6, cfg.hidden))
     changed = base.copy()
     changed[:, 1:] += 1.0
-    p1 = model.pool(tz.constant(base))
-    p2 = model.pool(tz.constant(changed))
+    p1 = model.pool(tz.constant(base.reshape(12, -1)), 2)
+    p2 = model.pool(tz.constant(changed.reshape(12, -1)), 2)
     assert np.array_equal(p1.data, p2.data)
     assert np.all(np.abs(p1.data) <= 1.0)
 
@@ -239,9 +244,9 @@ def test_mlm_and_sbo_head_shapes():
     model, cfg = small_model()
     ids = np.arange(10).reshape(1, 10) % cfg.vocab
     batch = FakeBatch(ids, labels={"mlm": mlm_labels([[0, 2], [0, 5]], [3, 4], 10)})
-    hidden = encoded(model, batch)
+    rows = encoded(model, batch)
     for task in ("mlm", "sbo"):
-        states, table, bias = model.head_forward(task, hidden, batch)
+        states, table, bias = model.head_forward(task, rows, batch, None)
         assert states.shape == (2, cfg.hidden)
         assert table is model.params["embeddings.token"]
         assert bias is model.params[f"heads.{task}.vocab_bias"]
@@ -273,24 +278,24 @@ def test_regression_and_token_class_head_shapes():
         "cap": {"labels": grid.astype(np.int64), "weights": grid},
         "tcp": {"labels": grid.astype(np.int64), "weights": grid},
     })
-    hidden = encoded(model, batch)
-    assert model.head_forward("tf", hidden, batch).shape == (2, 6)
-    assert model.head_forward("tlp", hidden, batch).shape == (2, 6)
-    assert model.head_forward("cap", hidden, batch).shape == (2, 6, 2)
-    assert model.head_forward("tcp", hidden, batch).shape == (2, 6, 2)
+    rows = encoded(model, batch)
+    assert model.head_forward("tf", rows, batch, None).shape == (2, 6)
+    assert model.head_forward("tlp", rows, batch, None).shape == (2, 6)
+    assert model.head_forward("cap", rows, batch, None).shape == (2, 6, 2)
+    assert model.head_forward("tcp", rows, batch, None).shape == (2, 6, 2)
 
 
 def test_tgs_head_gathers_valid_rows_only():
     model, cfg = small_model()
     batch = FakeBatch(np.zeros((3, 8), dtype=int), labels={
         "tgs": {"starts": np.array([-1, 2, 4]), "labels": np.array([0, 3, 5])}})
-    hidden = encoded(model, batch)
-    out = model.head_forward("tgs", hidden, batch)
+    rows = encoded(model, batch)
+    out = model.head_forward("tgs", rows, batch, None)
     assert out.shape == (2, 6)
     none_batch = FakeBatch(np.zeros((2, 8), dtype=int), labels={
         "tgs": {"starts": np.array([-1, -1]), "labels": np.array([0, 0])}})
-    hidden2 = encoded(model, none_batch)
-    assert model.head_forward("tgs", hidden2, none_batch).shape == (0, 6)
+    rows2 = encoded(model, none_batch)
+    assert model.head_forward("tgs", rows2, none_batch, None).shape == (0, 6)
 
 
 def test_tgs_without_trigrams_is_zero_loss_with_no_gradient():
@@ -313,35 +318,37 @@ def test_sentence_head_shapes():
     for task, k in (("nsp", 2), ("asp", 3), ("so", 2), ("sdp", 3)):
         batch = FakeBatch(np.zeros((4, 6), dtype=int),
                           labels={task: np.zeros(4, dtype=np.int64)})
-        hidden = encoded(model, batch)
-        assert model.head_forward(task, hidden, batch).shape == (4, k)
+        rows = encoded(model, batch)
+        pooled = model.pool(rows, 4)
+        assert model.head_forward(task, rows, batch, pooled).shape == (4, k)
     batch = FakeBatch(np.zeros((4, 6), dtype=int),
                       labels={"scp": np.zeros(4, dtype=np.int64)})
-    hidden = encoded(model, batch)
-    assert model.head_forward("scp", hidden, batch).shape == (4, 2)
+    rows = encoded(model, batch)
+    pooled = model.pool(rows, 4)
+    assert model.head_forward("scp", rows, batch, pooled).shape == (4, 2)
 
 
 def test_similarity_heads_return_raw_cls():
     model, cfg = small_model()
     batch = FakeBatch(np.zeros((4, 6), dtype=int))
-    hidden = encoded(model, batch)
-    qt = model.head_forward("qt", hidden, batch)
+    rows = encoded(model, batch)
+    qt = model.head_forward("qt", rows, batch, None)
     assert qt.shape == (4, cfg.hidden)
-    assert np.array_equal(qt.data, hidden.data[:, 0])
-    cls, full = model.head_forward("fs", hidden, batch)
-    assert np.array_equal(cls.data, hidden.data[:, 0])
-    assert full is hidden
+    assert np.array_equal(qt.data, rows.data[::6])
+    cls, full = model.head_forward("fs", rows, batch, None)
+    assert np.array_equal(cls.data, rows.data[::6])
+    assert np.array_equal(full.data, rows.data)
 
 
 def test_missing_labels_error_names_task():
     model, cfg = small_model()
     batch = FakeBatch(np.zeros((2, 6), dtype=int))
-    hidden = encoded(model, batch)
+    rows = encoded(model, batch)
     for task in ("mlm", "sbo", "tf", "tgs", "nsp", "so"):
         with pytest.raises(TaskError, match=task):
-            model.head_forward(task, hidden, batch)
+            model.head_forward(task, rows, batch, None)
     with pytest.raises(TaskError):
-        model.head_forward("nonsense", hidden, batch)
+        model.head_forward("nonsense", rows, batch, None)
 
 
 def test_batch_losses_refuses_unknown_task_by_name():
@@ -363,8 +370,10 @@ CLS_TASKS = {"nsp", "asp", "so", "sdp", "scp", "qt"}
 def full_layer_losses(model, batch):
     """batch_losses' forward with the last layer run at every row of the
     full-width batch, trailing pad columns included."""
-    hidden = model.encode(model.embed(batch), batch.attention_mask)
-    return {t: HEADS[t].loss(t, model.head_forward(t, hidden, batch), batch)
+    rows = model.encode(model.embed(batch), batch.attention_mask)
+    pooled = model.pool(rows, len(batch.input_ids))
+    return {t: HEADS[t].loss(t, model.head_forward(t, rows, batch, pooled),
+                             batch)
             for t in batch.task_set}
 
 
@@ -419,10 +428,11 @@ VOCAB_TASKS = {"mlm", "sbo"}
 def composed_vocab_losses(model, batch):
     """batch_losses' forward with mlm and sbo scored through the whole
     (n, V) logits: linear over the transposed table, then cross_entropy."""
-    hidden = model.encode(model.embed(batch), batch.attention_mask)
+    rows = model.encode(model.embed(batch), batch.attention_mask)
+    pooled = model.pool(rows, len(batch.input_ids))
     out = {}
     for t in batch.task_set:
-        preds = model.head_forward(t, hidden, batch)
+        preds = model.head_forward(t, rows, batch, pooled)
         if t in VOCAB_TASKS:
             states, table, bias = preds
             out[t] = tz.cross_entropy(
