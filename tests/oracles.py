@@ -3,11 +3,13 @@
 Everything here is deliberately written from scratch with different
 machinery than the library (plain loops, collections.Counter, quadrature)
 so that agreement is meaningful. The fused tensor ops are checked against
-chains of the library's primitive ops instead.
+chains of the library's primitive ops instead. The tape-liveness helpers at
+the end find which nodes of a graph are still alive.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from collections import Counter
 
@@ -377,3 +379,23 @@ def fs_loss_per_pair(cls, hidden, content, floor: float) -> float:
                 cos = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
                 logs.append(math.log(min(max((cos + 1) / 2, floor), 1.0)))
     return -sum(logs) / len(logs) if logs else 0.0
+
+
+# ------------------------------------------------------------ tape liveness
+
+def graph_ids(roots) -> "set[int]":
+    """The ids of every tape node (a tensor with parents) under roots."""
+    ids, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if node.parents and id(node) not in ids:
+            ids.add(id(node))
+            stack.extend(node.parents)
+    return ids
+
+
+def live_tensor_ids() -> "set[int]":
+    """The ids of every tensor still alive, as the garbage collector sees
+    them. A dead node's id can be reused only by a tensor made after it
+    died."""
+    return {id(o) for o in gc.get_objects() if isinstance(o, Tensor)}

@@ -46,7 +46,8 @@ def test_tracer_installs_on_every_binding_and_uninstalls():
                for (mod, attr), fn in before.items())
 
 
-@pytest.mark.parametrize("workload", ["so-pretrain", "gradcheck-15"])
+@pytest.mark.parametrize("workload", ["so-pretrain", "token-mix",
+                                      "gradcheck-15"])
 def test_quick_benchmark_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,

@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 
+import oracles
 from mtpretrain import arrayfile
 from mtpretrain import tensor as tz
 from mtpretrain.tensor import Tensor
@@ -270,6 +274,24 @@ def test_check_gradients_requires_float64():
     tz.set_default_dtype("float64")
 
 
+def test_check_gradients_frees_its_analytic_graph_first():
+    # the analytic evaluation's graph is gone by the first finite difference
+    w = Tensor(np.random.default_rng(11).normal(size=(3, 4)),
+               requires_grad=True)
+    graphs, alive = [], []
+
+    def loss_fn():
+        if graphs:
+            alive.append(len(graphs[0] & oracles.live_tensor_ids()))
+        loss = tz.gelu(w * 2.0).sum()
+        graphs.append(oracles.graph_ids([loss]))
+        return loss
+
+    tz.check_gradients(loss_fn, {"w": w}, max_entries=1)
+    assert len(graphs) == 3 and graphs[0]
+    assert alive == [0, 0]
+
+
 @pytest.mark.parametrize("max_entries", [0, -1])
 def test_check_gradients_refuses_fewer_than_one_entry(max_entries):
     w = Tensor(np.ones(2), requires_grad=True)
@@ -444,3 +466,55 @@ def test_save_checkpoint_refuses_what_load_would_refuse(tmp_path):
         tz.save_checkpoint(path, params, tz.Adam(params), config={},
                            step=1.5, tokens_seen=0)
     assert not path.exists()
+
+
+# ------------------------------------------------------- allocator pin
+
+def pin_with(monkeypatch, lookup):
+    """Call the allocator pin twice with ctypes.CDLL replaced by lookup.
+    Its cache is cleared before and after, so the next call in this
+    process pins again."""
+    monkeypatch.setattr(tz.ctypes, "CDLL", lookup)
+    tz._pin_malloc_thresholds.cache_clear()
+    try:
+        return [tz._pin_malloc_thresholds() for _ in range(2)]
+    finally:
+        tz._pin_malloc_thresholds.cache_clear()
+
+
+def test_malloc_thresholds_are_pinned_once_per_process(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    assert pin_with(monkeypatch, lambda name: types.SimpleNamespace(
+        mallopt=mallopt)) == [True, True]
+    assert calls == [(tz.M_TRIM_THRESHOLD, tz.MALLOC_TRIM_BYTES),
+                     (tz.M_MMAP_THRESHOLD, tz.MALLOC_MMAP_BYTES)]
+
+
+def no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("lookup", [no_c_library,
+                                    lambda name: types.SimpleNamespace()],
+                         ids=["no-library", "no-mallopt"])
+def test_malloc_pin_does_nothing_without_mallopt(monkeypatch, lookup):
+    assert pin_with(monkeypatch, lookup) == [False, False]
+
+
+def test_tensor_imports_where_the_c_library_cannot_be_loaded():
+    code = ("import ctypes\n"
+            "import numpy\n"
+            "def no_c_library(name):\n"
+            "    raise OSError('no C library')\n"
+            "ctypes.CDLL = no_c_library\n"
+            "from mtpretrain import tensor\n"
+            "assert tensor._pin_malloc_thresholds() is False\n"
+            "assert float((tensor.parameter([2.0]) * 3.0).sum().data) == 6.0\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -375,6 +375,34 @@ def test_non_finite_loss_aborts_with_step(small_store, word_vocab_path,
         tr.train(cfg)
 
 
+def test_step_graph_is_freed_before_the_update_and_the_next_forward(
+        small_store, word_vocab_path, tmp_path, monkeypatch):
+    # only the step's loss floats outlive its backward
+    graphs, alive = [], []
+    real_losses, real_step = tr.ls.batch_losses, tz.Adam.step
+
+    def check(where):
+        if graphs:
+            alive.append((where, len(graphs[-1] & oracles.live_tensor_ids())))
+
+    def spy_losses(model, batch, rng=None):
+        check("forward")
+        loss_map = real_losses(model, batch, rng=rng)
+        graphs.append(oracles.graph_ids(loss_map.values()))
+        return loss_map
+
+    def spy_step(optimizer, lr):
+        check("update")
+        real_step(optimizer, lr)
+
+    monkeypatch.setattr(tr.ls, "batch_losses", spy_losses)
+    monkeypatch.setattr(tz.Adam, "step", spy_step)
+    tr.train(make_config(small_store, word_vocab_path, tmp_path,
+                         total_tokens=3 * 8 * 24))
+    assert len(graphs) == 3 and all(graphs)
+    assert alive == [("update", 0), ("forward", 0)] * 2 + [("update", 0)]
+
+
 def test_vocab_hash_mismatch_refused(small_store, tmp_path):
     other = tmp_path / "other_vocab.txt"
     words = [f"w{i:02d}" for i in range(70)]
