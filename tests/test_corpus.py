@@ -479,3 +479,69 @@ def test_reader_arrays_hold_every_document_as_views(small_reader):
     assert np.array_equal(sub.token_ids, np.concatenate(
         [r.documents[3].token_ids, r.documents[1].token_ids]))
     assert not np.shares_memory(sub.token_ids, r.token_ids)
+
+
+# the edge corpus: what the session corpus never reaches. Its words split
+# into several pieces (some capitalized), map to [UNK] (one past
+# MAX_WORD_CHARS) and carry punctuation; one document segments, with an
+# under-filter leading span merged forward (one 340-word sentence) and an
+# under-filter tail merged back (four sentences of eight words); one
+# document is rejected, one scores tf-idf 0 everywhere, and the second
+# input file, of the same name, is found by a directory walk
+EDGE_VOCAB = list(tk.SPECIAL_TOKENS) + [
+    "the", "cat", "sat", "on", "mat", "a", "dog", "ran", "and", "un",
+    "##aff", "##able", "##s", "run", "##ning", "don", "t", ".", ",", "!",
+    "?", "'"]
+EDGE_SENTENCES = [
+    "The cat sat on the mat.",
+    "Unaffable cats, running dogs and a mat!",
+    "A dog ran on the mat and the cat sat?",
+    "Don't run, unaffable zebra cat.",
+    "The catz sat on a mat and ran.",
+    "Running cats sat, and the dog ran.",
+]
+
+
+def edge_corpus_inputs(root):
+    """The edge corpus's vocabulary and input paths, written under root."""
+    vocab_path = root / "edge_vocab.txt"
+    vocab_path.write_text("\n".join(EDGE_VOCAB) + "\n", encoding="utf-8")
+    first = " ".join(EDGE_SENTENCES[k % 6] for k in range(9))
+    # token counts: 1022, then two runs of nine 100s and one 123, then
+    # four 3s; the greedy spans are [1022], [1023], [1023], [12]
+    body = ["The " + "unaffable " * 32 + "cat sat."] * 9 \
+        + ["The " + "unaffable " * 40 + "sat."]
+    long_doc = " ".join(["Unaffable " + "unaffable " * 339 + "cat."]
+                        + body + body
+                        + ["Cat sat.", "Dog ran.", "Cat ran.", "Dog sat."])
+    common = "The cat sat. Cat sat the. Sat the cat. The cat sat cat."
+    second = " ".join(EDGE_SENTENCES[(3 * k + 1) % 6] for k in range(7)) \
+        + " A " + "x" * (tk.MAX_WORD_CHARS + 1) + " cat sat."
+    (root / "a.txt").write_text("\n\n".join(
+        [first, long_doc, "Too short. Cat sat.", common]) + "\n",
+        encoding="utf-8")
+    walk = root / "walk"
+    (walk / "sub").mkdir(parents=True)
+    (walk / "sub" / "a.txt").write_text(second + "\n", encoding="utf-8")
+    (walk / "notes.md").write_text("Not a corpus file.\n", encoding="utf-8")
+    return tk.load_vocab(vocab_path), [root / "a.txt", walk]
+
+
+# sha256 of the store build_corpus writes for the edge corpus; pinned
+# before documents were held as arrays
+GOLDEN_EDGE_STORE = ("f466c1f905746b2c107577021cf6e4b2"
+                     "34edd05325f6ddf0e15af5efc5768943")
+
+
+def test_golden_edge_store_digest(tmp_path):
+    vocab, inputs = edge_corpus_inputs(tmp_path)
+    out = tmp_path / "edge.mtpc"
+    result = cp.build_corpus(inputs, out, vocab)
+    assert (result.files_read, result.blocks_parsed, result.rejected,
+            result.accepted, result.stored_segments) == (2, 5, 1, 4, 5)
+    reader = cp.load_corpus(out)
+    assert [d.id for d in reader.documents] == [
+        "a.txt:0", "a.txt:1#0", "a.txt:1#1", "a.txt:3", "a.txt:0.1"]
+    assert (reader.token_ids == vocab.unk_id).any()
+    assert (reader.documents[3].tfidf == 0).all()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_EDGE_STORE
