@@ -164,11 +164,14 @@ def run_gradcheck(layers: int = 2, hidden: int = 32, heads: int = 2,
                              hidden=hidden, heads=heads, max_seq_len=seq_len,
                              task_vocab=16, dropout=0.0)
         model = Model(config, np.random.default_rng([seed, 1]))
+        # every batch first, so a size a set refuses stops the command
+        # before any check runs
+        batches = [assemble_batch(reader, vocab, task_set, batch_size,
+                                  seq_len, seed=seed, step=k)
+                   for k, task_set in enumerate(GRADCHECK_SETS)]
         worst = 0.0
         check_rng = np.random.default_rng([seed, 2])
-        for k, task_set in enumerate(GRADCHECK_SETS):
-            batch = assemble_batch(reader, vocab, task_set, batch_size,
-                                   seq_len, seed=seed, step=k)
+        for task_set, batch in zip(GRADCHECK_SETS, batches):
 
             def loss_fn():
                 loss_map = losses.batch_losses(model, batch)

@@ -1,4 +1,4 @@
-"""Corpus pipeline: sentence splitting, filtering, segmentation, per-document
+"""Corpus pipeline: sentence splitting, filtering, segmentation, per-segment
 token statistics, and a deterministic binary store.
 
 Input is plain UTF-8 text with one document per blank-line-separated block.
@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -67,39 +66,16 @@ class RawDocument:
 
 @dataclass
 class Document:
-    """A filtered document: ordered sentences and, per sentence, the token
-    ids, word-start marks and capitalized marks of `encode_sentence`."""
+    """A filtered document, or one of its segments, as arrays: the token
+    ids and the store's flag bytes of its sentences, one after another,
+    the sentence offsets (S+1, from 0 to its token count) and each
+    sentence's whitespace word count."""
 
     id: str
-    sentences: list[str]
-    ids: list[list[int]]
-    word_starts: list[list[int]]
-    capitalized: list[list[int]]
-
-    @property
-    def sentence_token_counts(self) -> list[int]:
-        return [len(s) for s in self.ids]
-
-    @property
-    def token_count(self) -> int:
-        return sum(self.sentence_token_counts)
-
-    def all_token_ids(self) -> list[int]:
-        return list(chain.from_iterable(self.ids))
-
-    def flags(self) -> np.ndarray:
-        """The store's flag byte of every token, in order."""
-        def marks(sentences):
-            return np.fromiter(chain.from_iterable(sentences), np.uint8,
-                               self.token_count)
-        return FLAG_WORD_START * marks(self.word_starts) \
-            | FLAG_CAPITALIZED * marks(self.capitalized)
-
-
-@dataclass
-class CorpusStats:
-    document_count: int
-    document_frequency: dict[int, int] = field(default_factory=dict)
+    token_ids: np.ndarray         # int64 (T,)
+    flags: np.ndarray             # uint8 (T,)
+    sentence_offsets: np.ndarray  # int64 (S+1,)
+    word_counts: np.ndarray       # int64 (S,)
 
 
 @dataclass
@@ -173,12 +149,20 @@ def filter_document(raw: RawDocument, vocab: Vocabulary) -> Document | None:
     sentences = _sentences_of(words)
     if len(sentences) < MIN_SENTENCES:
         return None
-    ids, word_starts, capitalized = map(
-        list, zip(*[encode_sentence(s, vocab) for s in sentences]))
-    doc = Document(raw.id, sentences, ids, word_starts, capitalized)
-    if doc.token_count == 0:
+    ids, word_starts, capitalized = zip(
+        *[encode_sentence(s, vocab) for s in sentences])
+    offsets = np.cumsum([0] + [len(s) for s in ids])
+    if offsets[-1] == 0:
         return None
-    return doc
+
+    def flat(column, dtype):
+        return np.fromiter(chain.from_iterable(column), dtype, offsets[-1])
+
+    flags = FLAG_WORD_START * flat(word_starts, np.uint8) \
+        | FLAG_CAPITALIZED * flat(capitalized, np.uint8)
+    # a sentence is whole words joined by single spaces
+    word_counts = np.array([s.count(" ") + 1 for s in sentences])
+    return Document(raw.id, flat(ids, np.int64), flags, offsets, word_counts)
 
 
 def greedy_sentence_spans(token_counts: list[int], target_tokens: int) -> list[tuple[int, int]]:
@@ -203,9 +187,7 @@ def greedy_sentence_spans(token_counts: list[int], target_tokens: int) -> list[t
 
 def _span_passes_filter(doc: Document, span: tuple[int, int]) -> bool:
     a, b = span
-    n_sentences = b - a
-    n_words = sum(len(doc.sentences[i].split()) for i in range(a, b))
-    return n_sentences >= MIN_SENTENCES and n_words >= MIN_WORDS
+    return b - a >= MIN_SENTENCES and doc.word_counts[a:b].sum() >= MIN_WORDS
 
 
 def segment_document(doc: Document, target_tokens: int = DEFAULT_TARGET_TOKENS) -> list[Document]:
@@ -216,7 +198,8 @@ def segment_document(doc: Document, target_tokens: int = DEFAULT_TARGET_TOKENS) 
     emitted segment re-passes the filter; a merged segment may exceed the
     token target.
     """
-    spans = greedy_sentence_spans(doc.sentence_token_counts, target_tokens)
+    offsets = doc.sentence_offsets
+    spans = greedy_sentence_spans(np.diff(offsets).tolist(), target_tokens)
     merged = True
     while merged and len(spans) > 1:
         merged = False
@@ -230,41 +213,45 @@ def segment_document(doc: Document, target_tokens: int = DEFAULT_TARGET_TOKENS) 
                     del spans[k]
                 merged = True
                 break
+    if len(spans) == 1:
+        return [doc]
     out: list[Document] = []
     for k, (a, b) in enumerate(spans):
-        seg_id = doc.id if len(spans) == 1 else f"{doc.id}#{k}"
-        out.append(Document(seg_id, doc.sentences[a:b], doc.ids[a:b],
-                            doc.word_starts[a:b], doc.capitalized[a:b]))
+        lo, hi = offsets[a], offsets[b]
+        out.append(Document(f"{doc.id}#{k}", doc.token_ids[lo:hi],
+                            doc.flags[lo:hi], offsets[a:b + 1] - lo,
+                            doc.word_counts[a:b]))
     return out
 
 
-def compute_tf(token_ids) -> dict[int, float]:
-    """Scaled term frequency of a document's token ids: 10 * count / max
-    count, per distinct token."""
-    counts = Counter(token_ids)
-    if not counts:
-        return {}
-    max_count = max(counts.values())
-    return {t: 10.0 * c / max_count for t, c in counts.items()}
+def score_segments(token_ids: np.ndarray, lengths) \
+        -> "tuple[np.ndarray, np.ndarray]":
+    """Every token's tf and tf-idf label, as float64, for segments of the
+    given lengths (each at least 1) stored one after another.
 
-
-def compute_tfidf(token_ids, corpus: CorpusStats) -> dict[int, float]:
-    """Count * ln(N/df) of a document's token ids, max-rescaled so the
-    document maximum is 10."""
-    if corpus.document_count < 1:
-        raise CorpusError("corpus stats cover zero documents")
-    counts = Counter(token_ids)
-    raw = {
-        t: c * math.log(corpus.document_count
-                        / corpus.document_frequency.get(t, 1))
-        for t, c in counts.items()
-    }
-    if not raw:
-        return {}
-    max_raw = max(raw.values())
-    if max_raw <= 0.0:
-        return {t: 0.0 for t in raw}
-    return {t: 10.0 * v / max_raw for t, v in raw.items()}
+    Over a token's count c in its segment: tf is 10 * c / the segment's
+    largest count, and tf-idf is c * ln(N/df), rescaled so that the
+    segment's largest value is 10 (all 0 when that is 0), where N is the
+    segment count and df the number of segments holding the token.
+    """
+    n = len(lengths)
+    segment = np.repeat(np.arange(n), lengths)
+    stride = int(token_ids.max()) + 1
+    pairs, inverse, counts = np.unique(segment * stride + token_ids,
+                                       return_inverse=True,
+                                       return_counts=True)
+    pair_segment, pair_token = np.divmod(pairs, stride)
+    firsts = np.searchsorted(pair_segment, np.arange(n))
+    df = np.bincount(pair_token)[pair_token]
+    # math.log, once per distinct df: numpy's log may differ from it in
+    # the last bit, and the store's bytes must not move
+    dfs = np.unique(df)
+    idf = np.array([math.log(n / d) for d in dfs.tolist()])
+    raw = counts * idf[np.searchsorted(dfs, df)]
+    tf = 10.0 * counts / np.maximum.reduceat(counts, firsts)[pair_segment]
+    top = np.maximum.reduceat(raw, firsts)
+    tfidf = 10.0 * raw / np.where(top > 0.0, top, 1.0)[pair_segment]
+    return tf[inverse], tfidf[inverse]
 
 
 def parse_blocks(text: str) -> list[str]:
@@ -345,19 +332,15 @@ def build_corpus(input_paths, output_path, vocab: Vocabulary) -> BuildResult:
     if not segments:
         raise CorpusError("zero accepted documents")
 
-    seg_ids = [seg.all_token_ids() for seg in segments]
-    stats = CorpusStats(len(segments), Counter(
-        t for ids in seg_ids for t in set(ids)))
-
-    rows = []
-    for seg, ids in zip(segments, seg_ids):
-        seg_tf, seg_tfidf = compute_tf(ids), compute_tfidf(ids, stats)
-        rows.append(([len(ids)], [len(seg.ids)],
-                     np.cumsum([0] + seg.sentence_token_counts), ids,
-                     [seg_tf[t] for t in ids], [seg_tfidf[t] for t in ids],
-                     seg.flags()))
-    blocks = [np.concatenate(column).astype(dtype)
-              for column, dtype in zip(zip(*rows), _STORE_DTYPES)]
+    lengths = [len(seg.token_ids) for seg in segments]
+    offsets, ids, flags = (np.concatenate([getattr(seg, name)
+                                           for seg in segments])
+                           for name in ("sentence_offsets", "token_ids",
+                                        "flags"))
+    tf, tfidf = score_segments(ids, lengths)
+    blocks = [np.asarray(column).astype(dtype) for column, dtype in zip(
+        [lengths, [len(seg.word_counts) for seg in segments], offsets, ids,
+         tf, tfidf, flags], _STORE_DTYPES)]
     blob = arrayfile.pack(
         STORE_MAGIC, STORE_VERSION,
         {"vocab_hash": vocab.content_hash.hex(),

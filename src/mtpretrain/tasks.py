@@ -1,10 +1,10 @@
 """The pre-training task names, their input-structure groups and the rules
 for combining them.
 
-`TASK_ORDER` lists the fifteen tasks; each one's head, label key and
-output width live in `model.HEADS`. The groups name what a task needs
-from a batch: the pair tasks build each row from two segments with a
-pair label, the random-second tasks among them draw the second segment
+The fifteen task names are the keys of `model.HEADS`, which holds each
+one's head, label key and output width. The groups name what a task
+needs from a batch: the pair tasks build each row from two segments with
+a pair label, the random-second tasks among them draw the second segment
 with randomized provenance, the continuation tasks need the batch's two
 row halves to be textual continuations, and the masking and corruption
 tasks rewrite the input tokens. `validate_compatibility` refuses the sets
@@ -18,9 +18,6 @@ class TaskError(ValueError):
     """Unknown task name or an unsatisfiable task combination."""
 
 
-TASK_ORDER = ["mlm", "tf", "tfidf", "sbo", "tgs", "tcp", "cap", "tlp",
-              "nsp", "asp", "so", "sdp", "scp", "qt", "fs"]
-
 PAIR_TASKS = frozenset({"nsp", "asp", "so", "sdp"})
 RANDOM_SECOND_TASKS = frozenset({"nsp", "asp", "sdp"})
 CONTINUATION_TASKS = frozenset({"qt", "fs"})
@@ -31,10 +28,12 @@ _ALIASES = {"tf-idf": "tfidf", "tf_idf": "tfidf"}
 
 
 def canonical_task(name: str) -> str:
+    # model imports this module, so the task list is read at call time
+    from .model import HEADS
     key = name.strip().lower()
     key = _ALIASES.get(key, key)
-    if key not in TASK_ORDER:
-        raise TaskError(f"unknown task {name!r}; known: {', '.join(TASK_ORDER)}")
+    if key not in HEADS:
+        raise TaskError(f"unknown task {name!r}; known: {', '.join(HEADS)}")
     return key
 
 

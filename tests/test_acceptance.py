@@ -23,7 +23,7 @@ from mtpretrain import taskbuild as tb
 from mtpretrain import tensor as tz
 from mtpretrain import trainer as tr
 from mtpretrain.cli import GRADCHECK_SETS, bundled_demo_runs, main, run_gradcheck
-from mtpretrain.model import Model, ModelConfig
+from mtpretrain.model import HEADS, Model, ModelConfig
 from mtpretrain.tokenizer import load_vocab
 from oracles import brute_force_tf, brute_force_tfidf
 
@@ -112,10 +112,10 @@ def test_criterion_03_gradient_fidelity(report):
                           seq_len=24, seed=0, max_entries=2,
                           verbose=lambda *_: None)
     elapsed = time.monotonic() - t0
-    ok = (covered == set(tsk.TASK_ORDER) and worst < 1e-4
+    ok = (covered == set(HEADS) and worst < 1e-4
           and elapsed < 300.0)
     report(3, "finite differences confirm every head's gradients", ok,
-           f"max rel err {worst:.3e} over {len(tsk.TASK_ORDER)} heads, "
+           f"max rel err {worst:.3e} over {len(HEADS)} heads, "
            f"{elapsed:.1f}s")
 
 
@@ -160,21 +160,16 @@ def test_criterion_05_frequency_oracle(report):
         token_lists = [rng.integers(5, 105,
                                     size=int(rng.integers(5, 51))).tolist()
                        for _ in range(n_docs)]
-        df: dict = {}
+        got_tf, got_tfidf = cp.score_segments(
+            np.concatenate(token_lists), [len(t) for t in token_lists])
+        at = 0
         for toks in token_lists:
-            for t in set(toks):
-                df[t] = df.get(t, 0) + 1
-        stats = cp.CorpusStats(document_count=n_docs, document_frequency=df)
-        for toks in token_lists:
-            got_tf = cp.compute_tf(toks)
             want_tf = brute_force_tf(toks)
-            got_tfidf = cp.compute_tfidf(toks, stats)
             want_tfidf = brute_force_tfidf(toks, token_lists)
-            assert set(got_tf) == set(want_tf)
-            assert set(got_tfidf) == set(want_tfidf)
-            for t in want_tf:
-                worst = max(worst, abs(got_tf[t] - want_tf[t]),
-                            abs(got_tfidf[t] - want_tfidf[t]))
+            for pos, t in enumerate(toks, at):
+                worst = max(worst, abs(got_tf[pos] - want_tf[t]),
+                            abs(got_tfidf[pos] - want_tfidf[t]))
+            at += len(toks)
     ok = worst < 1e-9
     report(5, "tf and tf-idf match the brute-force oracle", ok,
            f"10 corpora, max abs diff {worst:.2e}")

@@ -160,13 +160,19 @@ def test_gradcheck_of_no_entries_is_refused(capsys):
     assert err.startswith("error: gradient check needs at least one entry")
 
 
-@pytest.mark.parametrize("size", ["0", "-2"])
+# an odd size is refused by the last set alone, qt,fs: no set may run first
+GRADCHECK_REFUSALS = {"0": "batch size must be at least 1",
+                      "-2": "batch size must be at least 1",
+                      "3": "continuation pairing needs an even batch size"}
+
+
+@pytest.mark.parametrize("size", list(GRADCHECK_REFUSALS))
 def test_gradcheck_of_an_empty_batch_is_refused(capsys, size):
     code, out, err = run(capsys, "gradcheck", "--samples", "1",
                          "--batch-size", size)
     assert code == 1
-    assert "overall max relative error" not in out
-    assert err.startswith(f"error: batch size must be at least 1, got {size}")
+    assert out == ""
+    assert err.startswith(f"error: {GRADCHECK_REFUSALS[size]}, got {size}")
 
 
 # ----------------------------------------------------------------- prepare

@@ -14,11 +14,32 @@ from mtpretrain import tokenizer as tk
 
 
 def make_doc(sentence_token_ids):
-    ids = [[int(i) for i in sent] for sent in sentence_token_ids]
-    return cp.Document(id="d0",
-                       sentences=[" ".join(f"t{i}" for i in s) for s in ids],
-                       ids=ids, word_starts=[[1] * len(s) for s in ids],
-                       capitalized=[[0] * len(s) for s in ids])
+    """A document of one word per token."""
+    ids = np.concatenate(sentence_token_ids).astype(np.int64)
+    counts = [len(s) for s in sentence_token_ids]
+    return cp.Document("d0", ids, np.ones(len(ids), np.uint8),
+                       np.cumsum([0] + counts), np.array(counts))
+
+
+def tokens(doc):
+    return doc.token_ids.tolist()
+
+
+def segment_scores(token_lists):
+    """score_segments over the lists as one corpus, as one {token: tf} and
+    one {token: tf-idf} dict per list; every position of a token in a list
+    must read the same value."""
+    tf, tfidf = cp.score_segments(np.concatenate(token_lists).astype(np.int64),
+                                  [len(t) for t in token_lists])
+    out, at = [], 0
+    for toks in token_lists:
+        maps = ({}, {})
+        for pos, t in enumerate(toks, at):
+            for labels, mapping in zip((tf, tfidf), maps):
+                assert mapping.setdefault(t, labels[pos]) == labels[pos]
+        out.append(maps)
+        at += len(toks)
+    return out
 
 
 # ---------------------------------------------------------------- splitting
@@ -116,7 +137,8 @@ def test_filter_accepts_boundary(word_vocab):
     assert len(cp.split_sentences(text)) == 4
     doc = cp.filter_document(cp.RawDocument(id="x", text=text), word_vocab)
     assert doc is not None
-    assert len(doc.sentences) == 4
+    assert doc.word_counts.tolist() == [3, 2, 2, 3]
+    assert doc.sentence_offsets.tolist() == [0, 4, 7, 10, 14]
 
 
 # ------------------------------------------------------------- segmentation
@@ -125,7 +147,7 @@ def test_segment_under_target_unchanged():
     doc = make_doc([[1] * 90] * 10)  # 900 tokens
     segs = cp.segment_document(doc, target_tokens=1024)
     assert len(segs) == 1
-    assert segs[0].token_count == 900
+    assert len(segs[0].token_ids) == 900
     assert segs[0].id == doc.id
 
 
@@ -133,8 +155,10 @@ def test_segment_equal_sentences_greedy_boundary():
     # 16 sentences x 128 tokens = 2048 -> two segments of 8 sentences
     doc = make_doc([list(range(128))] * 16)
     segs = cp.segment_document(doc, target_tokens=1024)
-    assert [len(s.ids) for s in segs] == [8, 8]
-    assert all(s.token_count == 1024 for s in segs)
+    assert [len(s.word_counts) for s in segs] == [8, 8]
+    assert all(len(s.token_ids) == 1024 for s in segs)
+    assert all(s.sentence_offsets.tolist() == list(range(0, 1025, 128))
+               for s in segs)
 
 
 def test_greedy_spans_match_oracle_case():
@@ -163,52 +187,52 @@ def test_segment_merges_undersized_tail():
     doc = make_doc([[1] * 512, [2] * 512, [3]])
     segs = cp.segment_document(doc, target_tokens=1024)
     assert len(segs) == 1
-    assert segs[0].token_count == 1025
+    assert len(segs[0].token_ids) == 1025
 
 
 def test_segment_preserves_sentence_sequence():
     doc = make_doc([[i] * 200 for i in range(10)])
     segs = cp.segment_document(doc, target_tokens=1024)
-    flattened = [s for seg in segs for s in seg.sentences]
-    assert flattened == doc.sentences
+    assert [seg.id for seg in segs] == ["d0#0", "d0#1"]
+    assert sum((tokens(seg) for seg in segs), []) == tokens(doc)
+    assert np.concatenate([np.diff(seg.sentence_offsets)
+                           for seg in segs]).tolist() == [200] * 10
     for seg in segs:
-        assert len(seg.sentences) >= cp.MIN_SENTENCES
+        assert len(seg.word_counts) >= cp.MIN_SENTENCES
 
 
 # ------------------------------------------------------------------- tf/idf
 
 def test_tf_hand_counted():
-    tf = cp.compute_tf([5, 5, 5, 7])
+    [(tf, _)] = segment_scores([[5, 5, 5, 7]])
     assert tf[5] == pytest.approx(10.0)
     assert tf[7] == pytest.approx(10.0 / 3.0)
 
 
 def test_tf_all_distinct():
-    assert set(cp.compute_tf([1, 2, 3, 4]).values()) == {10.0}
+    [(tf, _)] = segment_scores([[1, 2, 3, 4]])
+    assert set(tf.values()) == {10.0}
 
 
 def test_tf_single_token():
-    assert cp.compute_tf([9]) == {9: 10.0}
+    assert segment_scores([[9]]) == [({9: 10.0}, {9: 0.0})]
 
 
 def test_tfidf_token_everywhere_is_zero():
-    stats = cp.CorpusStats(document_count=2,
-                           document_frequency={1: 2, 2: 1, 3: 1})
-    scaled = cp.compute_tfidf([1, 2], stats)
+    [(_, scaled), _] = segment_scores([[1, 2], [1, 3]])
     assert scaled[1] == 0.0
+    assert scaled[2] == 10.0
 
 
 def test_tfidf_single_document_corpus_all_zero():
-    stats = cp.CorpusStats(document_count=1, document_frequency={1: 1, 2: 1})
-    assert set(cp.compute_tfidf([1, 1, 2], stats).values()) == {0.0}
+    [(_, scaled)] = segment_scores([[1, 1, 2]])
+    assert set(scaled.values()) == {0.0}
 
 
 def test_tfidf_two_doc_example():
     # token t only in doc A (twice), token u in both (once in A)
     doc_a, doc_b = [10, 10, 20], [20, 30]
-    stats = cp.CorpusStats(document_count=2,
-                           document_frequency={10: 1, 20: 2, 30: 1})
-    scaled = cp.compute_tfidf(doc_a, stats)
+    [(_, scaled), _] = segment_scores([doc_a, doc_b])
     assert scaled[10] == pytest.approx(10.0)
     assert scaled[20] == pytest.approx(0.0)
     ref = oracles.brute_force_tfidf(doc_a, [doc_a, doc_b])
@@ -222,18 +246,11 @@ def test_tf_tfidf_random_corpora_match_brute_force():
         n_docs = int(rng.integers(1, 11))
         docs = [rng.integers(0, 30, size=int(rng.integers(1, 51))).tolist()
                 for _ in range(n_docs)]
-        stats = cp.CorpusStats(document_count=n_docs)
-        for doc in docs:
-            for t in set(doc):
-                stats.document_frequency[t] = \
-                    stats.document_frequency.get(t, 0) + 1
-        for doc in docs:
-            tf = cp.compute_tf(doc)
+        for doc, (tf, tfidf) in zip(docs, segment_scores(docs)):
             tf_ref = oracles.brute_force_tf(doc)
             assert set(tf) == set(tf_ref)
             for t in tf:
                 assert abs(tf[t] - tf_ref[t]) < 1e-9
-            tfidf = cp.compute_tfidf(doc, stats)
             tfidf_ref = oracles.brute_force_tfidf(doc, docs)
             assert set(tfidf) == set(tfidf_ref)
             for t in tfidf:
@@ -243,12 +260,7 @@ def test_tf_tfidf_random_corpora_match_brute_force():
 def test_stats_maps_bounds():
     rng = np.random.default_rng(3)
     docs = [rng.integers(0, 12, size=20).tolist() for _ in range(5)]
-    stats = cp.CorpusStats(document_count=len(docs))
-    for doc in docs:
-        for t in set(doc):
-            stats.document_frequency[t] = stats.document_frequency.get(t, 0) + 1
-    for doc in docs:
-        tf, tfidf = cp.compute_tf(doc), cp.compute_tfidf(doc, stats)
+    for tf, tfidf in segment_scores(docs):
         for mapping in (tf, tfidf):
             vals = list(mapping.values())
             assert min(vals) >= 0.0
@@ -324,31 +336,27 @@ def test_store_roundtrip_values(tmp_path, word_vocab):
     reader = cp.load_corpus(out)
     reader.check_vocab(word_vocab)
 
-    # re-derive documents independently and compare stored values
-    raws = [cp.RawDocument(f"docs.txt:{k}", b)
-            for k, b in enumerate(cp.parse_blocks(text))]
-    docs = [cp.filter_document(r, word_vocab) for r in raws]
-    segments = []
-    for d in docs:
-        assert d is not None
-        segments.extend(cp.segment_document(d))
-    stats = cp.CorpusStats(document_count=len(segments))
-    for seg in segments:
-        for t in set(seg.all_token_ids()):
-            stats.document_frequency[t] = stats.document_frequency.get(t, 0) + 1
+    # re-derive every document from the tokenizer and the brute-force
+    # oracles (all six are under the token target: one segment each)
+    docs = []
+    for block in cp.parse_blocks(text):
+        encoded = [tk.encode_sentence(s, word_vocab)
+                   for s in cp.split_sentences(block)]
+        docs.append([sum(column, []) for column in zip(*encoded)]
+                    + [[len(ids) for ids, _, _ in encoded]])
+    all_ids = [ids for ids, _, _, _ in docs]
 
-    assert len(reader.documents) == len(segments)
-    for stored, seg in zip(reader.documents, segments):
-        assert stored.id == seg.id
-        assert stored.token_ids.tolist() == seg.all_token_ids()
-        assert stored.n_sentences == len(seg.sentences)
-        ids = seg.all_token_ids()
-        tf, tfidf = cp.compute_tf(ids), cp.compute_tfidf(ids, stats)
-        for pos, t in enumerate(stored.token_ids.tolist()):
+    assert [d.id for d in reader.documents] \
+        == [f"docs.txt:{k}" for k in range(len(docs))]
+    for stored, (ids, starts, caps, counts) in zip(reader.documents, docs):
+        assert stored.token_ids.tolist() == ids
+        assert stored.sentence_offsets.tolist() \
+            == np.cumsum([0] + counts).tolist()
+        tf = oracles.brute_force_tf(ids)
+        tfidf = oracles.brute_force_tfidf(ids, all_ids)
+        for pos, t in enumerate(ids):
             assert stored.tf[pos] == pytest.approx(tf[t], abs=1e-6)
             assert stored.tfidf[pos] == pytest.approx(tfidf[t], abs=1e-6)
-        starts = [m for sent in seg.word_starts for m in sent]
-        caps = [m for sent in seg.capitalized for m in sent]
         for pos, (start, cap) in enumerate(zip(starts, caps)):
             assert bool(stored.flags[pos] & cp.FLAG_WORD_START) == start
             assert bool(stored.flags[pos] & cp.FLAG_CAPITALIZED) == cap

@@ -1,12 +1,12 @@
 import pytest
 
 from mtpretrain import tasks
+from mtpretrain.model import HEADS
 
 
 def test_registry_has_fifteen_tasks():
-    assert len(tasks.TASK_ORDER) == 15
-    assert tasks.TASK_ORDER == [
-        "mlm", "tf", "tfidf", "sbo", "tgs", "tcp", "cap", "tlp",
+    assert list(HEADS) == [
+        "mlm", "sbo", "tf", "tfidf", "tlp", "cap", "tcp", "tgs",
         "nsp", "asp", "so", "sdp", "scp", "qt", "fs",
     ]
 
@@ -23,7 +23,7 @@ def test_canonical_task_aliases_and_case():
     assert tasks.canonical_task("TF-IDF") == "tfidf"
     assert tasks.canonical_task("tf_idf") == "tfidf"
     assert tasks.canonical_task(" MLM ") == "mlm"
-    with pytest.raises(tasks.TaskError):
+    with pytest.raises(tasks.TaskError, match=r"'mlmx'; known: mlm, sbo, "):
         tasks.canonical_task("mlmx")
 
 
@@ -51,7 +51,7 @@ def test_final_model_set_accepted():
 
 
 def test_singletons_all_accepted():
-    for name in tasks.TASK_ORDER:
+    for name in HEADS:
         tasks.validate_compatibility((name,))
 
 

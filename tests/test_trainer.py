@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +300,87 @@ def test_resume_after_crash_logs_each_step_once(small_store, word_vocab_path,
     assert [r.step for r in resumed.records] == list(range(5, 10))
     assert_same_checkpoint(full.checkpoint_path, resumed.checkpoint_path)
     assert tz.load_checkpoint(resumed.checkpoint_path).adam_t == 10
+
+
+# One training run in a child process that dies by os._exit inside
+# save_checkpoint, at the checkpoint of the given step: at "replace" once
+# the temporary file is written, before it is renamed over the checkpoint;
+# at "write" halfway through writing it.
+CRASH_CHILD = """
+import json, os, sys
+from mtpretrain import arrayfile, tensor as tz, trainer as tr
+
+config, where, crash_step = json.loads(sys.argv[1])
+real_save = tz.save_checkpoint
+
+
+class HalfWrite:
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        os._exit(3)
+
+
+def save(path, *args, step, **kwargs):
+    if step == crash_step:
+        if where == "replace":
+            os.replace = lambda *a: os._exit(3)
+        else:
+            arrayfile.open = lambda *a, **k: HalfWrite(open(*a, **k))
+    real_save(path, *args, step=step, **kwargs)
+
+
+tz.save_checkpoint = save
+tr.train(tr.TrainConfig(**config))
+"""
+
+
+@pytest.mark.parametrize("where", ["replace", "write"])
+def test_resume_after_process_killed_in_checkpoint_write(
+        small_store, word_vocab_path, tmp_path, where):
+    # ten steps with a checkpoint after steps 2, 5, 8 and 9; the process
+    # dies writing step 5's
+    kw = dict(checkpoint_interval=3 * 192)
+    full = tr.train(make_config(small_store, word_vocab_path, tmp_path,
+                                checkpoint_path=str(tmp_path / "full.mtpt"),
+                                **kw))
+    metrics = tmp_path / "metrics.jsonl"
+    cfg = make_config(small_store, word_vocab_path, tmp_path,
+                      metrics_path=str(metrics), **kw)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(tr.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CRASH_CHILD,
+         json.dumps([cfg.to_dict(), where, 5])],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr[-2000:]
+
+    assert tz.load_checkpoint(cfg.checkpoint_path).train_state["step"] == 2
+    [tmp] = tmp_path.glob(".ck.mtpt.*.tmp")
+    if where == "replace":
+        assert tz.load_checkpoint(tmp).train_state["step"] == 5
+    else:
+        with pytest.raises(tz.CheckpointError):
+            tz.load_checkpoint(tmp)
+    assert [json.loads(line)["step"]
+            for line in metrics.read_text().splitlines()] == list(range(6))
+
+    cfg.resume_from = cfg.checkpoint_path
+    resumed = tr.train(cfg)
+    rows = [json.loads(line) for line in metrics.read_text().splitlines()]
+    assert [row["step"] for row in rows] == list(range(10))
+    assert [row["losses"] for row in rows] == [r.losses for r in full.records]
+    assert [r.step for r in resumed.records] == list(range(3, 10))
+    assert_same_checkpoint(full.checkpoint_path, resumed.checkpoint_path)
 
 
 def test_failed_metrics_rewrite_keeps_the_old_log(tmp_path,
