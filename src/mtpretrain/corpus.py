@@ -185,11 +185,6 @@ def greedy_sentence_spans(token_counts: list[int], target_tokens: int) -> list[t
     return spans
 
 
-def _span_passes_filter(doc: Document, span: tuple[int, int]) -> bool:
-    a, b = span
-    return b - a >= MIN_SENTENCES and doc.word_counts[a:b].sum() >= MIN_WORDS
-
-
 def segment_document(doc: Document, target_tokens: int = DEFAULT_TARGET_TOKENS) -> list[Document]:
     """Split a document into sentence-aligned segments near the token target.
 
@@ -198,30 +193,25 @@ def segment_document(doc: Document, target_tokens: int = DEFAULT_TARGET_TOKENS) 
     emitted segment re-passes the filter; a merged segment may exceed the
     token target.
     """
-    offsets = doc.sentence_offsets
+    offsets, words = doc.sentence_offsets, doc.word_counts
     spans = greedy_sentence_spans(np.diff(offsets).tolist(), target_tokens)
-    merged = True
-    while merged and len(spans) > 1:
-        merged = False
-        for k, span in enumerate(spans):
-            if not _span_passes_filter(doc, span):
-                if k == 0:
-                    spans[0] = (spans[0][0], spans[1][1])
-                    del spans[1]
-                else:
-                    spans[k - 1] = (spans[k - 1][0], span[1])
-                    del spans[k]
-                merged = True
-                break
-    if len(spans) == 1:
+    cuts = [a for a, _ in spans] + [len(words)]
+    # span k runs from cuts[k] to cuts[k + 1]. Deleting cuts[k] folds span
+    # k into the passing span before it, which still passes; deleting
+    # cuts[1] folds the leading span into the next. The scan goes on at k.
+    k = 0
+    while k < len(cuts) - 1 and len(cuts) > 2:
+        a, b = cuts[k], cuts[k + 1]
+        if b - a >= MIN_SENTENCES and words[a:b].sum() >= MIN_WORDS:
+            k += 1
+        else:
+            del cuts[max(k, 1)]
+    if len(cuts) == 2:
         return [doc]
-    out: list[Document] = []
-    for k, (a, b) in enumerate(spans):
-        lo, hi = offsets[a], offsets[b]
-        out.append(Document(f"{doc.id}#{k}", doc.token_ids[lo:hi],
-                            doc.flags[lo:hi], offsets[a:b + 1] - lo,
-                            doc.word_counts[a:b]))
-    return out
+    return [Document(f"{doc.id}#{k}", doc.token_ids[offsets[a]:offsets[b]],
+                     doc.flags[offsets[a]:offsets[b]],
+                     offsets[a:b + 1] - offsets[a], words[a:b])
+            for k, (a, b) in enumerate(zip(cuts, cuts[1:]))]
 
 
 def score_segments(token_ids: np.ndarray, lengths) \

@@ -60,6 +60,26 @@ def greedy_fill_spans(counts, target) -> list[tuple[int, int]]:
     return spans
 
 
+def merge_undersized_spans(spans, word_counts, min_sentences: int,
+                           min_words: int) -> list[tuple[int, int]]:
+    """Reference merge rule of segmentation: fold the first span under the
+    filter into the span before it (the leading span into the one after
+    it), then search again from the start."""
+    spans = list(spans)
+    merged = True
+    while merged and len(spans) > 1:
+        merged = False
+        for k, (a, b) in enumerate(spans):
+            if b - a < min_sentences or sum(word_counts[a:b]) < min_words:
+                if k == 0:
+                    spans[0:2] = [(spans[0][0], spans[1][1])]
+                else:
+                    spans[k - 1:k + 1] = [(spans[k - 1][0], b)]
+                merged = True
+                break
+    return spans
+
+
 def greedy_end_loop(off, s0: int, limit: int, budget: int) -> int:
     """The last sentence end from s0, at or before limit, whose run from s0
     fits the budget, stepped one sentence at a time (s0 when none fit)."""

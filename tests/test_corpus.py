@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -182,12 +182,38 @@ def test_greedy_spans_property(counts, target):
         assert size <= target or b - a == 1
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 300), st.integers(1, 6)),
+                min_size=4, max_size=40),
+       st.integers(50, 1200))
+def test_segment_merges_match_restarting_oracle(sentences, target):
+    counts = [c for c, _ in sentences]
+    words = [w for _, w in sentences]
+    doc = cp.Document("d0", np.zeros(sum(counts), np.int64),
+                      np.ones(sum(counts), np.uint8), np.cumsum([0] + counts),
+                      np.array(words))
+    assume(len(words) >= cp.MIN_SENTENCES and sum(words) >= cp.MIN_WORDS)
+    want = oracles.merge_undersized_spans(
+        oracles.greedy_fill_spans(counts, target), words,
+        cp.MIN_SENTENCES, cp.MIN_WORDS)
+    segs = cp.segment_document(doc, target)
+    assert [len(seg.word_counts) for seg in segs] == [b - a for a, b in want]
+    assert [seg.word_counts.tolist() for seg in segs] \
+        == [words[a:b] for a, b in want]
+    assert [len(seg.token_ids) for seg in segs] \
+        == [sum(counts[a:b]) for a, b in want]
+
+
 def test_segment_merges_undersized_tail():
     # trailing 1-sentence span fails the filter and folds back
     doc = make_doc([[1] * 512, [2] * 512, [3]])
     segs = cp.segment_document(doc, target_tokens=1024)
     assert len(segs) == 1
     assert len(segs[0].token_ids) == 1025
+    # a trailing span of four sentences but eight words fails on words
+    doc = make_doc([[1] * 504] + [[2] * 130] * 4 + [[3] * 2] * 4)
+    segs = cp.segment_document(doc, target_tokens=1024)
+    assert [len(s.token_ids) for s in segs] == [1032]
 
 
 def test_segment_preserves_sentence_sequence():
