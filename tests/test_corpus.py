@@ -189,10 +189,10 @@ def test_greedy_spans_property(counts, target):
 def test_segment_merges_match_restarting_oracle(sentences, target):
     counts = [c for c, _ in sentences]
     words = [w for _, w in sentences]
+    assume(sum(words) >= cp.MIN_WORDS)
     doc = cp.Document("d0", np.zeros(sum(counts), np.int64),
                       np.ones(sum(counts), np.uint8), np.cumsum([0] + counts),
                       np.array(words))
-    assume(len(words) >= cp.MIN_SENTENCES and sum(words) >= cp.MIN_WORDS)
     want = oracles.merge_undersized_spans(
         oracles.greedy_fill_spans(counts, target), words,
         cp.MIN_SENTENCES, cp.MIN_WORDS)
