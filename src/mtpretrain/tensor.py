@@ -26,11 +26,16 @@ Constants get no gradient: an input that neither requires a gradient nor
 has parents (dropout masks, regression targets) is skipped, and its
 backward term is never computed.
 
-Graph lifetime: `backward()` leaves the graph intact, so a second root
-over a shared forward can still run its own backward. The callers let go
-of it: the trainer keeps only a step's loss floats once its backward has
-run, and `check_gradients` drops its analytic graph before the finite
-differences. Freed activations go back to glibc's heap. On import this
+Graph lifetime: `backward()` frees the graph as it walks it. Once a
+node's backward has run, or no gradient reached it, the walk swaps its
+closure for one that raises `FreedGraphError`, empties its parents and
+drops its own reference to it. A node's saved arrays (attention
+probabilities, layer_norm's normalized input, dropout masks) are thus
+gone before the walk reaches the nodes below it, and a loss held after
+its backward keeps only its value. A later backward that reaches a freed
+node raises rather than add nothing. `backward(retain_graph=True)` keeps
+the graph, so that a second root over a shared forward can run its own
+backward. Freed activations go back to glibc's heap. On import this
 module pins glibc's trim and mmap thresholds (`mallopt`), so that the
 freed pages stay in the process for the next step's forward instead of
 going back to the kernel and being faulted in again. On `so-pretrain`
@@ -106,6 +111,17 @@ def default_dtype():
 
 class ShapeError(ValueError):
     """Raised when an op receives incompatible shapes."""
+
+
+class FreedGraphError(RuntimeError):
+    """Raised when backward reaches a node whose graph an earlier backward
+    has freed."""
+
+
+def _freed_backward(g: np.ndarray) -> None:
+    raise FreedGraphError(
+        "backward reached a node whose graph was freed by an earlier "
+        "backward; pass retain_graph=True to the earlier call to keep it")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -185,11 +201,29 @@ class Tensor:
             self.grad += g
 
     # ----------------------------------------------------------- backward
-    def backward(self) -> None:
-        """Backpropagate from this scalar, accumulating into .grad buffers."""
+    def backward(self, retain_graph: bool = False) -> None:
+        """Backpropagate from this scalar, accumulating into .grad buffers.
+        Unless retain_graph, each node is freed as soon as the walk has
+        passed it."""
         if self.data.ndim != 0:
             raise ShapeError(
                 f"backward requires a scalar loss, got shape {self.data.shape}")
+        order = self._topological_order()
+        self._accumulate(np.ones((), dtype=self.data.dtype))
+        while order:
+            node = order.pop()
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                    node.grad = None
+                if not retain_graph:
+                    node._backward = _freed_backward
+                    node.parents = ()
+
+    def _topological_order(self) -> "list[Tensor]":
+        """Every node under this one, each after its parents. Its own
+        frame, so that no loop variable of the sort holds a node during
+        the walk."""
         order = []
         seen = set()
         stack = [(self, False)]
@@ -205,11 +239,7 @@ class Tensor:
             for p in node.parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.ones((), dtype=self.data.dtype))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                node.grad = None
+        return order
 
     # ------------------------------------------------------- op plumbing
     @staticmethod
@@ -836,7 +866,7 @@ def check_gradients(loss_fn: Callable[[], Tensor], params: "dict[str, Tensor]",
                 f"gradient check needs float64 parameters ({name} is "
                 f"{p.data.dtype}); call set_default_dtype('float64') first")
         p.grad = None
-    loss_fn().backward()    # the analytic graph is freed as backward returns
+    loss_fn().backward()    # backward frees the analytic graph as it walks it
     analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
                 for name, p in params.items()}
     if rng is None:

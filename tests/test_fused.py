@@ -277,7 +277,7 @@ def test_backward_from_a_second_root_over_a_shared_graph():
         return tz.gelu(tz.linear(x, w, b))
 
     shared = hidden()
-    (shared * c1).sum().backward()
+    (shared * c1).sum().backward(retain_graph=True)
     w.grad = None
     (shared * c2).sum().backward()
     via_shared = w.grad
@@ -367,7 +367,7 @@ def test_vocab_cross_entropy_from_a_second_root_over_a_shared_graph():
                                ids, targets)
 
     shared = loss()
-    shared.backward()
+    shared.backward(retain_graph=True)
     first = [t.grad.copy() for t in inputs]
     for t in inputs:
         t.grad = None

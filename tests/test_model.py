@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from mtpretrain import losses as ls
 from mtpretrain import tensor as tz
 from mtpretrain.model import (HEADS, Model, ModelConfig, param_shapes,
@@ -527,6 +528,43 @@ def test_no_vocab_sized_array_outlives_the_forward(small_reader, word_vocab):
                 stack.append(p)
     assert non_leaf > 20
     assert id(model.params["embeddings.token"]) in seen
+
+
+def test_no_encoder_node_outlives_the_walk_past_it(small_reader, word_vocab,
+                                                  monkeypatch):
+    # by the time the token embedding's backward runs, backward has freed
+    # every encoder-layer node, though the caller still holds the loss
+    task_set = ("mlm", "sbo", "tgs")
+    model, batch = equivalence_model_and_batch(task_set, small_reader,
+                                               word_vocab)
+    table = model.params["embeddings.token"]
+    encoder, alive = set(), []
+    real_index_rows, real_encode = tz.index_rows, model.encode
+
+    def spy_index_rows(source, indices):
+        out = real_index_rows(source, indices)
+        if source is table:
+            inner = out._backward
+
+            def backward(g):
+                alive.append(len(encoder & oracles.live_tensor_ids()))
+                inner(g)
+
+            out._backward = backward
+        return out
+
+    def spy_encode(x, *args, **kwargs):
+        rows = real_encode(x, *args, **kwargs)
+        encoder.update(oracles.graph_ids([rows]) - oracles.graph_ids([x]))
+        return rows
+
+    monkeypatch.setattr(tz, "index_rows", spy_index_rows)
+    model.encode = spy_encode
+    total = ls.combine_losses(ls.batch_losses(model, batch), task_set)
+    assert len(encoder) > 20
+    total.backward()
+    assert alive == [0]
+    assert total.parents == () and np.isfinite(total.item())
 
 
 def test_empty_row_union_runs_and_gives_no_gradient(float64_mode,

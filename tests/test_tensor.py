@@ -172,6 +172,84 @@ def test_backward_rejects_non_scalar():
         (w * 2).backward()
 
 
+# ------------------------------------------------------------ graph release
+
+def spy_identity(x, check):
+    """x passed on through a node whose backward calls check() first."""
+    def backward(g):
+        check()
+        x._accumulate(g)
+
+    return Tensor._result(x.data, (x,), backward)
+
+
+def test_backward_frees_each_node_during_the_walk():
+    # by the time the identity's backward runs, the nodes of the two
+    # layers above it are gone, though the loss is still held
+    w = Tensor(np.random.default_rng(12).normal(size=(3, 4)),
+               requires_grad=True)
+    upper, alive = [], []
+
+    def build():
+        ident = spy_identity(w, lambda: alive.append(
+            len(upper[0] & oracles.live_tensor_ids())))
+        top = tz.gelu(tz.gelu(ident) * 2.0)
+        upper.append(oracles.graph_ids([top]) - oracles.graph_ids([ident]))
+        return top.sum()
+
+    loss = build()
+    assert len(upper[0]) == 3
+    loss.backward()
+    assert alive == [0]
+
+
+def test_backward_keeps_the_roots_value_and_drops_its_parents():
+    w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    loss = (w * w).sum()
+    assert loss.parents
+    loss.backward()
+    assert loss.item() == 5.0 and loss.parents == ()
+    np.testing.assert_array_equal(w.grad, [2.0, -4.0])
+
+
+def test_a_second_backward_through_a_freed_graph_raises():
+    w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    loss = tz.gelu(w * 3.0).sum()
+    loss.backward()
+    first = w.grad.copy()
+    with pytest.raises(tz.FreedGraphError, match="retain_graph=True"):
+        loss.backward()
+    np.testing.assert_array_equal(w.grad, first)
+
+
+def test_a_new_graph_over_a_freed_intermediate_raises():
+    # as a caller would reuse one task's loss after the total's backward
+    w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    loss_map = {"a": (w * w).sum(), "b": tz.gelu(w).sum()}
+    (loss_map["a"] + loss_map["b"]).backward()
+    with pytest.raises(tz.FreedGraphError, match="retain_graph=True"):
+        (loss_map["a"] * 2.0).backward()
+    assert issubclass(tz.FreedGraphError, RuntimeError)
+
+
+def test_retain_graph_keeps_the_graph_for_a_second_backward():
+    w = Tensor(np.random.default_rng(13).normal(size=(3, 4)),
+               requires_grad=True)
+
+    def loss_fn():
+        return (tz.gelu(w * 2.0) * w).sum()
+
+    loss = loss_fn()
+    loss.backward(retain_graph=True)
+    assert loss.parents
+    loss.backward()
+    twice = w.grad
+    w.grad = None
+    loss_fn().backward()
+    loss_fn().backward()
+    np.testing.assert_array_equal(twice, w.grad)
+
+
 def test_two_layer_net_matches_finite_differences():
     rng = np.random.default_rng(7)
     params = {
