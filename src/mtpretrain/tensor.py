@@ -856,6 +856,21 @@ def check_gradients(loss_fn: Callable[[], Tensor], params: "dict[str, Tensor]",
     The relative error uses a 1e-4 floor in the denominator so near-zero
     gradient pairs are judged on absolute terms. Requires float64 tensors;
     float32 does not give the differences enough precision to mean anything.
+
+    Parameters the analytic backward never reached (their `.grad` is still
+    None) have an expected gradient of exactly zero, so one joint probe
+    stands for all of them: each of their entries moves by
+    +-GRADCHECK_STEP * (1 + u), random sign and u in [0, 1) from a
+    fixed-seed generator of its own, and one forward must return a loss
+    bit-identical to the analytic pass's. The steps differ in size, so a
+    read that a uniform shift would not move (a softmax bias) still moves
+    the loss. If it moves, or is NaN, every one of them is checked entry
+    by entry like the reached parameters. The probe relies on loss_fn
+    being deterministic, as the central differences already do. `rng`
+    draws each parameter's sampled entries in `params` order, probed ones
+    included, so the reached parameters' entries do not depend on the
+    probe. Every moved entry is restored from a saved copy, also when
+    loss_fn raises.
     """
     if max_entries is not None and max_entries < 1:
         raise ValueError(f"gradient check needs at least one entry per "
@@ -866,9 +881,14 @@ def check_gradients(loss_fn: Callable[[], Tensor], params: "dict[str, Tensor]",
                 f"gradient check needs float64 parameters ({name} is "
                 f"{p.data.dtype}); call set_default_dtype('float64') first")
         p.grad = None
-    loss_fn().backward()    # backward frees the analytic graph as it walks it
+    root = loss_fn()
+    base = root.item()
+    root.backward()    # backward frees the analytic graph as it walks it
+    del root           # and nothing of it is alive at the first difference
     analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
                 for name, p in params.items()}
+    unreached = [p for p in params.values() if p.grad is None]
+    probed = bool(unreached) and _loss_ignores(loss_fn, unreached, base)
     if rng is None:
         rng = np.random.default_rng(0)
     worst = ("", 0.0)
@@ -879,14 +899,18 @@ def check_gradients(loss_fn: Callable[[], Tensor], params: "dict[str, Tensor]",
             idx = rng.choice(n, size=max_entries, replace=False)
         else:
             idx = np.arange(n)
+        if probed and p.grad is None:
+            idx = ()    # the probe showed the loss does not read it
         worst_here = 0.0
         for i in idx:
             saved = flat[i]
-            flat[i] = saved + GRADCHECK_STEP
-            up = loss_fn().item()
-            flat[i] = saved - GRADCHECK_STEP
-            down = loss_fn().item()
-            flat[i] = saved
+            try:
+                flat[i] = saved + GRADCHECK_STEP
+                up = loss_fn().item()
+                flat[i] = saved - GRADCHECK_STEP
+                down = loss_fn().item()
+            finally:
+                flat[i] = saved
             numeric = (up - down) / (2.0 * GRADCHECK_STEP)
             a = analytic[name].reshape(-1)[i]
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-4)
@@ -894,6 +918,22 @@ def check_gradients(loss_fn: Callable[[], Tensor], params: "dict[str, Tensor]",
         if worst_here >= worst[1]:
             worst = (name, worst_here)
     return GradCheckResult(max_error=worst[1], worst_param=worst[0])
+
+
+def _loss_ignores(loss_fn: Callable[[], Tensor], params: "list[Tensor]",
+                  base: float) -> bool:
+    """Whether one forward with every entry of params moved at once, along
+    a fixed-seed non-uniform random direction, gives exactly `base`."""
+    gen = np.random.default_rng(0)
+    saved = [p.data.copy() for p in params]
+    try:
+        for p in params:
+            sign = gen.choice((-1.0, 1.0), size=p.data.shape)
+            p.data += sign * GRADCHECK_STEP * (1.0 + gen.random(p.data.shape))
+        return loss_fn().item() == base
+    finally:
+        for p, copy in zip(params, saved):
+            p.data[...] = copy
 
 
 # ------------------------------------------------------------ checkpoints

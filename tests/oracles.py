@@ -3,8 +3,9 @@
 Everything here is deliberately written from scratch with different
 machinery than the library (plain loops, collections.Counter, quadrature)
 so that agreement is meaningful. The fused tensor ops are checked against
-chains of the library's primitive ops instead. The tape-liveness helpers at
-the end find which nodes of a graph are still alive.
+chains of the library's primitive ops instead, and the gradient check
+against its per-entry form. The tape-liveness helpers at the end find
+which nodes of a graph are still alive.
 """
 
 from __future__ import annotations
@@ -399,6 +400,50 @@ def fs_loss_per_pair(cls, hidden, content, floor: float) -> float:
                 cos = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
                 logs.append(math.log(min(max((cos + 1) / 2, floor), 1.0)))
     return -sum(logs) / len(logs) if logs else 0.0
+
+
+# -------------------------------------------------------- gradient check
+
+def check_gradients_per_entry(loss_fn, params, max_entries=None, rng=None):
+    """`tensor.check_gradients` before the joint probe: two forwards per
+    sampled entry of every parameter, reached by the loss or not."""
+    if max_entries is not None and max_entries < 1:
+        raise ValueError(f"gradient check needs at least one entry per "
+                         f"parameter, got {max_entries}")
+    for name, p in params.items():
+        if p.data.dtype != np.float64:
+            raise ValueError(
+                f"gradient check needs float64 parameters ({name} is "
+                f"{p.data.dtype}); call set_default_dtype('float64') first")
+        p.grad = None
+    loss_fn().backward()
+    analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
+                for name, p in params.items()}
+    if rng is None:
+        rng = np.random.default_rng(0)
+    worst = ("", 0.0)
+    for name, p in params.items():
+        flat = p.data.reshape(-1)
+        n = flat.size
+        if max_entries is not None and n > max_entries:
+            idx = rng.choice(n, size=max_entries, replace=False)
+        else:
+            idx = np.arange(n)
+        worst_here = 0.0
+        for i in idx:
+            saved = flat[i]
+            flat[i] = saved + tz.GRADCHECK_STEP
+            up = loss_fn().item()
+            flat[i] = saved - tz.GRADCHECK_STEP
+            down = loss_fn().item()
+            flat[i] = saved
+            numeric = (up - down) / (2.0 * tz.GRADCHECK_STEP)
+            a = analytic[name].reshape(-1)[i]
+            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-4)
+            worst_here = max(worst_here, err)
+        if worst_here >= worst[1]:
+            worst = (name, worst_here)
+    return tz.GradCheckResult(max_error=worst[1], worst_param=worst[0])
 
 
 # ------------------------------------------------------------ tape liveness

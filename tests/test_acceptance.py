@@ -103,11 +103,21 @@ def test_criterion_02_run_table_statistics(report):
 
 # --------------------------------------------------------------------- 3
 
-def test_criterion_03_gradient_fidelity(report):
+def test_criterion_03_gradient_fidelity(report, monkeypatch):
     t0 = time.monotonic()
     covered = set()
     for task_set in GRADCHECK_SETS:
         covered.update(task_set)
+    evals = []
+    check = tz.check_gradients
+
+    def counting_check(loss_fn, *args, **kwargs):
+        def counted():
+            evals.append(1)
+            return loss_fn()
+        return check(counted, *args, **kwargs)
+
+    monkeypatch.setattr(tz, "check_gradients", counting_check)
     worst = run_gradcheck(layers=2, hidden=32, heads=2, batch_size=8,
                           seq_len=24, seed=0, max_entries=2,
                           verbose=lambda *_: None)
@@ -116,7 +126,7 @@ def test_criterion_03_gradient_fidelity(report):
           and elapsed < 300.0)
     report(3, "finite differences confirm every head's gradients", ok,
            f"max rel err {worst:.3e} over {len(HEADS)} heads, "
-           f"{elapsed:.1f}s")
+           f"{len(evals):,} loss evaluations, {elapsed:.1f}s")
 
 
 # --------------------------------------------------------------------- 4

@@ -425,6 +425,35 @@ def test_last_layer_at_head_rows_matches_full_layer(
                                        atol=1e-12, err_msg=name)
 
 
+def test_check_gradients_matches_the_per_entry_oracle(
+        small_reader, word_vocab, float64_mode):
+    # over every gradcheck set the joint probe of the unreached parameters
+    # gives the per-entry check's result and leaves rng where it leaves it
+    from mtpretrain.cli import GRADCHECK_SETS
+    from mtpretrain.taskbuild import assemble_batch
+    model, _ = small_model(vocab=len(word_vocab), layers=1, seq=24)
+    rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
+    for k, task_set in enumerate(GRADCHECK_SETS):
+        batch = assemble_batch(small_reader, word_vocab, task_set, 8, 24,
+                               seed=4, step=k)
+        calls = []
+
+        def loss_fn():
+            calls.append(1)
+            return ls.combine_losses(ls.batch_losses(model, batch), task_set)
+
+        want = oracles.check_gradients_per_entry(
+            loss_fn, model.params, max_entries=1, rng=rng_old)
+        calls.clear()
+        got = tz.check_gradients(loss_fn, model.params, max_entries=1,
+                                 rng=rng_new)
+        assert got == want, task_set
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        reached = sum(p.grad is not None for p in model.params.values())
+        assert reached < len(model.params), task_set
+        assert len(calls) == 1 + 1 + 2 * reached, task_set
+
+
 VOCAB_TASKS = {"mlm", "sbo"}
 
 

@@ -378,6 +378,92 @@ def test_check_gradients_refuses_fewer_than_one_entry(max_entries):
                            max_entries=max_entries)
 
 
+def probe_params(seed=12):
+    """Two parameters a loss can reach, w and b, and three it can leave.
+    x lies on a 1/8 grid in [1, 2), where one shift of every entry keeps
+    their differences exact; y and z span eight decades, down to entries
+    that x + d - d does not give back."""
+    rng = np.random.default_rng(seed)
+    params = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=5),
+              "x": 1.0 + rng.integers(0, 8, size=(2, 6)) / 8.0,
+              "y": rng.normal(size=7) * 10.0 ** rng.uniform(-8, 0, 7),
+              "z": rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-8, 0, (4, 4))}
+    return {name: tz.parameter(data) for name, data in params.items()}
+
+
+def counted(loss_fn):
+    """loss_fn with a call counter, read as `.calls`."""
+    def wrapped():
+        wrapped.calls += 1
+        return loss_fn()
+    wrapped.calls = 0
+    return wrapped
+
+
+@pytest.mark.parametrize("leak", ["product", "softmax"])
+def test_check_gradients_probe_still_catches_a_read_through_data(leak):
+    # x reaches the loss only through a constant, so backward leaves it
+    # without a gradient; the joint probe must notice the loss move, and the
+    # per-entry check then finds a numeric gradient against an analytic 0
+    params = probe_params()
+    w, x = params["w"], params["x"]
+
+    def loss_fn():
+        read = tz.constant(x.data).reshape(12)
+        if leak == "softmax":    # blind to a shift of every entry at once
+            read = tz.softmax(read)
+        return (read.reshape(3, 4) * w).sum()
+
+    result = tz.check_gradients(loss_fn, params)
+    assert result.worst_param == "x"
+    assert result.max_error == 1.0
+
+
+def test_unused_parameters_cost_one_forward_in_total():
+    params = probe_params()
+    before = {name: p.data.copy() for name, p in params.items()}
+    loss_fn = counted(lambda: (params["w"] * params["w"]).sum()
+                      + (params["b"] * 3.0).sum())
+    result = tz.check_gradients(loss_fn, params, max_entries=2)
+    assert result.max_error < 1e-6
+    # the analytic pass, the probe, then two per sampled entry of w and b
+    assert loss_fn.calls == 1 + 1 + 2 * (2 + 2)
+    for name, p in params.items():
+        assert p.data.tobytes() == before[name].tobytes(), name
+
+
+def test_check_gradients_falls_back_when_the_loss_is_not_repeatable():
+    # a loss that changes with every call moves under the probe, so every
+    # parameter gets its per-entry differences
+    params = probe_params()
+    w = params["w"]
+    loss_fn = counted(lambda: (w * w).sum() + 1e-3 * loss_fn.calls)
+    tz.check_gradients(loss_fn, params, max_entries=3)
+    entries = sum(min(3, p.data.size) for p in params.values())
+    assert loss_fn.calls == 1 + 1 + 2 * entries
+
+
+@pytest.mark.parametrize("failing_call", [2, 3, 4])
+def test_check_gradients_restores_parameters_when_the_loss_raises(
+        failing_call):
+    # call 2 is the probe of b, x, y and z; calls 3 and 4 are the first
+    # entry's two differences
+    params = probe_params()
+    before = {name: p.data.copy() for name, p in params.items()}
+    w = params["w"]
+
+    def loss_fn():
+        if loss_fn.calls == failing_call:
+            raise ArithmeticError("loss failed")
+        return (w * w).sum()
+
+    loss_fn = counted(loss_fn)
+    with pytest.raises(ArithmeticError, match="loss failed"):
+        tz.check_gradients(loss_fn, params)
+    for name, p in params.items():
+        assert p.data.tobytes() == before[name].tobytes(), name
+
+
 # --------------------------------------------------------------------- adam
 
 def test_adam_zero_gradient_fixed_point():
