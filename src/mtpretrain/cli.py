@@ -153,7 +153,9 @@ def run_gradcheck(layers: int = 2, hidden: int = 32, heads: int = 2,
 
     Returns the max relative error across all checked task sets. Runs in
     float64 with dropout off; samples max_entries elements per parameter.
+    The default dtype is set back to the caller's on return.
     """
+    dtype = tensor.default_dtype()
     tensor.set_default_dtype("float64")
     try:
         vocab = Vocabulary(list(SPECIAL_TOKENS)
@@ -185,7 +187,7 @@ def run_gradcheck(layers: int = 2, hidden: int = 32, heads: int = 2,
             worst = max(worst, result.max_error)
         return worst
     finally:
-        tensor.set_default_dtype("float32")
+        tensor.set_default_dtype(dtype)
 
 
 def cmd_gradcheck(args) -> int:

@@ -45,6 +45,13 @@ thresholds; with only the trim threshold pinned ~3,750, with only the
 mmap threshold ~1,500 (setting either one stops glibc adjusting the
 other), and with both under one. Where `mallopt` cannot be found the pin
 does nothing.
+
+Every op that makes a node (the arithmetic operators, log, tanh, clamp,
+reshape, transpose, sum, matmul and the module's node functions) is
+wrapped by `_op`. Outside `check_gradients` the wrapper tests one
+module global and calls the op; inside it, the call goes to the check's
+replay, which may hand back the output a recorded forward already made
+(see `check_gradients`).
 """
 
 from __future__ import annotations
@@ -107,6 +114,19 @@ def set_default_dtype(dtype) -> None:
 
 def default_dtype():
     return _DEFAULT_DTYPE
+
+
+_replay: "Optional[_Replay]" = None   # set only while check_gradients runs
+
+
+def _op(fn):
+    """fn, called through the running gradient check's replay, if any."""
+    @functools.wraps(fn)
+    def op(*args, **kwargs):
+        if _replay is None:
+            return fn(*args, **kwargs)
+        return _replay.call(fn, args, kwargs)
+    return op
 
 
 class ShapeError(ValueError):
@@ -273,6 +293,7 @@ class Tensor:
         return t
 
     # ---------------------------------------------------------- arithmetic
+    @_op
     def __add__(self, other):
         other = Tensor._wrap(other, self)
         data = self.data + other.data
@@ -290,6 +311,7 @@ class Tensor:
 
     __radd__ = __add__
 
+    @_op
     def __sub__(self, other):
         other = Tensor._wrap(other, self)
         data = self.data - other.data
@@ -302,6 +324,7 @@ class Tensor:
 
         return Tensor._result(data, (self, other), backward)
 
+    @_op
     def __mul__(self, other):
         other = Tensor._wrap(other, self)
         data = self.data * other.data
@@ -316,6 +339,7 @@ class Tensor:
 
     __rmul__ = __mul__
 
+    @_op
     def __neg__(self):
         data = -self.data
 
@@ -324,6 +348,7 @@ class Tensor:
 
         return Tensor._result(data, (self,), backward)
 
+    @_op
     def __pow__(self, exponent):
         c = float(exponent)
         data = self.data ** c
@@ -334,6 +359,7 @@ class Tensor:
         return Tensor._result(data, (self,), backward)
 
     # ------------------------------------------------------ elementwise fns
+    @_op
     def log(self):
         data = np.log(self.data)
 
@@ -342,6 +368,7 @@ class Tensor:
 
         return Tensor._result(data, (self,), backward)
 
+    @_op
     def tanh(self):
         data = np.tanh(self.data)
 
@@ -350,6 +377,7 @@ class Tensor:
 
         return Tensor._result(data, (self,), backward)
 
+    @_op
     def clamp(self, lo: float, hi: float):
         data = np.clip(self.data, lo, hi)
         inside = (self.data > lo) & (self.data < hi)
@@ -360,6 +388,7 @@ class Tensor:
         return Tensor._result(data, (self,), backward)
 
     # -------------------------------------------------------- shape movers
+    @_op
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -371,6 +400,7 @@ class Tensor:
 
         return Tensor._result(data, (self,), backward)
 
+    @_op
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
@@ -384,6 +414,7 @@ class Tensor:
 
         return Tensor._result(data, (self,), backward)
 
+    @_op
     def sum(self, axis=None, keepdims: bool = False):
         data = self.data.sum(axis=axis, keepdims=keepdims)
         shape = self.data.shape
@@ -404,6 +435,7 @@ class Tensor:
             [self.data.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))])
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(n))
 
+    @_op
     def matmul(self, other: "Tensor"):
         other = Tensor._wrap(other, self)
         try:
@@ -437,6 +469,7 @@ def parameter(data, name: str = "") -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
+@_op
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     tensors = list(tensors)
     if not tensors:
@@ -453,6 +486,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return Tensor._result(data, tensors, backward)
 
 
+@_op
 def index_rows(table: Tensor, indices) -> Tensor:
     """Gather rows: out[..., :] = table[indices[...], :] with scatter-add grad."""
     idx = np.asarray(indices)
@@ -476,6 +510,7 @@ def index_rows(table: Tensor, indices) -> Tensor:
 
 # ------------------------------------------------------------ fused nodes
 
+@_op
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x @ weight + bias over the last axis of x."""
     try:
@@ -512,6 +547,7 @@ def _class_targets(op: str, targets, n: int, k: int) -> np.ndarray:
     return t
 
 
+@_op
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean negative log-likelihood over rows of (N, K) logits.
 
@@ -539,6 +575,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return Tensor._result(data, (logits,), backward)
 
 
+@_op
 def vocab_cross_entropy(states: Tensor, table: Tensor, bias: Tensor,
                         targets) -> Tensor:
     """cross_entropy(linear(states, table.T, bias), targets) for (n, H)
@@ -610,6 +647,7 @@ def _softmax_backward(g: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return gx
 
 
+@_op
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
     probs = _softmax(x.data)
@@ -620,6 +658,7 @@ def softmax(x: Tensor) -> Tensor:
     return Tensor._result(probs, (x,), backward)
 
 
+@_op
 def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray,
               heads: int, scale: float, p: float,
               rng: "np.random.Generator | None") -> Tensor:
@@ -691,6 +730,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray,
     return Tensor._result(data, (q, k, v), backward)
 
 
+@_op
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalise over the last axis, then scale by gamma and shift by beta."""
     n = x.data.shape[-1]
@@ -724,6 +764,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return Tensor._result(data, (x, gamma, beta), backward)
 
 
+@_op
 def gelu(x: Tensor) -> Tensor:
     """The tanh approximation 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
     xd = x.data
@@ -753,6 +794,7 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._result(xd * half, (x,), backward)
 
 
+@_op
 def dropout(x: Tensor, p: float,
             rng: "np.random.Generator | None") -> Tensor:
     """Inverted dropout with masks drawn from `rng`; the identity, drawing
@@ -871,7 +913,27 @@ def check_gradients(loss_fn: Callable[[], Tensor], params: "dict[str, Tensor]",
     included, so the reached parameters' entries do not depend on the
     probe. Every moved entry is restored from a saved copy, also when
     loss_fn raises.
+
+    The differences are replayed against one recorded forward. After the
+    probe, every parameter's `requires_grad` is off until the check ends
+    (restored also when loss_fn raises), so no later forward builds a
+    graph, and loss_fn runs once with each op call's arguments and output
+    recorded. A difference names the parameter it moves, and its k-th op
+    call returns the recording's k-th output, without running the op,
+    only if it is the same op with the same keyword names, each tensor
+    argument is the recorded object itself (a recorded output, or a
+    parameter other than the moved one), each other tensor (a constant
+    the loss made) and each array holds the bytes of a copy taken at
+    recording, and each other value has the same type and compares
+    equal. Any other call runs the op. An op's output is a pure function
+    of its arguments, so every difference is bit-identical to a full
+    forward, and only the ops the moved entry reaches run again. An op
+    that receives an `np.random.Generator` turns the replay off for the
+    check, since a skipped draw would shift the stream. No backward runs
+    after the analytic pass, so the analytic gradients are read from
+    `.grad` as it left them; an unreached parameter's is 0.
     """
+    global _replay
     if max_entries is not None and max_entries < 1:
         raise ValueError(f"gradient check needs at least one entry per "
                          f"parameter, got {max_entries}")
@@ -885,39 +947,128 @@ def check_gradients(loss_fn: Callable[[], Tensor], params: "dict[str, Tensor]",
     base = root.item()
     root.backward()    # backward frees the analytic graph as it walks it
     del root           # and nothing of it is alive at the first difference
-    analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
-                for name, p in params.items()}
     unreached = [p for p in params.values() if p.grad is None]
     probed = bool(unreached) and _loss_ignores(loss_fn, unreached, base)
     if rng is None:
         rng = np.random.default_rng(0)
-    worst = ("", 0.0)
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
-        n = flat.size
-        if max_entries is not None and n > max_entries:
-            idx = rng.choice(n, size=max_entries, replace=False)
-        else:
-            idx = np.arange(n)
-        if probed and p.grad is None:
-            idx = ()    # the probe showed the loss does not read it
-        worst_here = 0.0
-        for i in idx:
-            saved = flat[i]
-            try:
-                flat[i] = saved + GRADCHECK_STEP
-                up = loss_fn().item()
-                flat[i] = saved - GRADCHECK_STEP
-                down = loss_fn().item()
-            finally:
-                flat[i] = saved
-            numeric = (up - down) / (2.0 * GRADCHECK_STEP)
-            a = analytic[name].reshape(-1)[i]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-4)
-            worst_here = max(worst_here, err)
-        if worst_here >= worst[1]:
-            worst = (name, worst_here)
+    flags = [p.requires_grad for p in params.values()]
+    try:
+        for p in params.values():
+            p.requires_grad = False
+        _replay = replay = _Replay(params.values())
+        replay.record(loss_fn)
+        worst = ("", 0.0)
+        for name, p in params.items():
+            flat = p.data.reshape(-1)
+            n = flat.size
+            if max_entries is not None and n > max_entries:
+                idx = rng.choice(n, size=max_entries, replace=False)
+            else:
+                idx = np.arange(n)
+            if probed and p.grad is None:
+                idx = ()    # the probe showed the loss does not read it
+            replay.moved = p
+            worst_here = 0.0
+            for i in idx:
+                saved = flat[i]
+                try:
+                    flat[i] = saved + GRADCHECK_STEP
+                    up = replay.run(loss_fn)
+                    flat[i] = saved - GRADCHECK_STEP
+                    down = replay.run(loss_fn)
+                finally:
+                    flat[i] = saved
+                numeric = (up - down) / (2.0 * GRADCHECK_STEP)
+                a = 0.0 if p.grad is None else p.grad.flat[i]
+                err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-4)
+                worst_here = max(worst_here, err)
+            if worst_here >= worst[1]:
+                worst = (name, worst_here)
+    finally:
+        _replay = None
+        for p, flag in zip(params.values(), flags):
+            p.requires_grad = flag
     return GradCheckResult(max_error=worst[1], worst_param=worst[0])
+
+
+class _Replay:
+    """One forward of a gradient check's loss, recorded op call by op
+    call, and the finite differences replayed against it (the match rule
+    is in `check_gradients`)."""
+
+    def __init__(self, params):
+        self.same = {id(p) for p in params}   # matched by identity
+        self.ops = []   # (op, keyword names, argument snapshots, output)
+        self.recording = True
+        self.drew = False   # an op received a Generator
+        self.moved = None
+        self.k = 0
+
+    def record(self, loss_fn) -> None:
+        self.run(loss_fn)
+        self.recording = False
+        if self.drew:
+            self.ops.clear()
+
+    def run(self, loss_fn) -> float:
+        self.k = 0
+        return loss_fn().item()
+
+    def call(self, fn, args, kwargs):
+        k = self.k
+        self.k = k + 1
+        values = args + tuple(kwargs.values()) if kwargs else args
+        if self.recording:
+            snaps = [self._snap(v) for v in values]
+            out = fn(*args, **kwargs)
+            self.ops.append((fn, tuple(kwargs), snaps, out))
+            self.same.add(id(out))
+            return out
+        if k < len(self.ops):
+            op, names, snaps, out = self.ops[k]
+            if op is fn and names == tuple(kwargs) \
+                    and self._matches(values, snaps):
+                return out
+        return fn(*args, **kwargs)
+
+    def _snap(self, v):
+        """What an argument in v's place must match: v itself, matched by
+        identity, or a (kind, type, value) tuple."""
+        if isinstance(v, Tensor):
+            if id(v) in self.same:
+                return v
+            return "bytes", Tensor, _array_bytes(v.data)
+        if isinstance(v, np.ndarray):
+            return "bytes", type(v), _array_bytes(v)
+        if isinstance(v, (list, tuple)):
+            return "seq", type(v), [self._snap(x) for x in v]
+        self.drew |= isinstance(v, np.random.Generator)
+        return "eq", type(v), v
+
+    def _matches(self, values, snaps) -> bool:
+        if len(values) != len(snaps):
+            return False
+        for v, snap in zip(values, snaps):
+            if v is snap:
+                if v is self.moved:
+                    return False
+                continue
+            if type(snap) is not tuple or type(v) is not snap[1]:
+                return False
+            kind, cls, x = snap
+            if kind == "bytes":
+                same = _array_bytes(v.data if cls is Tensor else v) == x
+            elif kind == "seq":
+                same = self._matches(v, x)
+            else:
+                same = bool(v == x)
+            if not same:
+                return False
+        return True
+
+
+def _array_bytes(a: np.ndarray) -> tuple:
+    return a.dtype, a.shape, a.tobytes()
 
 
 def _loss_ignores(loss_fn: Callable[[], Tensor], params: "list[Tensor]",

@@ -464,3 +464,10 @@ def live_tensor_ids() -> "set[int]":
     them. A dead node's id can be reused only by a tensor made after it
     died."""
     return {id(o) for o in gc.get_objects() if isinstance(o, Tensor)}
+
+
+def live_taped_tensors() -> int:
+    """How many tensors still alive hold a backward: a closure, or the
+    marker a freeing walk leaves."""
+    return sum(isinstance(o, Tensor) and o._backward is not None
+               for o in gc.get_objects())

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import synthetic_corpus_text, write_word_vocab
 from mtpretrain import tensor
-from mtpretrain.cli import main
+from mtpretrain.cli import main, run_gradcheck
 
 
 def run(capsys, *argv):
@@ -151,6 +151,12 @@ def test_gradcheck_passes_at_small_scale(capsys):
     assert code == 0, err
     assert "overall max relative error" in out
     assert "qt,fs" in out
+
+
+def test_gradcheck_leaves_a_float64_caller_in_float64(float64_mode):
+    worst = run_gradcheck(layers=1, max_entries=1, verbose=lambda *_: None)
+    assert worst < 1e-4
+    assert tensor.default_dtype() is np.float64
 
 
 def test_gradcheck_of_no_entries_is_refused(capsys):

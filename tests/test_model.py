@@ -428,7 +428,8 @@ def test_last_layer_at_head_rows_matches_full_layer(
 def test_check_gradients_matches_the_per_entry_oracle(
         small_reader, word_vocab, float64_mode):
     # over every gradcheck set the joint probe of the unreached parameters
-    # gives the per-entry check's result and leaves rng where it leaves it
+    # and the replayed differences give the per-entry check's result and
+    # leave rng where it leaves it
     from mtpretrain.cli import GRADCHECK_SETS
     from mtpretrain.taskbuild import assemble_batch
     model, _ = small_model(vocab=len(word_vocab), layers=1, seq=24)
@@ -451,7 +452,7 @@ def test_check_gradients_matches_the_per_entry_oracle(
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
         reached = sum(p.grad is not None for p in model.params.values())
         assert reached < len(model.params), task_set
-        assert len(calls) == 1 + 1 + 2 * reached, task_set
+        assert len(calls) == 1 + 1 + 1 + 2 * reached, task_set
 
 
 VOCAB_TASKS = {"mlm", "sbo"}

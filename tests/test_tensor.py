@@ -1,3 +1,4 @@
+import gc
 import math
 import subprocess
 import sys
@@ -353,21 +354,24 @@ def test_check_gradients_requires_float64():
 
 
 def test_check_gradients_frees_its_analytic_graph_first():
-    # the analytic evaluation's graph is gone by the first finite difference
+    # the analytic evaluation's graph is gone by the next forward. Every
+    # later forward is tape-free, so a live tensor with a backward (a
+    # closure or the freed marker) can only be an analytic node
     w = Tensor(np.random.default_rng(11).normal(size=(3, 4)),
                requires_grad=True)
     graphs, alive = [], []
+    gc.collect()    # no other test's tensors left in cycles
 
     def loss_fn():
         if graphs:
-            alive.append(len(graphs[0] & oracles.live_tensor_ids()))
+            alive.append(oracles.live_taped_tensors())
         loss = tz.gelu(w * 2.0).sum()
         graphs.append(oracles.graph_ids([loss]))
         return loss
 
     tz.check_gradients(loss_fn, {"w": w}, max_entries=1)
-    assert len(graphs) == 3 and graphs[0]
-    assert alive == [0, 0]
+    assert len(graphs) == 4 and graphs[0]
+    assert alive == [0, 0, 0]
 
 
 @pytest.mark.parametrize("max_entries", [0, -1])
@@ -426,8 +430,9 @@ def test_unused_parameters_cost_one_forward_in_total():
                       + (params["b"] * 3.0).sum())
     result = tz.check_gradients(loss_fn, params, max_entries=2)
     assert result.max_error < 1e-6
-    # the analytic pass, the probe, then two per sampled entry of w and b
-    assert loss_fn.calls == 1 + 1 + 2 * (2 + 2)
+    # the analytic pass, the probe, the recording, then two per sampled
+    # entry of w and b
+    assert loss_fn.calls == 1 + 1 + 1 + 2 * (2 + 2)
     for name, p in params.items():
         assert p.data.tobytes() == before[name].tobytes(), name
 
@@ -440,14 +445,14 @@ def test_check_gradients_falls_back_when_the_loss_is_not_repeatable():
     loss_fn = counted(lambda: (w * w).sum() + 1e-3 * loss_fn.calls)
     tz.check_gradients(loss_fn, params, max_entries=3)
     entries = sum(min(3, p.data.size) for p in params.values())
-    assert loss_fn.calls == 1 + 1 + 2 * entries
+    assert loss_fn.calls == 1 + 1 + 1 + 2 * entries
 
 
-@pytest.mark.parametrize("failing_call", [2, 3, 4])
+@pytest.mark.parametrize("failing_call", [2, 3, 4, 5])
 def test_check_gradients_restores_parameters_when_the_loss_raises(
         failing_call):
-    # call 2 is the probe of b, x, y and z; calls 3 and 4 are the first
-    # entry's two differences
+    # call 2 is the probe of b, x, y and z, call 3 the recording; calls 4
+    # and 5 are the first entry's two differences
     params = probe_params()
     before = {name: p.data.copy() for name, p in params.items()}
     w = params["w"]
@@ -460,6 +465,103 @@ def test_check_gradients_restores_parameters_when_the_loss_raises(
     loss_fn = counted(loss_fn)
     with pytest.raises(ArithmeticError, match="loss failed"):
         tz.check_gradients(loss_fn, params)
+    for name, p in params.items():
+        assert p.data.tobytes() == before[name].tobytes(), name
+
+
+def test_check_gradients_leaves_the_analytic_gradients_in_place():
+    # the differences run no backward, so every .grad is the array the
+    # analytic backward left, bit for bit
+    params = probe_params()
+    w, b = params["w"], params["b"]
+    after_backward = {}
+
+    def loss_fn():
+        if loss_fn.calls == 2:    # the probe: the backward has run
+            after_backward.update(
+                {name: (p.grad, None if p.grad is None else p.grad.copy())
+                 for name, p in params.items()})
+        return (w * w).sum() + (b * 3.0).sum()
+
+    loss_fn = counted(loss_fn)
+    tz.check_gradients(loss_fn, params, max_entries=2)
+    assert after_backward["w"][0] is not None
+    assert after_backward["x"][0] is None
+    for name, p in params.items():
+        grad, copy = after_backward[name]
+        assert p.grad is grad, name
+        if copy is not None:
+            assert p.grad.tobytes() == copy.tobytes(), name
+
+
+def test_differences_rerun_only_the_ops_the_moved_parameter_reaches():
+    rng = np.random.default_rng(13)
+    params = {"u": tz.parameter(rng.normal(size=(3, 4))),
+              "v": tz.parameter(rng.normal(size=(3, 4)))}
+    hidden = []
+
+    def loss_fn():
+        h = tz.gelu(params["u"] * 2.0)
+        hidden.append(h)
+        return (h * params["v"]).sum()
+
+    result = tz.check_gradients(loss_fn, params, max_entries=2)
+    assert result == oracles.check_gradients_per_entry(loss_fn, params,
+                                                       max_entries=2)
+    # call 2 is the recording; calls 3-6 move u, calls 7-10 move v
+    recorded = hidden[1]
+    assert all(h is not recorded for h in hidden[2:6])
+    assert all(h is recorded for h in hidden[6:10])
+
+
+@pytest.mark.parametrize("source", ["fresh", "reset"])
+def test_check_gradients_replays_nothing_once_an_op_takes_a_generator(
+        source):
+    # two dropouts draw from one generator, a fresh one or one reset to
+    # the same state at every call: reusing the first dropout while b
+    # moves would hand the second the first one's draws
+    rng = np.random.default_rng(14)
+    params = {"a": tz.parameter(rng.normal(size=(4, 5))),
+              "b": tz.parameter(rng.normal(size=(4, 5)))}
+    shared = np.random.default_rng(0)
+    start = shared.bit_generator.state
+
+    def loss_fn():
+        if source == "fresh":
+            gen = np.random.default_rng(0)
+        else:
+            gen = shared
+            gen.bit_generator.state = start
+        first = tz.dropout(params["a"] * 1.5, 0.5, gen)
+        second = tz.dropout(params["b"] * 1.5, 0.5, gen)
+        return (first * second).sum()
+
+    want = oracles.check_gradients_per_entry(loss_fn, params)
+    assert tz.check_gradients(loss_fn, params) == want
+    assert want.max_error < 1e-6
+
+
+@pytest.mark.parametrize("failing_call", [2, 3, 4, 5])
+def test_a_loss_that_raises_leaves_no_replay_behind(failing_call):
+    # after the probe (2), the recording (3) or either difference (4, 5)
+    # raises, no replay is left running, every requires_grad is as it
+    # was, frozen tensors included, and every array is bit-identical
+    params = probe_params()
+    params["frozen"] = Tensor(np.ones(3), requires_grad=False)
+    flags = {name: p.requires_grad for name, p in params.items()}
+    before = {name: p.data.copy() for name, p in params.items()}
+    w = params["w"]
+
+    def loss_fn():
+        if loss_fn.calls == failing_call:
+            raise ArithmeticError("loss failed")
+        return (w * w).sum()
+
+    loss_fn = counted(loss_fn)
+    with pytest.raises(ArithmeticError, match="loss failed"):
+        tz.check_gradients(loss_fn, params)
+    assert tz._replay is None
+    assert {name: p.requires_grad for name, p in params.items()} == flags
     for name, p in params.items():
         assert p.data.tobytes() == before[name].tobytes(), name
 
