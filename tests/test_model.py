@@ -612,3 +612,38 @@ def test_empty_row_union_runs_and_gives_no_gradient(float64_mode,
     assert all(out[t].item() == 0.0 for t in batch.task_set)
     ls.combine_losses(out, batch.task_set).backward()
     assert all(p.grad is None for p in model.params.values())
+
+
+# ------------------------------------------------ golden training bits
+
+# sha256 over each gradcheck set's task losses and every parameter's
+# gradient (name, then bytes; "-" for none), in order, for a float32 model
+# with dropout on; pinned before each head's forward and loss became one
+# function, which had to keep it
+GOLDEN_TRAINING_BITS = \
+    "f78907c91aec7829bd26430f004c5d64eef721781ab8700d5bc18ae9f01b9331"
+
+
+def test_golden_loss_and_gradient_digest(small_reader, word_vocab):
+    from mtpretrain.cli import GRADCHECK_SETS
+    from mtpretrain.taskbuild import assemble_batch
+    cfg = ModelConfig(vocab=len(word_vocab), layers=2, hidden=16, heads=2,
+                      max_seq_len=24, task_vocab=4, dropout=0.1)
+    model = Model(cfg, np.random.default_rng(3))
+    assert model.params["embeddings.token"].data.dtype == np.float32
+    rng = np.random.default_rng(11)
+    h = hashlib.sha256()
+    for k, task_set in enumerate(GRADCHECK_SETS):
+        batch = assemble_batch(small_reader, word_vocab, task_set, 8, 24,
+                               seed=5, step=k)
+        for p in model.params.values():
+            p.grad = None
+        out = ls.batch_losses(model, batch, rng=rng)
+        ls.combine_losses(out, task_set).backward()
+        for t in task_set:
+            h.update(t.encode() + np.ascontiguousarray(out[t].data).tobytes())
+        for name, p in model.params.items():
+            h.update(name.encode())
+            h.update(b"-" if p.grad is None
+                     else np.ascontiguousarray(p.grad).tobytes())
+    assert h.hexdigest() == GOLDEN_TRAINING_BITS
