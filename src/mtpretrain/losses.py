@@ -114,11 +114,12 @@ def selected_token_ce(grid: Tensor, labels, weights) -> Tensor:
 
 
 def batch_losses(model, batch, rng=None) -> "dict[str, Tensor]":
-    """Full forward pass: embed, encode, run each task head and its loss.
+    """Full forward pass: embed, encode, then each task's head, which
+    returns the task's loss.
 
-    The heads come from the model's head table (`model.heads`); an unknown
-    task is refused by `model.head`. The forward runs on the batch cut to
-    its longest row (`taskbuild.trim`). When every head reads [CLS], the
+    The heads come from the head table of the model module (`HEADS`); an
+    unknown task is refused by `model.head`. The forward runs on the batch
+    cut to its longest row (`taskbuild.trim`). When every head reads [CLS], the
     encoder's last layer runs at the [CLS] rows only. Dropout is on
     exactly when `rng` is given: it draws the masks."""
     batch = trim(batch)
@@ -130,7 +131,6 @@ def batch_losses(model, batch, rng=None) -> "dict[str, Tensor]":
     pooled = model.pool(rows, len(batch.input_ids)) \
         if any(h.reads == "pooled" for h in heads) else None
     out: "dict[str, Tensor]" = {}
-    for t, head in zip(names, heads):
-        preds = model.head_forward(t, rows, batch, pooled)
-        out[t] = head.loss(t, preds, batch)
+    for t in names:
+        out[t] = model.head_forward(t, rows, batch, pooled)
     return out

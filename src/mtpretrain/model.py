@@ -9,11 +9,12 @@ so their geometry is not squashed through an extra affinity layer.
 
 Every head is one entry of `HEADS`: the label key it reads, the input and
 output widths of its dense layer (the output width is the task's class
-count, or 1 for a regression), its forward and loss functions, and
-whether it reads the pooled [CLS], the raw [CLS] or the final states.
-Parameter shapes, `head_forward` and `losses.batch_losses` all read that
-table. When every head of a step reads [CLS], `encode(cls_only=True)`
-runs the last encoder layer at the [CLS] rows only.
+count, or 1 for a regression), the one function that runs its layers and
+returns its loss, and whether it reads the pooled [CLS], the raw [CLS] or
+the final states. Parameter shapes, `head_forward` and
+`losses.batch_losses` all read that table. When every head of a step
+reads [CLS], `encode(cls_only=True)` runs the last encoder layer at the
+[CLS] rows only.
 """
 
 from __future__ import annotations
@@ -77,101 +78,79 @@ def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02):
 
 # ------------------------------------------------------------------ heads
 #
-# A head's forward takes (model, task, rows, batch, pooled), where rows are
-# the encoder's flat output, whose slots `slot_rows` locates, and pooled is
-# the tanh pooler output for heads that read it; its loss takes (task,
-# predictions, batch) and returns the loss as a scalar Tensor.
+# A head takes (model, task, rows, batch, pooled), where rows are the
+# encoder's flat output, whose slots `slot_rows` locates, and pooled is the
+# tanh pooler output for heads that read it. It runs the task's layers and
+# returns the task's loss as a scalar Tensor.
 
-def _mlm_forward(model, task, rows, batch, pooled):
+def _mlm(model, task, rows, batch, pooled):
     pos = batch.labels["mlm"]["positions"]
     states = tz.index_rows(rows, slot_rows(rows, len(batch.input_ids), *pos.T))
     states = model._dense(states, "heads.mlm.transform")
     states = model._norm(tz.gelu(states), "heads.mlm.norm")
-    return _vocab_head(model, task, states)
+    return _tied_vocab_ce(model, task, states, batch)
 
 
-def _sbo_forward(model, task, rows, batch, pooled):
+def _sbo(model, task, rows, batch, pooled):
     """Reads the left and the right boundary of each masked span."""
     lab, b = batch.labels["mlm"], len(batch.input_ids)
     left, right = (tz.index_rows(rows, slot_rows(rows, b, *lab[side].T))
                    for side in ("left", "right"))
     states = tz.gelu(model._dense(tz.concat([left, right], axis=-1),
                                   "heads.sbo.dense"))
-    return _vocab_head(model, task, states)
+    return _tied_vocab_ce(model, task, states, batch)
 
 
-def _vocab_head(model, task, states):
-    """The (n, H) states with the tied token table and the task's vocab
-    bias: the operands of the logits, which the loss never forms whole."""
-    return (states, model.params["embeddings.token"],
-            model.params[f"heads.{task}.vocab_bias"])
-
-
-def _token_regression(model, task, rows, batch, pooled):
-    return model._dense(rows, f"heads.{task}").reshape(batch.input_ids.shape)
-
-
-def _token_class(model, task, rows, batch, pooled):
-    return model._dense(rows, f"heads.{task}").reshape(
-        *batch.input_ids.shape, model.heads[task].outputs)
-
-
-def _tgs_forward(model, task, rows, batch, pooled):
-    """Reads the trigram's three positions in each row that has one."""
-    starts = batch.labels["tgs"]["starts"]
-    valid = np.nonzero(starts >= 0)[0]
-    base = slot_rows(rows, len(starts), valid, starts[valid])
-    parts = [tz.index_rows(rows, base + j) for j in range(3)]
-    return model._dense(tz.concat(parts, axis=-1), "heads.tgs")
-
-
-def _sentence_class(model, task, rows, batch, pooled):
-    return model._dense(pooled, f"heads.{task}")
-
-
-def _cls_forward(model, task, rows, batch, pooled):
-    return model.cls_rows(rows, len(batch.input_ids))
-
-
-def _fs_forward(model, task, rows, batch, pooled):
-    return model.cls_rows(rows, len(batch.input_ids)), rows
-
-
-def _vocab_loss(task, head, batch):
+def _tied_vocab_ce(model, task, states, batch):
+    """Cross-entropy of the (n, H) states scored against the tied token
+    table and the task's vocab bias; the (n, V) logits are never formed
+    whole."""
     targets = batch.labels["mlm"]["targets"]
     if len(targets) == 0:
         return ls.zero_loss()
-    return tz.vocab_cross_entropy(*head, targets)
+    return tz.vocab_cross_entropy(
+        states, model.params["embeddings.token"],
+        model.params[f"heads.{task}.vocab_bias"], targets)
 
 
-def _regression_loss(task, preds, batch):
+def _token_regression(model, task, rows, batch, pooled):
     lab = batch.labels[task]
+    preds = model._dense(rows, f"heads.{task}").reshape(batch.input_ids.shape)
     return ls.loss_regression(preds, lab["values"], lab["weights"])
 
 
-def _token_class_loss(task, grid, batch):
+def _token_class(model, task, rows, batch, pooled):
     lab = batch.labels[task]
+    grid = model._dense(rows, f"heads.{task}").reshape(
+        *batch.input_ids.shape, HEADS[task].outputs)
     return ls.selected_token_ce(grid, lab["labels"], lab["weights"])
 
 
-def _tgs_loss(task, logits, batch):
+def _tgs(model, task, rows, batch, pooled):
+    """Reads the trigram's three positions in each row that has one."""
     lab = batch.labels["tgs"]
-    return ls.loss_token_ce(logits, lab["labels"][lab["starts"] >= 0])
+    starts = lab["starts"]
+    valid = np.nonzero(starts >= 0)[0]
+    base = slot_rows(rows, len(starts), valid, starts[valid])
+    parts = [tz.index_rows(rows, base + j) for j in range(3)]
+    logits = model._dense(tz.concat(parts, axis=-1), "heads.tgs")
+    return ls.loss_token_ce(logits, lab["labels"][valid])
 
 
-def _sentence_loss(task, logits, batch):
-    return ls.loss_token_ce(logits, batch.labels[task])
+def _sentence_class(model, task, rows, batch, pooled):
+    return ls.loss_token_ce(model._dense(pooled, f"heads.{task}"),
+                            batch.labels[task])
 
 
-def _qt_loss(task, cls, batch):
-    return ls.loss_qt(cls)
+def _qt(model, task, rows, batch, pooled):
+    return ls.loss_qt(model.cls_rows(rows, len(batch.input_ids)))
 
 
-def _fs_loss(task, preds, batch):
-    cls, rows = preds
+def _fs(model, task, rows, batch, pooled):
     content = np.asarray(batch.attention_mask, dtype=bool) \
         & ~np.asarray(batch.special_mask, dtype=bool)
-    return ls.loss_fs(cls, rows, content)
+    return ls.loss_fs(model.cls_rows(rows, len(batch.input_ids)), rows,
+                      content)
 
 
 def _dense_shapes(prefix: str, n_in: int, n_out: int):
@@ -188,9 +167,8 @@ class Head:
     width: int            # heads.<task>.weight has width*H input rows (0: none)
     outputs: int          # and this many columns: the class count, or 1
                           # for a regression (0: no dense head)
-    forward: Callable
-    loss: Callable
-    # what the forward reads: "pooled", the tanh pooler over [CLS]; "cls",
+    loss: Callable        # the head's layers and loss, as above
+    # what the head reads: "pooled", the tanh pooler over [CLS]; "cls",
     # the raw [CLS] states; None, the final states
     reads: "str | None" = None
     # parameters beyond the dense head, as (name below heads.<task>, shape)
@@ -199,24 +177,24 @@ class Head:
 
 # one entry per task, in parameter order
 HEADS: "dict[str, Head]" = {
-    "mlm": Head("mlm", 0, 0, _mlm_forward, _vocab_loss, shapes=lambda h, v: (
+    "mlm": Head("mlm", 0, 0, _mlm, shapes=lambda h, v: (
         _dense_shapes("transform", h, h) + _norm_shapes("norm", h)
         + [("vocab_bias", (v,))])),
-    "sbo": Head("mlm", 0, 0, _sbo_forward, _vocab_loss, shapes=lambda h, v: (
+    "sbo": Head("mlm", 0, 0, _sbo, shapes=lambda h, v: (
         _dense_shapes("dense", 2 * h, h) + [("vocab_bias", (v,))])),
-    "tf": Head("tf", 1, 1, _token_regression, _regression_loss),
-    "tfidf": Head("tfidf", 1, 1, _token_regression, _regression_loss),
-    "tlp": Head("tlp", 1, 1, _token_regression, _regression_loss),
-    "cap": Head("cap", 1, 2, _token_class, _token_class_loss),
-    "tcp": Head("tcp", 1, 2, _token_class, _token_class_loss),
-    "tgs": Head("tgs", 3, 6, _tgs_forward, _tgs_loss),
-    "nsp": Head("nsp", 1, 2, _sentence_class, _sentence_loss, "pooled"),
-    "asp": Head("asp", 1, 3, _sentence_class, _sentence_loss, "pooled"),
-    "so": Head("so", 1, 2, _sentence_class, _sentence_loss, "pooled"),
-    "sdp": Head("sdp", 1, 3, _sentence_class, _sentence_loss, "pooled"),
-    "scp": Head("scp", 1, 2, _sentence_class, _sentence_loss, "pooled"),
-    "qt": Head(None, 0, 0, _cls_forward, _qt_loss, "cls"),
-    "fs": Head(None, 0, 0, _fs_forward, _fs_loss),
+    "tf": Head("tf", 1, 1, _token_regression),
+    "tfidf": Head("tfidf", 1, 1, _token_regression),
+    "tlp": Head("tlp", 1, 1, _token_regression),
+    "cap": Head("cap", 1, 2, _token_class),
+    "tcp": Head("tcp", 1, 2, _token_class),
+    "tgs": Head("tgs", 3, 6, _tgs),
+    "nsp": Head("nsp", 1, 2, _sentence_class, "pooled"),
+    "asp": Head("asp", 1, 3, _sentence_class, "pooled"),
+    "so": Head("so", 1, 2, _sentence_class, "pooled"),
+    "sdp": Head("sdp", 1, 3, _sentence_class, "pooled"),
+    "scp": Head("scp", 1, 2, _sentence_class, "pooled"),
+    "qt": Head(None, 0, 0, _qt, "cls"),
+    "fs": Head(None, 0, 0, _fs),
 }
 
 
@@ -247,9 +225,6 @@ def param_shapes(config: ModelConfig) -> "list[tuple[str, tuple[int, ...]]]":
 
 class Model:
     """Encoder plus every task head; parameters in a flat name->Tensor map."""
-
-    # losses reads the table through the model: this module imports losses
-    heads = HEADS
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
@@ -367,24 +342,18 @@ class Model:
         return tz.index_rows(rows, slot_rows(rows, b, np.arange(b)))
 
     def head_forward(self, task: str, rows: Tensor, batch,
-                     pooled: "Tensor | None"):
-        """Run one task head on the encoder's rows; returns its predictions.
-
-        Shapes: mlm/sbo the (n_masked, H) states with the (V, H) token
-        table and the (V,) vocab bias they are scored against; regressions
-        and 2-way token heads (B, L) and (B, L, 2); tgs (n_valid_rows, 6);
-        sentence heads (B, k); qt the raw [CLS] rows (B, H); fs the
-        ([CLS] rows, rows) pair.
-        """
+                     pooled: "Tensor | None") -> Tensor:
+        """Run one task head on the encoder's rows and return the task's
+        loss, a scalar Tensor: an exact zero with no gradient when the
+        batch gives the task nothing to predict."""
         head = self.head(task, batch)
         # each head reads the rows through a node of its own, which fixes
         # the order in which the heads' gradients are summed into the rows
-        return head.forward(self, task, rows.reshape(rows.shape), batch,
-                            pooled)
+        return head.loss(self, task, rows.reshape(rows.shape), batch, pooled)
 
     def head(self, task: str, batch) -> Head:
         """The task's head, refusing an unknown task or missing labels."""
-        head = self.heads.get(task)
+        head = HEADS.get(task)
         if head is None:
             raise TaskError(f"unknown task {task!r}")
         if head.labels is not None and head.labels not in batch.labels:

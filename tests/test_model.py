@@ -243,16 +243,29 @@ def encoded(model, batch):
     return model.encode(model.embed(batch), batch.attention_mask)
 
 
-def test_mlm_and_sbo_head_shapes():
+def mean_ce(logits, targets):
+    """Mean cross-entropy of numpy logits against integer targets."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return -logp[np.arange(len(z)), np.asarray(targets)].mean()
+
+
+def test_mlm_and_sbo_heads_score_the_tied_table_and_their_own_bias():
     model, cfg = small_model()
     ids = np.arange(10).reshape(1, 10) % cfg.vocab
     batch = FakeBatch(ids, labels={"mlm": mlm_labels([[0, 2], [0, 5]], [3, 4], 10)})
-    rows = encoded(model, batch)
-    for task in ("mlm", "sbo"):
-        states, table, bias = model.head_forward(task, rows, batch, None)
-        assert states.shape == (2, cfg.hidden)
-        assert table is model.params["embeddings.token"]
-        assert bias is model.params[f"heads.{task}.vocab_bias"]
+    table = model.params["embeddings.token"]
+    for task, other in (("mlm", "sbo"), ("sbo", "mlm")):
+        for p in model.params.values():
+            p.grad = None
+        loss = model.head_forward(task, encoded(model, batch), batch, None)
+        assert loss.shape == ()
+        loss.backward()
+        # ids 10..19 are not in the input: only the output projection
+        # reads their rows
+        assert np.abs(table.grad[10:]).sum(axis=1).min() > 0, task
+        assert model.params[f"heads.{task}.vocab_bias"].grad is not None
+        assert model.params[f"heads.{other}.vocab_bias"].grad is None
 
 
 def test_mlm_logits_tied_to_token_table():
@@ -271,34 +284,50 @@ def test_mlm_logits_tied_to_token_table():
     assert after.item() != pytest.approx(before.item())
 
 
-def test_regression_and_token_class_head_shapes():
+def test_token_heads_score_every_weighted_slot(float64_mode):
+    # the loss over the (B*L, H) rows is the weighted squared error of one
+    # output per slot, or the cross-entropy over each head's classes at
+    # the slots with positive weight
     model, cfg = small_model()
-    grid = np.zeros((2, 6))
-    batch = FakeBatch(np.zeros((2, 6), dtype=int), labels={
-        "tf": {"values": grid, "weights": grid},
-        "tfidf": {"values": grid, "weights": grid},
-        "tlp": {"values": grid, "weights": grid},
-        "cap": {"labels": grid.astype(np.int64), "weights": grid},
-        "tcp": {"labels": grid.astype(np.int64), "weights": grid},
-    })
-    rows = encoded(model, batch)
-    assert model.head_forward("tf", rows, batch, None).shape == (2, 6)
-    assert model.head_forward("tlp", rows, batch, None).shape == (2, 6)
-    assert model.head_forward("cap", rows, batch, None).shape == (2, 6, 2)
-    assert model.head_forward("tcp", rows, batch, None).shape == (2, 6, 2)
+    rng = np.random.default_rng(4)
+    weights = (rng.random((2, 6)) < 0.6).astype(float)
+    labels = {t: {"values": rng.normal(size=(2, 6)), "weights": weights}
+              for t in ("tf", "tfidf", "tlp")}
+    labels.update({t: {"labels": rng.integers(0, 2, size=(2, 6)),
+                       "weights": weights} for t in ("cap", "tcp")})
+    batch = FakeBatch(np.zeros((2, 6), dtype=int), labels=labels)
+    rows = tz.constant(rng.normal(size=(12, cfg.hidden)))
+    sel = weights.reshape(-1) > 0
+    for task, lab in labels.items():
+        p = model.params
+        out = rows.data @ p[f"heads.{task}.weight"].data \
+            + p[f"heads.{task}.bias"].data
+        if "values" in lab:
+            want = (((out[:, 0] - lab["values"].reshape(-1)) ** 2)
+                    * weights.reshape(-1)).sum() / weights.sum()
+        else:
+            assert out.shape == (12, 2)
+            want = mean_ce(out[sel], lab["labels"].reshape(-1)[sel])
+        got = model.head_forward(task, rows, batch, None).item()
+        assert got == pytest.approx(want, rel=1e-12), task
 
 
-def test_tgs_head_gathers_valid_rows_only():
+def test_tgs_head_reads_only_the_rows_with_a_trigram(float64_mode):
     model, cfg = small_model()
+    starts, labels = np.array([-1, 2, 4]), np.array([0, 3, 5])
     batch = FakeBatch(np.zeros((3, 8), dtype=int), labels={
-        "tgs": {"starts": np.array([-1, 2, 4]), "labels": np.array([0, 3, 5])}})
-    rows = encoded(model, batch)
-    out = model.head_forward("tgs", rows, batch, None)
-    assert out.shape == (2, 6)
-    none_batch = FakeBatch(np.zeros((2, 8), dtype=int), labels={
-        "tgs": {"starts": np.array([-1, -1]), "labels": np.array([0, 0])}})
-    rows2 = encoded(model, none_batch)
-    assert model.head_forward("tgs", rows2, none_batch, None).shape == (0, 6)
+        "tgs": {"starts": starts, "labels": labels}})
+    rows = tz.parameter(np.random.default_rng(6).normal(size=(24, cfg.hidden)))
+    loss = model.head_forward("tgs", rows, batch, None)
+    loss.backward()
+    read = [8 * r + s + j for r, s in ((1, 2), (2, 4)) for j in range(3)]
+    assert set(np.nonzero(np.abs(rows.grad).sum(axis=1))[0]) == set(read)
+    feats = rows.data[read].reshape(2, 3 * cfg.hidden)
+    logits = feats @ model.params["heads.tgs.weight"].data \
+        + model.params["heads.tgs.bias"].data
+    assert logits.shape == (2, 6)
+    assert loss.item() == pytest.approx(mean_ce(logits, [3, 5]),
+                                        rel=1e-12)
 
 
 def test_tgs_without_trigrams_is_zero_loss_with_no_gradient():
@@ -316,31 +345,37 @@ def test_tgs_without_trigrams_is_zero_loss_with_no_gradient():
                if name.startswith("heads.tgs."))
 
 
-def test_sentence_head_shapes():
+def test_sentence_heads_read_the_pooled_rows_only(float64_mode):
     model, cfg = small_model()
-    for task, k in (("nsp", 2), ("asp", 3), ("so", 2), ("sdp", 3)):
-        batch = FakeBatch(np.zeros((4, 6), dtype=int),
-                          labels={task: np.zeros(4, dtype=np.int64)})
-        rows = encoded(model, batch)
-        pooled = model.pool(rows, 4)
-        assert model.head_forward(task, rows, batch, pooled).shape == (4, k)
-    batch = FakeBatch(np.zeros((4, 6), dtype=int),
-                      labels={"scp": np.zeros(4, dtype=np.int64)})
-    rows = encoded(model, batch)
-    pooled = model.pool(rows, 4)
-    assert model.head_forward("scp", rows, batch, pooled).shape == (4, 2)
+    rng = np.random.default_rng(8)
+    for task, k in (("nsp", 2), ("asp", 3), ("so", 2), ("sdp", 3),
+                    ("scp", 2)):
+        labels = rng.integers(0, k, size=4)
+        batch = FakeBatch(np.zeros((4, 6), dtype=int), labels={task: labels})
+        rows = tz.parameter(rng.normal(size=(24, cfg.hidden)))
+        pooled = tz.parameter(rng.normal(size=(4, cfg.hidden)))
+        loss = model.head_forward(task, rows, batch, pooled)
+        loss.backward()
+        assert rows.grad is None and pooled.grad is not None, task
+        logits = pooled.data @ model.params[f"heads.{task}.weight"].data \
+            + model.params[f"heads.{task}.bias"].data
+        assert logits.shape == (4, k)
+        assert loss.item() == pytest.approx(mean_ce(logits, labels),
+                                            rel=1e-12), task
 
 
-def test_similarity_heads_return_raw_cls():
+def test_similarity_heads_score_the_raw_cls_rows():
     model, cfg = small_model()
     batch = FakeBatch(np.zeros((4, 6), dtype=int))
+    batch.special_mask = np.zeros((4, 6), dtype=bool)
+    batch.special_mask[:, [0, 5]] = True
     rows = encoded(model, batch)
-    qt = model.head_forward("qt", rows, batch, None)
-    assert qt.shape == (4, cfg.hidden)
-    assert np.array_equal(qt.data, rows.data[::6])
-    cls, full = model.head_forward("fs", rows, batch, None)
-    assert np.array_equal(cls.data, rows.data[::6])
-    assert np.array_equal(full.data, rows.data)
+    cls = tz.constant(rows.data[::6])
+    assert model.head_forward("qt", rows, batch, None).item() \
+        == ls.loss_qt(cls).item()
+    content = ~batch.special_mask
+    assert model.head_forward("fs", rows, batch, None).item() \
+        == ls.loss_fs(cls, tz.constant(rows.data), content).item()
 
 
 def test_missing_labels_error_names_task():
@@ -375,8 +410,7 @@ def full_layer_losses(model, batch):
     full-width batch, trailing pad columns included."""
     rows = model.encode(model.embed(batch), batch.attention_mask)
     pooled = model.pool(rows, len(batch.input_ids))
-    return {t: HEADS[t].loss(t, model.head_forward(t, rows, batch, pooled),
-                             batch)
+    return {t: model.head_forward(t, rows, batch, pooled)
             for t in batch.task_set}
 
 
@@ -458,22 +492,20 @@ def test_check_gradients_matches_the_per_entry_oracle(
 VOCAB_TASKS = {"mlm", "sbo"}
 
 
-def composed_vocab_losses(model, batch):
+def composed_vocab_cross_entropy(states, table, bias, targets):
+    return tz.cross_entropy(tz.linear(states, table.transpose(), bias),
+                            targets)
+
+
+def composed_vocab_losses(model, batch, monkeypatch):
     """batch_losses' forward with mlm and sbo scored through the whole
     (n, V) logits: linear over the transposed table, then cross_entropy."""
     rows = model.encode(model.embed(batch), batch.attention_mask)
     pooled = model.pool(rows, len(batch.input_ids))
-    out = {}
-    for t in batch.task_set:
-        preds = model.head_forward(t, rows, batch, pooled)
-        if t in VOCAB_TASKS:
-            states, table, bias = preds
-            out[t] = tz.cross_entropy(
-                tz.linear(states, table.transpose(), bias),
-                batch.labels["mlm"]["targets"])
-        else:
-            out[t] = HEADS[t].loss(t, preds, batch)
-    return out
+    with monkeypatch.context() as m:
+        m.setattr(tz, "vocab_cross_entropy", composed_vocab_cross_entropy)
+        return {t: model.head_forward(t, rows, batch, pooled)
+                for t in batch.task_set}
 
 
 def equivalence_model_and_batch(task_set, reader, vocab):
@@ -489,12 +521,12 @@ def equivalence_model_and_batch(task_set, reader, vocab):
     "task_set", [s for s in _equivalence_sets() if VOCAB_TASKS & set(s)],
     ids=",".join)
 def test_vocab_loss_matches_linear_and_cross_entropy(
-        task_set, small_reader, word_vocab, float64_mode):
+        task_set, small_reader, word_vocab, float64_mode, monkeypatch):
     model, batch = equivalence_model_and_batch(task_set, small_reader,
                                                word_vocab)
     fused = ls.batch_losses(model, batch)
     loss, grads = loss_and_grads(model, fused, task_set)
-    ref = composed_vocab_losses(model, batch)
+    ref = composed_vocab_losses(model, batch, monkeypatch)
     ref_loss, ref_grads = loss_and_grads(model, ref, task_set)
     for t in task_set:
         assert abs(fused[t].item() - ref[t].item()) <= 1e-12, t
