@@ -105,11 +105,12 @@ def cmd_schedule(args) -> int:
 def cmd_train(args) -> int:
     config = trainer.load_config(args.config)
     result = trainer.train(config)
-    last = result.records[-1]
     print(f"completed {len(result.records)} steps, "
-          f"{last.tokens_seen:,} tokens")
-    for task, value in sorted(last.losses.items()):
-        print(f"final {task} loss: {value:.4f}")
+          f"{result.tokens_seen:,} tokens")
+    # a run resumed from its own final checkpoint takes no step
+    if result.records:
+        for task, value in sorted(result.records[-1].losses.items()):
+            print(f"final {task} loss: {value:.4f}")
     print(f"checkpoint: {result.checkpoint_path}")
     return 0
 

@@ -151,7 +151,9 @@ class StepRecord:
 @dataclass
 class TrainResult:
     config: TrainConfig
-    records: "list[StepRecord]"
+    records: "list[StepRecord]"   # this call's steps; none when resumed
+                                  # from a finished run's checkpoint
+    tokens_seen: int
     checkpoint_path: str
     accounting: "dict[str, int]"
 
@@ -280,6 +282,7 @@ def train(config: TrainConfig) -> TrainResult:
             metrics_fh.close()
 
     return TrainResult(config=config, records=records,
+                       tokens_seen=tokens_seen,
                        checkpoint_path=str(ckpt_path),
                        accounting=sch.token_accounting(schedule))
 

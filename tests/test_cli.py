@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -247,6 +248,34 @@ def test_train_and_probe_round_trip(capsys, train_config, small_store,
     assert "probe accuracy:" in out
     assert "random-init accuracy:" in out
     assert "gap:" in out
+
+
+def test_resuming_a_finished_run_takes_no_step(capsys, small_store,
+                                              word_vocab_path, tmp_path):
+    ck, metrics = tmp_path / "model.mtpt", tmp_path / "metrics.jsonl"
+    cfg = tmp_path / "train.cfg"
+    settings = (f"corpus = {small_store}\n"
+                f"vocab = {word_vocab_path}\n"
+                "total_tokens = 2048   # eight steps\n"
+                "tasks = mlm\n"
+                "batch_size = 8\n"
+                "max_seq_len = 32\n"
+                "layers = 1\n"
+                "hidden = 16\n"
+                "heads = 2\n"
+                f"checkpoint_path = {ck}\n"
+                f"metrics_path = {metrics}\n")
+    cfg.write_text(settings)
+    code, out, err = run(capsys, "train", "--config", str(cfg))
+    assert code == 0, err
+    assert "completed 8 steps, 2,048 tokens" in out
+    cfg.write_text(settings + f"resume_from = {ck}\n")
+    code, out, err = run(capsys, "train", "--config", str(cfg))
+    assert code == 0, err
+    assert out.splitlines() == ["completed 0 steps, 2,048 tokens",
+                                f"checkpoint: {ck}"]
+    assert [json.loads(line)["step"] for line in
+            metrics.read_text(encoding="utf-8").splitlines()] == list(range(8))
 
 
 def test_probe_without_model_config_fails(capsys, small_store,
