@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from decimal import Decimal, InvalidOperation
 from importlib import resources
 from pathlib import Path
 
@@ -63,23 +64,37 @@ def _parse_schedule_tasks(raw: str) -> "list[str]":
     return [f"task{i + 1}" for i in range(count)]
 
 
+def _parse_budget(raw: str) -> int:
+    """The token budget, exactly: a whole number, in scientific notation
+    or not, no larger than a float can hold."""
+    try:
+        value = Decimal(raw)
+    except InvalidOperation:
+        raise ValueError(f"token budget must be a number, got {raw}") from None
+    if not math.isfinite(float(value)):
+        raise ValueError(f"token budget must be finite, got {raw}")
+    if value != value.to_integral_value():
+        raise ValueError(f"token budget must be a whole number, got {raw}")
+    return int(value)
+
+
 def _print_stage_table(names, alloc) -> None:
-    width = max(12, max(len(n) for n in names) + 2)
-    cols = [f"stage {i + 1}" for i in range(alloc.n_tasks)]
-    print("".ljust(width) + "".join(c.rjust(14) for c in cols) + "total".rjust(14))
-    for j, row in enumerate(alloc.task_major()):
-        cells = "".join(f"{v:>14,}" for v in row)
-        print(names[j].ljust(width) + cells + f"{sum(row):>14,}")
-    print("".ljust(width) + f"chunk C = {alloc.chunk:,}"
+    label = max(12, max(len(n) for n in names) + 2)
+    header = [f"stage {i + 1}" for i in range(alloc.n_tasks)] + ["total"]
+    rows = [[f"{v:,}" for v in row + [sum(row)]]
+            for row in alloc.task_major()]
+    # each column two spaces wider than its widest cell
+    widths = [max(map(len, col)) + 2 for col in zip(header, *rows)]
+    for name, cells in zip([""] + names, [header] + rows):
+        print(name.ljust(label)
+              + "".join(c.rjust(w) for c, w in zip(cells, widths)))
+    print("".ljust(label) + f"chunk C = {alloc.chunk:,}"
           f" (remainder {alloc.remainder:,} folded into the last stage)")
 
 
 def cmd_schedule(args) -> int:
     names = _parse_schedule_tasks(args.tasks)
-    tokens = float(args.tokens)
-    if not math.isfinite(tokens):
-        raise ValueError(f"token budget must be finite, got {args.tokens}")
-    tokens = int(tokens)
+    tokens = _parse_budget(args.tokens)
     strategy = scheduler.canonical_strategy(args.strategy)
     if strategy in ("cmtl", "cmtl_plus"):
         basis = scheduler.task_basis(strategy, names)
@@ -95,8 +110,9 @@ def cmd_schedule(args) -> int:
     totals = scheduler.token_accounting(schedule)
     print(f"strategy {strategy}: {len(schedule)} steps of "
           f"{args.batch_tokens:,} tokens")
+    width = max(len(f"{totals[name]:,}") for name in names) + 2
     for name in names:
-        print(f"{name.ljust(12)}{totals[name]:>14,}")
+        print(f"{name.ljust(12)}{totals[name]:>{width},}")
     return 0
 
 
@@ -275,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated task names, or a task count for "
                         "the cmtl table")
     p.add_argument("--tokens", required=True,
-                   help="total token budget (scientific notation ok)")
+                   help="total token budget, a whole number (scientific "
+                        "notation ok)")
     p.add_argument("--batch-tokens", type=int, default=1,
                    help="tokens per step for rounding (default 1)")
     p.set_defaults(func=cmd_schedule)

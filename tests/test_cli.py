@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -89,6 +90,42 @@ def test_schedule_refuses_non_finite_budget(capsys, tokens):
                          "--tasks", "mlm", "--tokens", tokens)
     assert code == 1 and not out
     assert err.startswith("error: token budget must be finite")
+
+
+def test_schedule_budget_is_parsed_exactly(capsys):
+    # 2**53 + 1 has no float64; its stage cells must still sum to it
+    code, out, err = run(capsys, "schedule", "--strategy", "cmtl",
+                         "--tasks", "3", "--tokens", "9007199254740993")
+    assert code == 0 and not err
+    totals = [int(line.split()[-1].replace(",", ""))
+              for line in out.splitlines()[1:4]]
+    assert sum(totals) == 9007199254740993
+
+
+@pytest.mark.parametrize("tokens", ["1.5", "2048.25", "1e-3"])
+def test_schedule_refuses_a_fractional_budget(capsys, tokens):
+    code, out, err = run(capsys, "schedule", "--strategy", "sum",
+                         "--tasks", "mlm", "--tokens", tokens)
+    assert code == 1 and not out
+    assert err.strip() == f"error: token budget must be a whole number, " \
+        f"got {tokens}"
+
+
+def test_schedule_columns_fit_the_paper_budget(capsys):
+    code, out, err = run(capsys, "schedule", "--strategy", "cmtl",
+                         "--tasks", "mlm,so,asp", "--tokens", "1.3e11")
+    assert code == 0 and not err
+    lines = out.splitlines()
+    assert lines[0].split() == ["stage", "1", "stage", "2", "stage", "3",
+                                "total"]
+    assert lines[1].split() == ["mlm", "21,666,666,666", "10,833,333,333",
+                                "10,833,333,333", "43,333,333,332"]
+    assert lines[3].split() == ["asp", "0", "0", "43,333,333,336",
+                                "43,333,333,336"]
+    # every cell ends where its column's header ends
+    ends = [m.end() for m in re.finditer(r"\S+(?: \d)?", lines[0])]
+    for line in lines[1:4]:
+        assert [m.end() for m in re.finditer(r"\S+", line)][1:] == ends
 
 
 # ----------------------------------------------------------------- analyze
