@@ -104,9 +104,15 @@ class StoredDocument:
 _TERMINATOR = re.compile(rf"[.!?][{re.escape(_TRAILING_CLOSERS)}]*(?![^ ])")
 
 
-def _sentences_of(words: list[str]) -> list[str]:
-    """split_sentences over the text's whitespace-separated words."""
-    text = " ".join(words)
+def split_sentences(text: str) -> list[str]:
+    """Rule-based splitting after '.', '!' or '?' at a word boundary.
+
+    A split additionally requires the next word to open with an uppercase
+    letter, digit, or quote, and the terminator word must not be on the
+    abbreviation list. Whitespace inside sentences is collapsed, so joining
+    the output with single spaces reproduces the input modulo whitespace.
+    """
+    text = " ".join(text.split())
     sentences: list[str] = []
     start = 0
     for match in _TERMINATOR.finditer(text):
@@ -130,24 +136,12 @@ def _sentences_of(words: list[str]) -> list[str]:
     return sentences
 
 
-def split_sentences(text: str) -> list[str]:
-    """Rule-based splitting after '.', '!' or '?' at a word boundary.
-
-    A split additionally requires the next word to open with an uppercase
-    letter, digit, or quote, and the terminator word must not be on the
-    abbreviation list. Whitespace inside sentences is collapsed, so joining
-    the output with single spaces reproduces the input modulo whitespace.
-    """
-    return _sentences_of(text.split())
-
-
 def filter_document(raw: RawDocument, vocab: Vocabulary) -> Document | None:
     """Apply the length gate: None for under 10 words or under 4 sentences."""
-    words = raw.text.split()
-    if len(words) < MIN_WORDS:
-        return None
-    sentences = _sentences_of(words)
-    if len(sentences) < MIN_SENTENCES:
+    sentences = split_sentences(raw.text)
+    # a sentence is whole words joined by single spaces
+    word_counts = np.array([s.count(" ") + 1 for s in sentences], np.int64)
+    if word_counts.sum() < MIN_WORDS or len(sentences) < MIN_SENTENCES:
         return None
     ids, word_starts, capitalized = zip(
         *[encode_sentence(s, vocab) for s in sentences])
@@ -160,8 +154,6 @@ def filter_document(raw: RawDocument, vocab: Vocabulary) -> Document | None:
 
     flags = FLAG_WORD_START * flat(word_starts, np.uint8) \
         | FLAG_CAPITALIZED * flat(capitalized, np.uint8)
-    # a sentence is whole words joined by single spaces
-    word_counts = np.array([s.count(" ") + 1 for s in sentences])
     return Document(raw.id, flat(ids, np.int64), flags, offsets, word_counts)
 
 
