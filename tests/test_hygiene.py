@@ -153,3 +153,54 @@ def test_no_defaulted_parameter_goes_unpassed():
     callers = [p.read_text(encoding="utf-8") for d in CALLER_DIRS
                for p in sorted((ROOT / d).rglob("*.py"))]
     assert dead_parameters(package, callers) == []
+
+
+# ------------------------------------------------------ dead definitions
+
+# definitions that nothing in src/ references, each kept for a reason
+DEAD_DEFINITIONS_ALLOWED = {
+    # perfbench/spans.py's OP_SPANS binds it; it goes when the benchmark
+    # drops that binding
+    "tensor.softmax",
+    # the held-out split of the planned checkpoint evaluation command
+    "corpus.CorpusReader.subset",
+}
+
+
+def dead_definitions(sources) -> "list[str]":
+    """Each top-level function or class, and each method of a top-level
+    class, whose name no Name or Attribute node of any source reads, as
+    'module.name' or 'module.Class.method'. Dunder methods are called by
+    the language and are never listed."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined, used = [], set()
+    for module, source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, funcs + (ast.ClassDef,)):
+                defined.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}.{sub.name}", sub.name)
+                            for sub in node.body if isinstance(sub, funcs)
+                            and not sub.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [where for where, name in defined if name not in used]
+
+
+def test_dead_definitions_are_found():
+    sources = [("m", "def f(): pass\ndef g(): return f()\ndef h(): pass\n"
+                     "class A:\n    def __init__(self): pass\n"
+                     "    def used(self): pass\n    def unused(self): pass\n"
+                     "class B: pass\n"),
+               ("n", "from m import A, g, h\nA().used()\ng()\n")]
+    assert dead_definitions(sources) == ["m.h", "m.A.unused", "m.B"]
+
+
+def test_every_definition_is_referenced_in_the_package():
+    sources = [(p.stem, p.read_text(encoding="utf-8"))
+               for p in sorted(PACKAGE.glob("*.py"))]
+    assert sorted(dead_definitions(sources)) == sorted(DEAD_DEFINITIONS_ALLOWED)
