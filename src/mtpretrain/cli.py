@@ -110,9 +110,8 @@ def cmd_schedule(args) -> int:
     totals = scheduler.token_accounting(schedule)
     print(f"strategy {strategy}: {len(schedule)} steps of "
           f"{args.batch_tokens:,} tokens")
-    width = max(len(f"{totals[name]:,}") for name in names) + 2
     for name in names:
-        print(f"{name.ljust(12)}{totals[name]:>{width},}")
+        print(f"{name.ljust(12)}{totals[name]:>14,}")
     return 0
 
 
