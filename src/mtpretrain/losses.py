@@ -119,8 +119,8 @@ def batch_losses(model, batch, rng=None) -> "dict[str, Tensor]":
 
     The heads come from the head table of the model module (`HEADS`); an
     unknown task is refused by `model.head`. The forward runs on the batch
-    cut to its longest row (`taskbuild.trim`). When every head reads [CLS], the
-    encoder's last layer runs at the [CLS] rows only. Dropout is on
+    cut to its longest row (`taskbuild.trim`). When every head reads [CLS],
+    the encoder's last layer runs at the [CLS] rows only. Dropout is on
     exactly when `rng` is given: it draws the masks."""
     batch = trim(batch)
     names = batch.task_set

@@ -297,9 +297,8 @@ def test_token_heads_score_every_weighted_slot(float64_mode):
                        "weights": weights} for t in ("cap", "tcp")})
     batch = FakeBatch(np.zeros((2, 6), dtype=int), labels=labels)
     rows = tz.constant(rng.normal(size=(12, cfg.hidden)))
-    sel = weights.reshape(-1) > 0
+    sel, p = weights.reshape(-1) > 0, model.params
     for task, lab in labels.items():
-        p = model.params
         out = rows.data @ p[f"heads.{task}.weight"].data \
             + p[f"heads.{task}.bias"].data
         if "values" in lab:
@@ -650,8 +649,7 @@ def test_empty_row_union_runs_and_gives_no_gradient(float64_mode,
 
 # sha256 over each gradcheck set's task losses and every parameter's
 # gradient (name, then bytes; "-" for none), in order, for a float32 model
-# with dropout on; pinned before each head's forward and loss became one
-# function, which had to keep it
+# with dropout on; a refactor of the forward or the heads must keep it
 GOLDEN_TRAINING_BITS = \
     "f78907c91aec7829bd26430f004c5d64eef721781ab8700d5bc18ae9f01b9331"
 
