@@ -13,9 +13,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from decimal import Decimal, InvalidOperation
 from importlib import resources
 from pathlib import Path
 
@@ -64,20 +62,6 @@ def _parse_schedule_tasks(raw: str) -> "list[str]":
     return [f"task{i + 1}" for i in range(count)]
 
 
-def _parse_budget(raw: str) -> int:
-    """The token budget, exactly: a whole number, in scientific notation
-    or not, no larger than a float can hold."""
-    try:
-        value = Decimal(raw)
-    except InvalidOperation:
-        raise ValueError(f"token budget must be a number, got {raw}") from None
-    if not math.isfinite(float(value)):
-        raise ValueError(f"token budget must be finite, got {raw}")
-    if value != value.to_integral_value():
-        raise ValueError(f"token budget must be a whole number, got {raw}")
-    return int(value)
-
-
 def _print_stage_table(names, alloc) -> None:
     label = max(12, max(len(n) for n in names) + 2)
     header = [f"stage {i + 1}" for i in range(alloc.n_tasks)] + ["total"]
@@ -94,7 +78,7 @@ def _print_stage_table(names, alloc) -> None:
 
 def cmd_schedule(args) -> int:
     names = _parse_schedule_tasks(args.tasks)
-    tokens = _parse_budget(args.tokens)
+    tokens = scheduler.parse_budget(args.tokens)
     strategy = scheduler.canonical_strategy(args.strategy)
     if strategy in ("cmtl", "cmtl_plus"):
         basis = scheduler.task_basis(strategy, names)

@@ -15,7 +15,9 @@ task C. Every task's lifetime total is then C (N + 1) = T / N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from decimal import Decimal, InvalidOperation
 
 from .tasks import TaskError, canonical_task, validate_compatibility
 
@@ -30,6 +32,20 @@ MAX_MATERIALIZED_STEPS = 5_000_000
 
 class SchedulerError(ValueError):
     pass
+
+
+def parse_budget(raw: str) -> int:
+    """A token count, exactly: a whole number, in scientific notation or
+    not, no larger than a float can hold."""
+    try:
+        value = Decimal(raw)
+    except InvalidOperation:
+        raise ValueError(f"token budget must be a number, got {raw}") from None
+    if not math.isfinite(float(value)):
+        raise ValueError(f"token budget must be finite, got {raw}")
+    if value != value.to_integral_value():
+        raise ValueError(f"token budget must be a whole number, got {raw}")
+    return int(value)
 
 
 def canonical_strategy(name: str) -> str:

@@ -9,10 +9,22 @@ Every op records one node on the tape. `linear` (x @ W + b), `layer_norm`,
 (the cross-entropy of logits against a tied vocabulary table, formed a
 row chunk at a time and never kept) and `attention` (multi-head scaled
 dot-product attention from flat query, key and value rows to flat
-context rows, keeping only its probabilities and a boolean dropout
-mask) are single nodes, each with a closed-form backward pass; the
+context rows, keeping its inputs, its probabilities and a boolean
+dropout mask) are single nodes, each with a closed-form backward pass; the
 arithmetic operators, reshape, transpose, sum, matmul, index_rows and
 concat are the primitives between them.
+
+Nodes and values: the graph links `Node`s, not `Tensor`s. A tensor holds
+its `data` and, once it takes part in a graph, its node; the node holds
+the gradient reaching it, its parents' nodes, the backward closure and
+its value's shape and dtype, but not the value. Each op's closure keeps
+exactly the arrays its formula reads (linear its input and weight, gelu
+its input and `half`, layer_norm its normalized input and inverse
+deviation, dropout its boolean keep mask; add, sub, reshape, index_rows
+and concat none of their inputs) and the nodes it passes gradients to.
+So a forward value lives only while a caller or a saving closure holds
+it: a residual sum that only layer_norm reads, or a projection output
+that only dropout reads, dies as soon as the forward has moved past it.
 
 Gradient buffers: a node's first gradient write takes ownership of the
 array it is handed instead of copying it into a zeroed buffer. Every
@@ -20,11 +32,13 @@ backward therefore hands over either an array it has just allocated, or
 the upstream buffer itself when the op only passes it on (add, sub,
 reshape, transpose, concat). An upstream buffer passed to two different
 parents is copied for the second one. A node drops its own gradient once
-its backward has run, so after `backward()` only leaves hold a `.grad`.
+its backward has run, so after `backward()` only leaves (the nodes of
+parameters, read through `Tensor.grad`) hold a gradient.
 
-Constants get no gradient: an input that neither requires a gradient nor
-has parents (dropout masks, regression targets) is skipped, and its
-backward term is never computed.
+Constants get no gradient: an input that does not require a gradient
+(dropout masks, regression targets, an op result none of whose inputs
+took one) has no node, is not a parent, and its backward term is never
+computed.
 
 Graph lifetime: `backward()` frees the graph as it walks it. Once a
 node's backward has run, or no gradient reached it, the walk swaps its
@@ -32,10 +46,11 @@ closure for one that raises `FreedGraphError`, empties its parents and
 drops its own reference to it. A node's saved arrays (attention
 probabilities, layer_norm's normalized input, dropout masks) are thus
 gone before the walk reaches the nodes below it, and a loss held after
-its backward keeps only its value. A later backward that reaches a freed
-node raises rather than add nothing. `backward(retain_graph=True)` keeps
-the graph, so that a second root over a shared forward can run its own
-backward. Freed activations go back to glibc's heap. On import this
+its backward keeps only its value and an emptied node. A later backward
+that reaches a freed node raises rather than add nothing.
+`backward(retain_graph=True)` keeps the graph, so that a second root
+over a shared forward can run its own backward. Freed activations go
+back to glibc's heap. On import this
 module pins glibc's trim and mmap thresholds (`mallopt`), so that the
 freed pages stay in the process for the next step's forward instead of
 going back to the kernel and being faulted in again. On `so-pretrain`
@@ -59,6 +74,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import operator
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -178,19 +194,114 @@ def _sum_leading(a: np.ndarray) -> np.ndarray:
     return np.ones(rows.shape[0], a.dtype) @ rows
 
 
-class Tensor:
-    """A numpy array plus an optional gradient and backward closure."""
+class Node:
+    """A taped value's place in the graph, apart from the value itself:
+    the gradient reaching it, the nodes of the inputs it passes gradients
+    to, its backward closure (None for a leaf), and its value's shape and
+    dtype. A leaf stands for a tensor that takes a gradient and has no
+    parents (a parameter); it is made at the tensor's first use in a
+    graph, or when its `.grad` is set."""
 
-    __slots__ = ("data", "grad", "requires_grad", "parents", "_backward")
+    __slots__ = ("grad", "parents", "backward", "shape", "dtype", "_value")
+
+    def __init__(self, data, parents: tuple = (),
+                 backward: Optional[Callable[[np.ndarray], None]] = None):
+        self.grad: Optional[np.ndarray] = None
+        self.parents = parents
+        self.backward = backward
+        self.shape = data.shape
+        self.dtype = data.dtype
+        # a numpy scalar takes no weak reference, and is a few bytes
+        self._value = weakref.ref(data) if isinstance(data, np.ndarray) \
+            else None
+
+    @property
+    def data(self) -> np.ndarray:
+        """The node's value while a caller or a backward closure still
+        holds it, else an empty array: the node keeps none of it."""
+        value = None if self._value is None else self._value()
+        return _NO_VALUE if value is None else value
+
+    def accumulate(self, g: np.ndarray) -> None:
+        """Add g into .grad. The first write keeps g itself when it already
+        has this node's shape and dtype, so g must be an array that no
+        other node will write to."""
+        if self.grad is not None:
+            self.grad += g
+        elif (isinstance(g, np.ndarray) and g.shape == self.shape
+              and g.dtype == self.dtype):
+            self.grad = g
+        else:
+            self.grad = np.zeros(self.shape, self.dtype)
+            self.grad += g
+
+
+_NO_VALUE = np.empty(0)
+
+
+def _node(t: "Tensor") -> Optional[Node]:
+    """t's node when t takes a gradient, else None."""
+    if not t.requires_grad:
+        return None
+    if t.node is None:
+        t.node = Node(t.data)
+    return t.node
+
+
+def _result(data, nodes: Sequence[Optional[Node]],
+            backward: Callable[[np.ndarray], None]) -> "Tensor":
+    """A tensor holding data, with a node whose backward closure passes
+    gradients to `nodes` (each input's `_node`) when any of them is not
+    None. The closure must hold only the nodes and the arrays its formula
+    reads, never a Tensor, so that every other forward value dies with
+    the last caller holding it."""
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    # a plain loop: a generator for any() costs more than the test
+    for n in nodes:
+        if n is not None:
+            parents = tuple(nodes) if None not in nodes \
+                else tuple([p for p in nodes if p is not None])
+            out.requires_grad = True
+            out.node = Node(data, parents, backward)
+            return out
+    out.requires_grad = False
+    out.node = None
+    return out
+
+
+def _topological_order(root: Node) -> "list[Node]":
+    """Every node under root, each after its parents. Its own frame, so
+    that no loop variable of the sort holds a node during the walk."""
+    order = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node.parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    return order
+
+
+class Tensor:
+    """A numpy array and, once it takes part in a graph, its node."""
+
+    __slots__ = ("data", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             data = data.data
         self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
-        self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
-        self.parents: tuple = ()
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self.node: Optional[Node] = None
 
     # ------------------------------------------------------------- basics
     @property
@@ -201,204 +312,173 @@ class Tensor:
     def size(self):
         return self.data.size
 
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, g: Optional[np.ndarray]) -> None:
+        if self.node is None:
+            if g is None:
+                return
+            self.node = Node(self.data)
+        self.node.grad = g
+
+    @property
+    def parents(self) -> "tuple[Node, ...]":
+        """The nodes this tensor's node passes gradients to."""
+        return () if self.node is None else self.node.parents
+
     def item(self) -> float:
         return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.grad is not None})"
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        """Add g into .grad. The first write keeps g itself when it already
-        has this tensor's shape and dtype, so g must be an array that no
-        other node will write to."""
-        if self.grad is not None:
-            self.grad += g
-        elif (isinstance(g, np.ndarray) and g.shape == self.data.shape
-              and g.dtype == self.data.dtype):
-            self.grad = g
-        else:
-            self.grad = np.zeros_like(self.data)
-            self.grad += g
-
     # ----------------------------------------------------------- backward
     def backward(self, retain_graph: bool = False) -> None:
-        """Backpropagate from this scalar, accumulating into .grad buffers.
-        Unless retain_graph, each node is freed as soon as the walk has
-        passed it."""
+        """Backpropagate from this scalar, accumulating into the leaves'
+        .grad buffers. Unless retain_graph, each node is freed as soon as
+        the walk has passed it."""
         if self.data.ndim != 0:
             raise ShapeError(
                 f"backward requires a scalar loss, got shape {self.data.shape}")
-        order = self._topological_order()
-        self._accumulate(np.ones((), dtype=self.data.dtype))
+        root = _node(self)
+        if root is None:
+            return    # a constant: no gradient to pass on
+        order = _topological_order(root)
+        root.accumulate(np.ones((), dtype=self.data.dtype))
         while order:
             node = order.pop()
-            if node._backward is not None:
+            if node.backward is not None:
                 if node.grad is not None:
-                    node._backward(node.grad)
+                    node.backward(node.grad)
                     node.grad = None
                 if not retain_graph:
-                    node._backward = _freed_backward
+                    node.backward = _freed_backward
                     node.parents = ()
 
-    def _topological_order(self) -> "list[Tensor]":
-        """Every node under this one, each after its parents. Its own
-        frame, so that no loop variable of the sort holds a node during
-        the walk."""
-        order = []
-        seen = set()
-        stack = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node.parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        return order
-
     # ------------------------------------------------------- op plumbing
-    @staticmethod
-    def _result(data: np.ndarray, parents: Sequence["Tensor"],
-                backward: Callable[[np.ndarray], None]) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = data
-        out.grad = None
-        # a plain loop: a generator for any() costs more than the test
-        for p in parents:
-            if p.requires_grad:
-                out.requires_grad = True
-                out.parents = tuple(parents)
-                out._backward = backward
-                return out
-        out.requires_grad = False
-        out.parents = ()
-        out._backward = None
-        return out
-
     @staticmethod
     def _wrap(other, like: "Tensor") -> "Tensor":
         if isinstance(other, Tensor):
             return other
         t = Tensor.__new__(Tensor)
         t.data = np.asarray(other, dtype=like.data.dtype)
-        t.grad = None
         t.requires_grad = False
-        t.parents = ()
-        t._backward = None
+        t.node = None
         return t
 
     # ---------------------------------------------------------- arithmetic
     @_op
     def __add__(self, other):
         other = Tensor._wrap(other, self)
-        data = self.data + other.data
+        a, b = _node(self), _node(other)
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                go = _unbroadcast(g, other.data.shape)
-                if go is g and self.requires_grad and other is not self:
-                    go = g.copy()
-                other._accumulate(go)
+            if a is not None:
+                a.accumulate(_unbroadcast(g, a.shape))
+            if b is not None:
+                gb = _unbroadcast(g, b.shape)
+                if gb is g and a is not None and b is not a:
+                    gb = g.copy()
+                b.accumulate(gb)
 
-        return Tensor._result(data, (self, other), backward)
+        return _result(self.data + other.data, (a, b), backward)
 
     __radd__ = __add__
 
     @_op
     def __sub__(self, other):
         other = Tensor._wrap(other, self)
-        data = self.data - other.data
+        a, b = _node(self), _node(other)
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(-g, other.data.shape))
+            if a is not None:
+                a.accumulate(_unbroadcast(g, a.shape))
+            if b is not None:
+                b.accumulate(_unbroadcast(-g, b.shape))
 
-        return Tensor._result(data, (self, other), backward)
+        return _result(self.data - other.data, (a, b), backward)
 
     @_op
     def __mul__(self, other):
         other = Tensor._wrap(other, self)
-        data = self.data * other.data
+        a, b = _node(self), _node(other)
+        # each input's gradient reads the other input
+        x = self.data if b is not None else None
+        y = other.data if a is not None else None
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
+            if a is not None:
+                a.accumulate(_unbroadcast(g * y, a.shape))
+            if b is not None:
+                b.accumulate(_unbroadcast(g * x, b.shape))
 
-        return Tensor._result(data, (self, other), backward)
+        return _result(self.data * other.data, (a, b), backward)
 
     __rmul__ = __mul__
 
     @_op
     def __neg__(self):
-        data = -self.data
+        a = _node(self)
 
         def backward(g):
-            self._accumulate(-g)
+            a.accumulate(-g)
 
-        return Tensor._result(data, (self,), backward)
+        return _result(-self.data, (a,), backward)
 
     @_op
     def __pow__(self, exponent):
         c = float(exponent)
-        data = self.data ** c
+        a, x = _node(self), self.data
 
         def backward(g):
-            self._accumulate(g * c * self.data ** (c - 1.0))
+            a.accumulate(g * c * x ** (c - 1.0))
 
-        return Tensor._result(data, (self,), backward)
+        return _result(x ** c, (a,), backward)
 
     # ------------------------------------------------------ elementwise fns
     @_op
     def log(self):
-        data = np.log(self.data)
+        a, x = _node(self), self.data
 
         def backward(g):
-            self._accumulate(g / self.data)
+            a.accumulate(g / x)
 
-        return Tensor._result(data, (self,), backward)
+        return _result(np.log(x), (a,), backward)
 
     @_op
     def tanh(self):
+        a = _node(self)
         data = np.tanh(self.data)
 
         def backward(g):
-            self._accumulate(g * (1.0 - data * data))
+            a.accumulate(g * (1.0 - data * data))
 
-        return Tensor._result(data, (self,), backward)
+        return _result(data, (a,), backward)
 
     @_op
     def clamp(self, lo: float, hi: float):
-        data = np.clip(self.data, lo, hi)
+        a = _node(self)
         inside = (self.data > lo) & (self.data < hi)
 
         def backward(g):
-            self._accumulate(g * inside)
+            a.accumulate(g * inside)
 
-        return Tensor._result(data, (self,), backward)
+        return _result(np.clip(self.data, lo, hi), (a,), backward)
 
     # -------------------------------------------------------- shape movers
     @_op
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        old = self.data.shape
-        data = self.data.reshape(shape)
+        a = _node(self)
 
         def backward(g):
-            self._accumulate(g.reshape(old))
+            a.accumulate(g.reshape(a.shape))
 
-        return Tensor._result(data, (self,), backward)
+        return _result(self.data.reshape(shape), (a,), backward)
 
     @_op
     def transpose(self, *axes):
@@ -406,29 +486,26 @@ class Tensor:
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.data.ndim)))
+        a = _node(self)
         inverse = np.argsort(axes)
-        data = self.data.transpose(axes)
 
         def backward(g):
-            self._accumulate(g.transpose(inverse))
+            a.accumulate(g.transpose(inverse))
 
-        return Tensor._result(data, (self,), backward)
+        return _result(self.data.transpose(axes), (a,), backward)
 
     @_op
     def sum(self, axis=None, keepdims: bool = False):
-        data = self.data.sum(axis=axis, keepdims=keepdims)
-        shape = self.data.shape
+        a = _node(self)
 
         def backward(g):
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, shape).copy())
-                return
-            if not keepdims:
+            if axis is not None and not keepdims:
                 axes = axis if isinstance(axis, tuple) else (axis,)
                 g = np.expand_dims(g, axes)
-            self._accumulate(np.broadcast_to(g, shape).copy())
+            a.accumulate(np.broadcast_to(g, a.shape).copy())
 
-        return Tensor._result(data, (self,), backward)
+        return _result(self.data.sum(axis=axis, keepdims=keepdims), (a,),
+                       backward)
 
     def mean(self, axis=None, keepdims: bool = False):
         n = self.data.size if axis is None else np.prod(
@@ -443,17 +520,20 @@ class Tensor:
         except ValueError as exc:
             raise ShapeError(
                 f"matmul shapes {self.data.shape} x {other.data.shape}") from exc
+        a, b = _node(self), _node(other)
+        # each input's gradient reads the other input
+        x = self.data if b is not None else None
+        y = other.data if a is not None else None
 
         def backward(g):
-            a, b = self.data, other.data
-            if self.requires_grad:
-                ga = np.matmul(g, np.swapaxes(b, -1, -2))
-                self._accumulate(_unbroadcast(ga, a.shape))
-            if other.requires_grad:
-                gb = np.matmul(np.swapaxes(a, -1, -2), g)
-                other._accumulate(_unbroadcast(gb, b.shape))
+            if a is not None:
+                ga = np.matmul(g, np.swapaxes(y, -1, -2))
+                a.accumulate(_unbroadcast(ga, a.shape))
+            if b is not None:
+                gb = np.matmul(np.swapaxes(x, -1, -2), g)
+                b.accumulate(_unbroadcast(gb, b.shape))
 
-        return Tensor._result(data, (self, other), backward)
+        return _result(data, (a, b), backward)
 
     __matmul__ = matmul
 
@@ -475,15 +555,15 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     if not tensors:
         raise ShapeError("concat of zero tensors")
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    nodes = [_node(t) for t in tensors]
 
     def backward(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            if t.requires_grad:
-                t._accumulate(piece)
+        for n, piece in zip(nodes, np.split(g, splits, axis=axis)):
+            if n is not None:
+                n.accumulate(piece)
 
-    return Tensor._result(data, tensors, backward)
+    return _result(data, nodes, backward)
 
 
 @_op
@@ -492,20 +572,19 @@ def index_rows(table: Tensor, indices) -> Tensor:
     idx = np.asarray(indices)
     if not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError(f"index_rows needs integer indices, got {idx.dtype}")
-    data = table.data[idx]
+    node = _node(table)
 
     def backward(g):
+        # contiguous, so the flat view below is the buffer itself
+        grad = np.zeros(node.shape, dtype=node.dtype)
         # One 1-D add.at over flat element offsets: the same additions in
         # the same order as a row-wise add.at, several times faster.
-        width = table.data[0].size
+        width = grad[0].size
         flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-        # contiguous whatever the table's strides, so the flat view below
-        # is the buffer itself
-        grad = np.zeros(table.data.shape, dtype=table.data.dtype)
         np.add.at(grad.reshape(-1), flat, g.reshape(-1))
-        table._accumulate(grad)
+        node.accumulate(grad)
 
-    return Tensor._result(data, (table,), backward)
+    return _result(table.data[idx], (node,), backward)
 
 
 # ------------------------------------------------------------ fused nodes
@@ -519,17 +598,20 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"linear shapes {x.data.shape} x {weight.data.shape}") from exc
     data += bias.data
+    nx, nw, nb = _node(x), _node(weight), _node(bias)
+    # x's gradient reads the weight, the weight's reads x
+    rows = x.data.reshape(-1, x.data.shape[-1]) if nw is not None else None
+    w = weight.data if nx is not None else None
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(np.matmul(g, weight.data.T))
-        if weight.requires_grad:
-            rows = x.data.reshape(-1, x.data.shape[-1])
-            weight._accumulate(np.matmul(rows.T, g.reshape(-1, g.shape[-1])))
-        if bias.requires_grad:
-            bias._accumulate(_sum_leading(g))
+        if nx is not None:
+            nx.accumulate(np.matmul(g, w.T))
+        if nw is not None:
+            nw.accumulate(np.matmul(rows.T, g.reshape(-1, g.shape[-1])))
+        if nb is not None:
+            nb.accumulate(_sum_leading(g))
 
-    return Tensor._result(data, (x, weight, bias), backward)
+    return _result(data, (nx, nw, nb), backward)
 
 
 def _class_targets(op: str, targets, n: int, k: int) -> np.ndarray:
@@ -565,14 +647,15 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     denom = expd.sum(axis=1, keepdims=True)
     data = np.asarray((np.log(denom[:, 0]) - picked).mean(),
                       dtype=logits.data.dtype)
+    node = _node(logits)
 
     def backward(g):
         probs = expd / denom
         probs[rows, t] -= 1.0
         probs *= g / n
-        logits._accumulate(probs)
+        node.accumulate(probs)
 
-    return Tensor._result(data, (logits,), backward)
+    return _result(data, (node,), backward)
 
 
 @_op
@@ -593,9 +676,10 @@ def vocab_cross_entropy(states: Tensor, table: Tensor, bias: Tensor,
                          f"table {w.shape}, bias {b.shape}")
     n = s.shape[0]
     t = _class_targets("vocab_cross_entropy", targets, n, w.shape[0])
-    gs = np.empty(s.shape, s.dtype) if states.requires_grad else None
-    gw = np.zeros(w.shape, w.dtype) if table.requires_grad else None
-    gb = np.zeros(b.shape, b.dtype) if bias.requires_grad else None
+    nodes = _node(states), _node(table), _node(bias)
+    gs = np.empty(s.shape, s.dtype) if nodes[0] is not None else None
+    gw = np.zeros(w.shape, w.dtype) if nodes[1] is not None else None
+    gb = np.zeros(b.shape, b.dtype) if nodes[2] is not None else None
     losses = np.empty(n, s.dtype)
     block = np.empty((min(n, VOCAB_CHUNK_ROWS), w.shape[0]), s.dtype)
     ones = np.ones(w.shape[0], s.dtype)
@@ -621,11 +705,11 @@ def vocab_cross_entropy(states: Tensor, table: Tensor, bias: Tensor,
     data = np.asarray(losses.mean(), dtype=s.dtype)
 
     def backward(g):
-        for x, grad in ((states, gs), (table, gw), (bias, gb)):
-            if grad is not None:
-                x._accumulate(grad * g)
+        for node, grad in zip(nodes, (gs, gw, gb)):
+            if node is not None:
+                node.accumulate(grad * g)
 
-    return Tensor._result(data, (states, table, bias), backward)
+    return _result(data, nodes, backward)
 
 
 def _softmax(a: np.ndarray) -> np.ndarray:
@@ -651,11 +735,12 @@ def _softmax_backward(g: np.ndarray, probs: np.ndarray) -> np.ndarray:
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
     probs = _softmax(x.data)
+    node = _node(x)
 
     def backward(g):
-        x._accumulate(_softmax_backward(g, probs))
+        node.accumulate(_softmax_backward(g, probs))
 
-    return Tensor._result(probs, (x,), backward)
+    return _result(probs, (node,), backward)
 
 
 @_op
@@ -708,26 +793,27 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray,
 
     ctx = np.matmul(dropped()[0], v4)
     data = ctx.transpose(0, 2, 1, 3).reshape(rows, h)
+    nq, nk, nv = _node(q), _node(k), _node(v)
 
     def backward(g):
         g4 = g.reshape(b, m, heads, d).transpose(0, 2, 1, 3)
         used, mask = dropped()
-        if v.requires_grad:
+        if nv is not None:
             gv = np.matmul(np.swapaxes(used, -1, -2), g4)
-            v._accumulate(gv.transpose(0, 2, 1, 3).reshape(b * seq, h))
+            nv.accumulate(gv.transpose(0, 2, 1, 3).reshape(b * seq, h))
         gs = np.matmul(g4, np.swapaxes(v4, -1, -2))
         if mask is not None:
             gs *= mask
         gs = _softmax_backward(gs, probs)
         gs *= scale
-        if q.requires_grad:
+        if nq is not None:
             gq = np.matmul(gs, np.swapaxes(k4, -1, -2))
-            q._accumulate(gq.transpose(0, 2, 1, 3).reshape(rows, h))
-        if k.requires_grad:
+            nq.accumulate(gq.transpose(0, 2, 1, 3).reshape(rows, h))
+        if nk is not None:
             gk = np.matmul(np.swapaxes(q4, -1, -2), gs)
-            k._accumulate(gk.transpose(0, 3, 1, 2).reshape(b * seq, h))
+            nk.accumulate(gk.transpose(0, 3, 1, 2).reshape(b * seq, h))
 
-    return Tensor._result(data, (q, k, v), backward)
+    return _result(data, (nq, nk, nv), backward)
 
 
 @_op
@@ -741,27 +827,29 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     np.sqrt(inv, out=inv)
     np.reciprocal(inv, out=inv)
     xhat *= inv
-    data = xhat * gamma.data
+    gd = gamma.data
+    data = xhat * gd
     data += beta.data
+    nx, ng, nb = _node(x), _node(gamma), _node(beta)
 
     def backward(g):
         g_xhat = g * xhat
-        if gamma.requires_grad:
-            gamma._accumulate(_sum_leading(g_xhat))
-        if beta.requires_grad:
-            beta._accumulate(_sum_leading(g))
-        if x.requires_grad:
+        if ng is not None:
+            ng.accumulate(_sum_leading(g_xhat))
+        if nb is not None:
+            nb.accumulate(_sum_leading(g))
+        if nx is not None:
             # inv * (d - mean(d) - xhat * mean(d * xhat)) with d = g * gamma
-            scaled = gamma.data / n
+            scaled = gd / n
             proj = _rows_dot(g_xhat, scaled)
-            gx = g * gamma.data
+            gx = g * gd
             gx -= _rows_dot(g, scaled)
             np.multiply(xhat, proj, out=g_xhat)
             gx -= g_xhat
             gx *= inv
-            x._accumulate(gx)
+            nx.accumulate(gx)
 
-    return Tensor._result(data, (x, gamma, beta), backward)
+    return _result(data, (nx, ng, nb), backward)
 
 
 @_op
@@ -777,6 +865,7 @@ def gelu(x: Tensor) -> Tensor:
     np.tanh(half, out=half)
     half += 1.0
     half *= 0.5
+    node = _node(x)
 
     def backward(g):
         # half + x * half * (1 - half) * 2c (1 + 3 * 0.044715 x^2)
@@ -789,26 +878,35 @@ def gelu(x: Tensor) -> Tensor:
         d *= 1.0 - half
         d += half
         d *= g
-        x._accumulate(d)
+        node.accumulate(d)
 
-    return Tensor._result(xd * half, (x,), backward)
+    return _result(xd * half, (node,), backward)
 
 
 @_op
 def dropout(x: Tensor, p: float,
             rng: "np.random.Generator | None") -> Tensor:
     """Inverted dropout with masks drawn from `rng`; the identity, drawing
-    nothing, when `rng` is None or p is 0."""
+    nothing, when `rng` is None or p is 0. The node keeps the boolean keep
+    mask, and its backward scales it again."""
     if rng is None or p <= 0.0:
         return x
     keep = 1.0 - p
-    mask = (rng.random(x.data.shape) < keep).astype(x.data.dtype)
-    mask /= keep
+    kept = rng.random(x.data.shape) < keep
+    dtype = x.data.dtype
+    node = _node(x)
+
+    def mask() -> np.ndarray:
+        scaled = kept.astype(dtype)
+        scaled /= keep
+        return scaled
 
     def backward(g):
-        x._accumulate(g * mask)
+        node.accumulate(g * mask())
 
-    return Tensor._result(x.data * mask, (x,), backward)
+    data = mask()
+    data *= x.data
+    return _result(data, (node,), backward)
 
 
 def normalize_rows(x: Tensor) -> Tensor:

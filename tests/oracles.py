@@ -17,7 +17,6 @@ from collections import Counter
 import numpy as np
 
 from mtpretrain import tensor as tz
-from mtpretrain.tensor import Tensor
 
 
 def brute_force_tf(token_ids) -> dict[int, float]:
@@ -136,11 +135,12 @@ def adjacent_pair_accuracy_chance() -> float:
 
 def _primitive_exp(x):
     data = np.exp(x.data)
+    node = tz._node(x)
 
     def backward(g):
-        x._accumulate(g * data)
+        node.accumulate(g * data)
 
-    return Tensor._result(data, (x,), backward)
+    return tz._result(data, (node,), backward)
 
 
 def primitive_linear(x, weight, bias):
@@ -449,8 +449,9 @@ def check_gradients_per_entry(loss_fn, params, max_entries=None, rng=None):
 # ------------------------------------------------------------ tape liveness
 
 def graph_ids(roots) -> "set[int]":
-    """The ids of every tape node (a tensor with parents) under roots."""
-    ids, stack = set(), list(roots)
+    """The ids of every tape node (a node with parents) under the nodes of
+    the tensors in roots."""
+    ids, stack = set(), [t.node for t in roots if t.node is not None]
     while stack:
         node = stack.pop()
         if node.parents and id(node) not in ids:
@@ -459,15 +460,15 @@ def graph_ids(roots) -> "set[int]":
     return ids
 
 
-def live_tensor_ids() -> "set[int]":
-    """The ids of every tensor still alive, as the garbage collector sees
-    them. A dead node's id can be reused only by a tensor made after it
-    died."""
-    return {id(o) for o in gc.get_objects() if isinstance(o, Tensor)}
+def live_node_ids() -> "set[int]":
+    """The ids of every graph node still alive, as the garbage collector
+    sees them. A dead node's id can be reused only by a node made after
+    it died."""
+    return {id(o) for o in gc.get_objects() if isinstance(o, tz.Node)}
 
 
-def live_taped_tensors() -> int:
-    """How many tensors still alive hold a backward: a closure, or the
+def live_taped_nodes() -> int:
+    """How many graph nodes still alive hold a backward: a closure, or the
     marker a freeing walk leaves."""
-    return sum(isinstance(o, Tensor) and o._backward is not None
+    return sum(isinstance(o, tz.Node) and o.backward is not None
                for o in gc.get_objects())

@@ -55,3 +55,17 @@ def test_quick_benchmark_run_is_correct(workload):
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+
+
+def test_traced_quick_run_walks_the_tape():
+    # the traced run walks the graph from each loss through the tensor's
+    # and its nodes' attributes, which no untraced run reads
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload",
+         "so-pretrain", "--quick", "--seconds", "0.1", "--seed", "3",
+         "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record["correct"] is True
+    assert record["metrics"]["tensor.tape_nodes"]["value"] > 0

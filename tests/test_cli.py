@@ -111,6 +111,14 @@ def test_schedule_refuses_a_fractional_budget(capsys, tokens):
         f"got {tokens}"
 
 
+def test_train_refuses_a_fractional_budget(capsys, tmp_path):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("corpus = a\nvocab = b\ntotal_tokens = 1.5\n")
+    code, out, err = run(capsys, "train", "--config", str(cfg))
+    assert code == 1 and not out
+    assert err.strip() == "error: token budget must be a whole number, got 1.5"
+
+
 def test_schedule_columns_fit_the_paper_budget(capsys):
     code, out, err = run(capsys, "schedule", "--strategy", "cmtl",
                          "--tasks", "mlm,so,asp", "--tokens", "1.3e11")
@@ -306,11 +314,16 @@ def test_resuming_a_finished_run_takes_no_step(capsys, small_store,
     code, out, err = run(capsys, "train", "--config", str(cfg))
     assert code == 0, err
     assert "completed 8 steps, 2,048 tokens" in out
+    written, stat = ck.read_bytes(), ck.stat()
     cfg.write_text(settings + f"resume_from = {ck}\n")
     code, out, err = run(capsys, "train", "--config", str(cfg))
     assert code == 0, err
     assert out.splitlines() == ["completed 0 steps, 2,048 tokens",
                                 f"checkpoint: {ck}"]
+    # the checkpoint is not written again
+    assert ck.read_bytes() == written
+    assert (ck.stat().st_ino, ck.stat().st_mtime_ns) == \
+        (stat.st_ino, stat.st_mtime_ns)
     assert [json.loads(line)["step"] for line in
             metrics.read_text(encoding="utf-8").splitlines()] == list(range(8))
 

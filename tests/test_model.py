@@ -1,5 +1,6 @@
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -557,9 +558,10 @@ def test_full_width_batch_reaches_the_forward_uncopied(small_reader,
 
 
 def held_arrays(node):
-    """The node's own array and every array its backward closure holds."""
+    """The node's value, if anything still holds it, and every array its
+    backward closure holds."""
     yield node.data
-    for cell in node._backward.__closure__ or ():
+    for cell in node.backward.__closure__ or ():
         if isinstance(cell.cell_contents, np.ndarray):
             yield cell.cell_contents
 
@@ -573,7 +575,7 @@ def test_no_vocab_sized_array_outlives_the_forward(small_reader, word_vocab):
     b, seq = batch.input_ids.shape
     assert v not in (n, b, seq, b * seq, h, 2 * h, 4 * h, 2, h // 2)
     total = ls.combine_losses(ls.batch_losses(model, batch), task_set)
-    seen, stack, non_leaf = {id(total)}, [total], 0
+    seen, stack, non_leaf = {id(total.node)}, [total.node], 0
     while stack:
         node = stack.pop()
         if node.parents:
@@ -588,7 +590,7 @@ def test_no_vocab_sized_array_outlives_the_forward(small_reader, word_vocab):
                 seen.add(id(p))
                 stack.append(p)
     assert non_leaf > 20
-    assert id(model.params["embeddings.token"]) in seen
+    assert id(model.params["embeddings.token"].node) in seen
 
 
 def test_no_encoder_node_outlives_the_walk_past_it(small_reader, word_vocab,
@@ -605,13 +607,13 @@ def test_no_encoder_node_outlives_the_walk_past_it(small_reader, word_vocab,
     def spy_index_rows(source, indices):
         out = real_index_rows(source, indices)
         if source is table:
-            inner = out._backward
+            inner = out.node.backward
 
             def backward(g):
-                alive.append(len(encoder & oracles.live_tensor_ids()))
+                alive.append(len(encoder & oracles.live_node_ids()))
                 inner(g)
 
-            out._backward = backward
+            out.node.backward = backward
         return out
 
     def spy_encode(x, *args, **kwargs):
@@ -626,6 +628,63 @@ def test_no_encoder_node_outlives_the_walk_past_it(small_reader, word_vocab,
     total.backward()
     assert alive == [0]
     assert total.parents == () and np.isfinite(total.item())
+
+
+def test_forward_values_no_backward_reads_die_with_the_forward(
+        small_reader, word_vocab, monkeypatch):
+    # the embedding's partial sums, the residual sums only layer_norm
+    # reads and the projection outputs only dropout reads are gone once
+    # the forward returns, though the caller holds the loss and its graph
+    from mtpretrain.taskbuild import assemble_batch
+    task_set = ("mlm", "sbo", "so")
+    cfg = ModelConfig(vocab=len(word_vocab), layers=2, hidden=16, heads=2,
+                      max_seq_len=24, task_vocab=4, dropout=0.1)
+    model = Model(cfg, np.random.default_rng(3))
+    batch = assemble_batch(small_reader, word_vocab, task_set, 8, 24,
+                           seed=2, step=1)
+    refs, inside = [], []
+    real_add, real_rows, real_dropout = (tz.Tensor.__add__, tz.index_rows,
+                                         tz.dropout)
+
+    def spy_add(a, b):
+        out = real_add(a, b)
+        if inside:
+            refs.append(weakref.ref(out.data))
+        return out
+
+    def spy_index_rows(table, indices):
+        out = real_rows(table, indices)
+        if inside:
+            refs.append(weakref.ref(out.data))
+        return out
+
+    def spy_dropout(x, p, rng):
+        if inside:
+            refs.append(weakref.ref(x.data))
+        return real_dropout(x, p, rng)
+
+    def spy(real):
+        def method(*args, **kwargs):
+            inside.append(real)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside.pop()
+        return method
+
+    monkeypatch.setattr(tz.Tensor, "__add__", spy_add)
+    monkeypatch.setattr(tz, "index_rows", spy_index_rows)
+    monkeypatch.setattr(tz, "dropout", spy_dropout)
+    model.embed, model.encode = spy(model.embed), spy(model.encode)
+    total = ls.combine_losses(
+        ls.batch_losses(model, batch, rng=np.random.default_rng(5)), task_set)
+    # embed: three tables gathered, three sums and a dropout; each layer
+    # two residual sums and two dropouts
+    assert len(refs) == 7 + 4 * cfg.layers
+    assert [i for i, ref in enumerate(refs) if ref() is not None] == []
+    total.backward()
+    assert np.isfinite(total.item())
+    assert model.params["embeddings.token"].grad is not None
 
 
 def test_empty_row_union_runs_and_gives_no_gradient(float64_mode,

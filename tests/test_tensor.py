@@ -177,11 +177,13 @@ def test_backward_rejects_non_scalar():
 
 def spy_identity(x, check):
     """x passed on through a node whose backward calls check() first."""
+    node = tz._node(x)
+
     def backward(g):
         check()
-        x._accumulate(g)
+        node.accumulate(g)
 
-    return Tensor._result(x.data, (x,), backward)
+    return tz._result(x.data, (node,), backward)
 
 
 def test_backward_frees_each_node_during_the_walk():
@@ -193,7 +195,7 @@ def test_backward_frees_each_node_during_the_walk():
 
     def build():
         ident = spy_identity(w, lambda: alive.append(
-            len(upper[0] & oracles.live_tensor_ids())))
+            len(upper[0] & oracles.live_node_ids())))
         top = tz.gelu(tz.gelu(ident) * 2.0)
         upper.append(oracles.graph_ids([top]) - oracles.graph_ids([ident]))
         return top.sum()
@@ -355,16 +357,16 @@ def test_check_gradients_requires_float64():
 
 def test_check_gradients_frees_its_analytic_graph_first():
     # the analytic evaluation's graph is gone by the next forward. Every
-    # later forward is tape-free, so a live tensor with a backward (a
-    # closure or the freed marker) can only be an analytic node
+    # later forward is tape-free, so a live node with a backward (a
+    # closure or the freed marker) can only be an analytic one
     w = Tensor(np.random.default_rng(11).normal(size=(3, 4)),
                requires_grad=True)
     graphs, alive = [], []
-    gc.collect()    # no other test's tensors left in cycles
+    gc.collect()    # no other test's nodes left in cycles
 
     def loss_fn():
         if graphs:
-            alive.append(oracles.live_taped_tensors())
+            alive.append(oracles.live_taped_nodes())
         loss = tz.gelu(w * 2.0).sum()
         graphs.append(oracles.graph_ids([loss]))
         return loss

@@ -52,6 +52,14 @@ def test_parse_config_text():
     assert cfg.max_seq_len == 128  # default survives
 
 
+def test_parse_config_reads_token_counts_as_budgets():
+    cfg = tr.parse_config_text("corpus=a\nvocab=b\ntotal_tokens = 1.3e11\n"
+                               "checkpoint_interval = 2.5E4\n")
+    assert cfg.total_tokens == 130000000000
+    assert type(cfg.total_tokens) is int
+    assert cfg.checkpoint_interval == 25000
+
+
 def test_parse_config_unknown_key():
     with pytest.raises(ValueError, match="unknown config keys: learning_rate"):
         tr.parse_config_text("corpus=a\nvocab=b\ntotal_tokens=99999\n"
@@ -468,7 +476,7 @@ def test_step_graph_is_freed_before_the_update_and_the_next_forward(
 
     def check(where):
         if graphs:
-            alive.append((where, len(graphs[-1] & oracles.live_tensor_ids())))
+            alive.append((where, len(graphs[-1] & oracles.live_node_ids())))
 
     def spy_losses(model, batch, rng=None):
         check("forward")
