@@ -10,8 +10,8 @@ Every op records one node on the tape. `linear` (x @ W + b), `layer_norm`,
 row chunk at a time and never kept) and `attention` (multi-head scaled
 dot-product attention from flat query, key and value rows to flat
 context rows, keeping its inputs, its probabilities and a boolean
-dropout mask) are single nodes, each with a closed-form backward pass; the
-arithmetic operators, reshape, transpose, sum, matmul, index_rows and
+dropout mask) are single nodes, each with a closed-form backward pass;
+the arithmetic operators, reshape, transpose, sum, matmul, index_rows and
 concat are the primitives between them.
 
 Nodes and values: the graph links `Node`s, not `Tensor`s. A tensor holds
@@ -50,10 +50,10 @@ its backward keeps only its value and an emptied node. A later backward
 that reaches a freed node raises rather than add nothing.
 `backward(retain_graph=True)` keeps the graph, so that a second root
 over a shared forward can run its own backward. Freed activations go
-back to glibc's heap. On import this
-module pins glibc's trim and mmap thresholds (`mallopt`), so that the
-freed pages stay in the process for the next step's forward instead of
-going back to the kernel and being faulted in again. On `so-pretrain`
+back to glibc's heap. On import this module pins glibc's trim and mmap
+thresholds (`mallopt`), so that the freed pages stay in the process for
+the next step's forward instead of going back to the kernel and being
+faulted in again. On `so-pretrain`
 (B=L=32) with the graph freed, a step after the warm-up took ~1,250
 minor page faults and 2.5 ms of system time under glibc's dynamic
 thresholds; with only the trim threshold pinned ~3,750, with only the
@@ -194,6 +194,9 @@ def _sum_leading(a: np.ndarray) -> np.ndarray:
     return np.ones(rows.shape[0], a.dtype) @ rows
 
 
+_NO_VALUE = np.empty(0)   # a dead value, as `Node.data` reports it
+
+
 class Node:
     """A taped value's place in the graph, apart from the value itself:
     the gradient reaching it, the nodes of the inputs it passes gradients
@@ -236,11 +239,9 @@ class Node:
             self.grad += g
 
 
-_NO_VALUE = np.empty(0)
-
-
 def _node(t: "Tensor") -> Optional[Node]:
-    """t's node when t takes a gradient, else None."""
+    """t's node when t takes a gradient, else None. A leaf gets its node
+    here, at its first use in a graph."""
     if not t.requires_grad:
         return None
     if t.node is None:

@@ -14,10 +14,10 @@ before the Adam update, the metrics line, any checkpoint and the next
 step's forward. The graph's nodes keep only what the backward reads, so
 a forward value no backward reads dies during the forward itself. At the
 default shape (B=L=128) a three-step mlm run's peak RSS was 652 MiB with
-two graphs alive, 424 MiB with one graph freed after its backward and
-384 MiB with it freed during the backward while the nodes held every
-forward value; measured in one process with its corpus build, 398 MiB
-then and 317 MiB with the nodes keeping only what the backward reads.
+two graphs alive, 424 MiB with one graph freed after its backward, and
+384 MiB with it freed during the backward while the graph held every
+forward value. Re-measured on the same host, that last layout read
+395 MiB, and nodes that keep only what the backward reads 315 MiB.
 
 Also provides a small probe: a frozen-encoder adjacency classifier used to
 compare pre-trained encoders against random initialization.
