@@ -250,7 +250,7 @@ class Model:
             if tuple(arr.shape) != p.data.shape:
                 raise ValueError(
                     f"{name}: shape {arr.shape} vs expected {p.data.shape}")
-            p.data = np.asarray(arr, dtype=tz.default_dtype())
+            p.data[...] = arr    # the array its node refers to
 
     # ------------------------------------------------------------- forward
     def _dense(self, x: Tensor, prefix: str) -> Tensor:

@@ -15,13 +15,15 @@ the arithmetic operators, reshape, transpose, sum, matmul, index_rows and
 concat are the primitives between them.
 
 Nodes and values: the graph links `Node`s, not `Tensor`s. A tensor holds
-its `data` and, once it takes part in a graph, its node; the node holds
-the gradient reaching it, its parents' nodes, the backward closure and
-its value's shape and dtype, but not the value. Each op's closure keeps
-exactly the arrays its formula reads (linear its input and weight, gelu
-its input and `half`, layer_norm its normalized input and inverse
-deviation, dropout its boolean keep mask; add, sub, reshape, index_rows
-and concat none of their inputs) and the nodes it passes gradients to.
+its `data` and, exactly when it takes a gradient, its node (a parameter's
+leaf node is made with it). The node holds the gradient reaching it, its
+parents' nodes, the backward closure, and its value's shape, dtype and a
+weak reference, but not the value; so a parameter keeps one array for
+its whole life. Each op's closure keeps exactly the arrays its formula
+reads (linear its input and weight, gelu its derivative, layer_norm its
+normalized input and inverse deviation, dropout its boolean keep mask;
+add, sub, reshape, index_rows and concat none of their inputs) and the
+nodes it passes gradients to.
 So a forward value lives only while a caller or a saving closure holds
 it: a residual sum that only layer_norm reads, or a projection output
 that only dropout reads, dies as soon as the forward has moved past it.
@@ -33,12 +35,12 @@ the upstream buffer itself when the op only passes it on (add, sub,
 reshape, transpose, concat). An upstream buffer passed to two different
 parents is copied for the second one. A node drops its own gradient once
 its backward has run, so after `backward()` only leaves (the nodes of
-parameters, read through `Tensor.grad`) hold a gradient.
+parameters, read and set through `Tensor.grad`) hold a gradient.
 
-Constants get no gradient: an input that does not require a gradient
-(dropout masks, regression targets, an op result none of whose inputs
-took one) has no node, is not a parent, and its backward term is never
-computed.
+Constants get no gradient: a tensor with no node (dropout masks,
+regression targets, an op result none of whose inputs took one) is not
+a parent, its backward term is never computed, and setting its `.grad`
+to anything but None raises ValueError.
 
 Graph lifetime: `backward()` frees the graph as it walks it. Once a
 node's backward has run, or no gradient reached it, the walk swaps its
@@ -202,8 +204,7 @@ class Node:
     the gradient reaching it, the nodes of the inputs it passes gradients
     to, its backward closure (None for a leaf), and its value's shape and
     dtype. A leaf stands for a tensor that takes a gradient and has no
-    parents (a parameter); it is made at the tensor's first use in a
-    graph, or when its `.grad` is set."""
+    parents (a parameter); it is made with the tensor."""
 
     __slots__ = ("grad", "parents", "backward", "shape", "dtype", "_value")
 
@@ -239,20 +240,10 @@ class Node:
             self.grad += g
 
 
-def _node(t: "Tensor") -> Optional[Node]:
-    """t's node when t takes a gradient, else None. A leaf gets its node
-    here, at its first use in a graph."""
-    if not t.requires_grad:
-        return None
-    if t.node is None:
-        t.node = Node(t.data)
-    return t.node
-
-
 def _result(data, nodes: Sequence[Optional[Node]],
             backward: Callable[[np.ndarray], None]) -> "Tensor":
     """A tensor holding data, with a node whose backward closure passes
-    gradients to `nodes` (each input's `_node`) when any of them is not
+    gradients to `nodes` (each input's `node`) when any of them is not
     None. The closure must hold only the nodes and the arrays its formula
     reads, never a Tensor, so that every other forward value dies with
     the last caller holding it."""
@@ -263,10 +254,8 @@ def _result(data, nodes: Sequence[Optional[Node]],
         if n is not None:
             parents = tuple(nodes) if None not in nodes \
                 else tuple([p for p in nodes if p is not None])
-            out.requires_grad = True
             out.node = Node(data, parents, backward)
             return out
-    out.requires_grad = False
     out.node = None
     return out
 
@@ -293,16 +282,15 @@ def _topological_order(root: Node) -> "list[Node]":
 
 
 class Tensor:
-    """A numpy array and, once it takes part in a graph, its node."""
+    """A numpy array and, when it takes a gradient, its node."""
 
-    __slots__ = ("data", "requires_grad", "node")
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             data = data.data
         self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
-        self.requires_grad = requires_grad
-        self.node: Optional[Node] = None
+        self.node = Node(self.data) if requires_grad else None
 
     # ------------------------------------------------------------- basics
     @property
@@ -314,16 +302,19 @@ class Tensor:
         return self.data.size
 
     @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
     def grad(self) -> Optional[np.ndarray]:
         return None if self.node is None else self.node.grad
 
     @grad.setter
     def grad(self, g: Optional[np.ndarray]) -> None:
-        if self.node is None:
-            if g is None:
-                return
-            self.node = Node(self.data)
-        self.node.grad = g
+        if self.node is not None:
+            self.node.grad = g
+        elif g is not None:
+            raise ValueError("a tensor that takes no gradient has no .grad")
 
     @property
     def parents(self) -> "tuple[Node, ...]":
@@ -344,7 +335,7 @@ class Tensor:
         if self.data.ndim != 0:
             raise ShapeError(
                 f"backward requires a scalar loss, got shape {self.data.shape}")
-        root = _node(self)
+        root = self.node
         if root is None:
             return    # a constant: no gradient to pass on
         order = _topological_order(root)
@@ -366,7 +357,6 @@ class Tensor:
             return other
         t = Tensor.__new__(Tensor)
         t.data = np.asarray(other, dtype=like.data.dtype)
-        t.requires_grad = False
         t.node = None
         return t
 
@@ -374,7 +364,7 @@ class Tensor:
     @_op
     def __add__(self, other):
         other = Tensor._wrap(other, self)
-        a, b = _node(self), _node(other)
+        a, b = self.node, other.node
 
         def backward(g):
             if a is not None:
@@ -392,7 +382,7 @@ class Tensor:
     @_op
     def __sub__(self, other):
         other = Tensor._wrap(other, self)
-        a, b = _node(self), _node(other)
+        a, b = self.node, other.node
 
         def backward(g):
             if a is not None:
@@ -405,7 +395,7 @@ class Tensor:
     @_op
     def __mul__(self, other):
         other = Tensor._wrap(other, self)
-        a, b = _node(self), _node(other)
+        a, b = self.node, other.node
         # each input's gradient reads the other input
         x = self.data if b is not None else None
         y = other.data if a is not None else None
@@ -422,7 +412,7 @@ class Tensor:
 
     @_op
     def __neg__(self):
-        a = _node(self)
+        a = self.node
 
         def backward(g):
             a.accumulate(-g)
@@ -432,7 +422,7 @@ class Tensor:
     @_op
     def __pow__(self, exponent):
         c = float(exponent)
-        a, x = _node(self), self.data
+        a, x = self.node, self.data
 
         def backward(g):
             a.accumulate(g * c * x ** (c - 1.0))
@@ -442,7 +432,7 @@ class Tensor:
     # ------------------------------------------------------ elementwise fns
     @_op
     def log(self):
-        a, x = _node(self), self.data
+        a, x = self.node, self.data
 
         def backward(g):
             a.accumulate(g / x)
@@ -451,7 +441,7 @@ class Tensor:
 
     @_op
     def tanh(self):
-        a = _node(self)
+        a = self.node
         data = np.tanh(self.data)
 
         def backward(g):
@@ -461,7 +451,7 @@ class Tensor:
 
     @_op
     def clamp(self, lo: float, hi: float):
-        a = _node(self)
+        a = self.node
         inside = (self.data > lo) & (self.data < hi)
 
         def backward(g):
@@ -474,7 +464,7 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = _node(self)
+        a = self.node
 
         def backward(g):
             a.accumulate(g.reshape(a.shape))
@@ -487,7 +477,7 @@ class Tensor:
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.data.ndim)))
-        a = _node(self)
+        a = self.node
         inverse = np.argsort(axes)
 
         def backward(g):
@@ -497,7 +487,7 @@ class Tensor:
 
     @_op
     def sum(self, axis=None, keepdims: bool = False):
-        a = _node(self)
+        a = self.node
 
         def backward(g):
             if axis is not None and not keepdims:
@@ -521,7 +511,7 @@ class Tensor:
         except ValueError as exc:
             raise ShapeError(
                 f"matmul shapes {self.data.shape} x {other.data.shape}") from exc
-        a, b = _node(self), _node(other)
+        a, b = self.node, other.node
         # each input's gradient reads the other input
         x = self.data if b is not None else None
         y = other.data if a is not None else None
@@ -557,7 +547,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         raise ShapeError("concat of zero tensors")
     data = np.concatenate([t.data for t in tensors], axis=axis)
     splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-    nodes = [_node(t) for t in tensors]
+    nodes = [t.node for t in tensors]
 
     def backward(g):
         for n, piece in zip(nodes, np.split(g, splits, axis=axis)):
@@ -573,7 +563,7 @@ def index_rows(table: Tensor, indices) -> Tensor:
     idx = np.asarray(indices)
     if not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError(f"index_rows needs integer indices, got {idx.dtype}")
-    node = _node(table)
+    node = table.node
 
     def backward(g):
         # contiguous, so the flat view below is the buffer itself
@@ -599,7 +589,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"linear shapes {x.data.shape} x {weight.data.shape}") from exc
     data += bias.data
-    nx, nw, nb = _node(x), _node(weight), _node(bias)
+    nx, nw, nb = x.node, weight.node, bias.node
     # x's gradient reads the weight, the weight's reads x
     rows = x.data.reshape(-1, x.data.shape[-1]) if nw is not None else None
     w = weight.data if nx is not None else None
@@ -648,7 +638,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     denom = expd.sum(axis=1, keepdims=True)
     data = np.asarray((np.log(denom[:, 0]) - picked).mean(),
                       dtype=logits.data.dtype)
-    node = _node(logits)
+    node = logits.node
 
     def backward(g):
         probs = expd / denom
@@ -677,7 +667,7 @@ def vocab_cross_entropy(states: Tensor, table: Tensor, bias: Tensor,
                          f"table {w.shape}, bias {b.shape}")
     n = s.shape[0]
     t = _class_targets("vocab_cross_entropy", targets, n, w.shape[0])
-    nodes = _node(states), _node(table), _node(bias)
+    nodes = states.node, table.node, bias.node
     gs = np.empty(s.shape, s.dtype) if nodes[0] is not None else None
     gw = np.zeros(w.shape, w.dtype) if nodes[1] is not None else None
     gb = np.zeros(b.shape, b.dtype) if nodes[2] is not None else None
@@ -736,7 +726,7 @@ def _softmax_backward(g: np.ndarray, probs: np.ndarray) -> np.ndarray:
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
     probs = _softmax(x.data)
-    node = _node(x)
+    node = x.node
 
     def backward(g):
         node.accumulate(_softmax_backward(g, probs))
@@ -794,7 +784,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray,
 
     ctx = np.matmul(dropped()[0], v4)
     data = ctx.transpose(0, 2, 1, 3).reshape(rows, h)
-    nq, nk, nv = _node(q), _node(k), _node(v)
+    nq, nk, nv = q.node, k.node, v.node
 
     def backward(g):
         g4 = g.reshape(b, m, heads, d).transpose(0, 2, 1, 3)
@@ -831,7 +821,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     gd = gamma.data
     data = xhat * gd
     data += beta.data
-    nx, ng, nb = _node(x), _node(gamma), _node(beta)
+    nx, ng, nb = x.node, gamma.node, beta.node
 
     def backward(g):
         g_xhat = g * xhat
@@ -866,9 +856,9 @@ def gelu(x: Tensor) -> Tensor:
     np.tanh(half, out=half)
     half += 1.0
     half *= 0.5
-    node = _node(x)
-
-    def backward(g):
+    node = x.node
+    if node is not None:
+        # the derivative, the one array the backward reads:
         # half + x * half * (1 - half) * 2c (1 + 3 * 0.044715 x^2)
         d = xd * xd
         d *= 3.0 * GELU_CUBIC
@@ -878,8 +868,9 @@ def gelu(x: Tensor) -> Tensor:
         d *= half
         d *= 1.0 - half
         d += half
-        d *= g
-        node.accumulate(d)
+
+    def backward(g):
+        node.accumulate(d * g)
 
     return _result(xd * half, (node,), backward)
 
@@ -895,7 +886,7 @@ def dropout(x: Tensor, p: float,
     keep = 1.0 - p
     kept = rng.random(x.data.shape) < keep
     dtype = x.data.dtype
-    node = _node(x)
+    node = x.node
 
     def mask() -> np.ndarray:
         scaled = kept.astype(dtype)
@@ -1014,23 +1005,22 @@ def check_gradients(loss_fn: Callable[[], Tensor], params: "dict[str, Tensor]",
     loss_fn raises.
 
     The differences are replayed against one recorded forward. After the
-    probe, every parameter's `requires_grad` is off until the check ends
-    (restored also when loss_fn raises), so no later forward builds a
-    graph, and loss_fn runs once with each op call's arguments and output
-    recorded. A difference names the parameter it moves, and its k-th op
-    call returns the recording's k-th output, without running the op,
+    probe, every parameter's node is detached until the check ends (the same
+    node objects put back, also when loss_fn raises), so no later forward
+    builds a graph, and loss_fn runs once with each op call's arguments and
+    output recorded. A difference names the parameter it moves, and its k-th
+    op call returns the recording's k-th output, without running the op,
     only if it is the same op with the same keyword names, each tensor
     argument is the recorded object itself (a recorded output, or a
-    parameter other than the moved one), each other tensor (a constant
-    the loss made) and each array holds the bytes of a copy taken at
-    recording, and each other value has the same type and compares
-    equal. Any other call runs the op. An op's output is a pure function
-    of its arguments, so every difference is bit-identical to a full
-    forward, and only the ops the moved entry reaches run again. An op
-    that receives an `np.random.Generator` turns the replay off for the
-    check, since a skipped draw would shift the stream. No backward runs
-    after the analytic pass, so the analytic gradients are read from
-    `.grad` as it left them; an unreached parameter's is 0.
+    parameter other than the moved one), each other tensor (a constant the
+    loss made) and each array holds the bytes of a copy taken at recording,
+    and each other value has the same type and compares equal. Any other
+    call runs the op. An op's output is a pure function of its arguments, so
+    every difference is bit-identical to a full forward, and only the ops
+    the moved entry reaches run again. An op that receives an
+    `np.random.Generator` turns the replay off for the check, since a
+    skipped draw would shift the stream. The analytic gradients are kept as
+    the analytic pass's backward left them; an unreached parameter's is 0.
     """
     global _replay
     if max_entries is not None and max_entries < 1:
@@ -1046,25 +1036,26 @@ def check_gradients(loss_fn: Callable[[], Tensor], params: "dict[str, Tensor]",
     base = root.item()
     root.backward()    # backward frees the analytic graph as it walks it
     del root           # and nothing of it is alive at the first difference
+    grads = [p.grad for p in params.values()]
     unreached = [p for p in params.values() if p.grad is None]
     probed = bool(unreached) and _loss_ignores(loss_fn, unreached, base)
     if rng is None:
         rng = np.random.default_rng(0)
-    flags = [p.requires_grad for p in params.values()]
+    nodes = [p.node for p in params.values()]
     try:
         for p in params.values():
-            p.requires_grad = False
+            p.node = None
         _replay = replay = _Replay(params.values())
         replay.record(loss_fn)
         worst = ("", 0.0)
-        for name, p in params.items():
+        for (name, p), grad in zip(params.items(), grads):
             flat = p.data.reshape(-1)
             n = flat.size
             if max_entries is not None and n > max_entries:
                 idx = rng.choice(n, size=max_entries, replace=False)
             else:
                 idx = np.arange(n)
-            if probed and p.grad is None:
+            if probed and grad is None:
                 idx = ()    # the probe showed the loss does not read it
             replay.moved = p
             worst_here = 0.0
@@ -1078,15 +1069,15 @@ def check_gradients(loss_fn: Callable[[], Tensor], params: "dict[str, Tensor]",
                 finally:
                     flat[i] = saved
                 numeric = (up - down) / (2.0 * GRADCHECK_STEP)
-                a = 0.0 if p.grad is None else p.grad.flat[i]
+                a = 0.0 if grad is None else grad.flat[i]
                 err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-4)
                 worst_here = max(worst_here, err)
             if worst_here >= worst[1]:
                 worst = (name, worst_here)
     finally:
         _replay = None
-        for p, flag in zip(params.values(), flags):
-            p.requires_grad = flag
+        for p, node in zip(params.values(), nodes):
+            p.node = node
     return GradCheckResult(max_error=worst[1], worst_param=worst[0])
 
 

@@ -229,8 +229,9 @@ def train(config: TrainConfig) -> TrainResult:
         _check_resume_config(config, ck.config.get("train"),
                              config.resume_from)
         model.load_values(ck.params)
-        optimizer.m = {k: v.astype(tz.default_dtype()) for k, v in ck.adam_m.items()}
-        optimizer.v = {k: v.astype(tz.default_dtype()) for k, v in ck.adam_v.items()}
+        for k in model.params:    # into Adam's own arrays, in their dtype
+            optimizer.m[k][...] = ck.adam_m[k]
+            optimizer.v[k][...] = ck.adam_v[k]
         optimizer.t = ck.adam_t
         start_step = int(ck.train_state["step"]) + 1
         tokens_seen = int(ck.train_state["tokens_seen"])

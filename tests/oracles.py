@@ -135,7 +135,7 @@ def adjacent_pair_accuracy_chance() -> float:
 
 def _primitive_exp(x):
     data = np.exp(x.data)
-    node = tz._node(x)
+    node = x.node
 
     def backward(g):
         node.accumulate(g * data)

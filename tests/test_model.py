@@ -114,11 +114,16 @@ def test_init_deterministic_given_rng_seed():
 
 
 def test_load_values_roundtrip_and_mismatch():
+    # the values are copied into each parameter's own array, the one its
+    # node refers to, in its dtype
     m1, _ = small_model(seed=1)
     m2, _ = small_model(seed=2)
-    m2.load_values({k: p.data.copy() for k, p in m1.params.items()})
-    for name in m1.params:
-        assert np.array_equal(m1.params[name].data, m2.params[name].data)
+    arrays = {k: p.data for k, p in m2.params.items()}
+    m2.load_values({k: p.data.astype(np.float64)
+                    for k, p in m1.params.items()})
+    for name, p in m2.params.items():
+        assert p.data is arrays[name] and p.node.data is p.data, name
+        assert p.data.tobytes() == m1.params[name].data.tobytes(), name
     with pytest.raises(ValueError):
         m2.load_values({"embeddings.token": np.zeros((3, 3))})
 
@@ -633,8 +638,9 @@ def test_no_encoder_node_outlives_the_walk_past_it(small_reader, word_vocab,
 def test_forward_values_no_backward_reads_die_with_the_forward(
         small_reader, word_vocab, monkeypatch):
     # the embedding's partial sums, the residual sums only layer_norm
-    # reads and the projection outputs only dropout reads are gone once
-    # the forward returns, though the caller holds the loss and its graph
+    # reads, the projection outputs only dropout reads and the ff.w1
+    # outputs only gelu reads are gone once the forward returns, though
+    # the caller holds the loss and its graph
     from mtpretrain.taskbuild import assemble_batch
     task_set = ("mlm", "sbo", "so")
     cfg = ModelConfig(vocab=len(word_vocab), layers=2, hidden=16, heads=2,
@@ -643,8 +649,8 @@ def test_forward_values_no_backward_reads_die_with_the_forward(
     batch = assemble_batch(small_reader, word_vocab, task_set, 8, 24,
                            seed=2, step=1)
     refs, inside = [], []
-    real_add, real_rows, real_dropout = (tz.Tensor.__add__, tz.index_rows,
-                                         tz.dropout)
+    real_add, real_rows, real_dropout, real_gelu = (
+        tz.Tensor.__add__, tz.index_rows, tz.dropout, tz.gelu)
 
     def spy_add(a, b):
         out = real_add(a, b)
@@ -663,6 +669,11 @@ def test_forward_values_no_backward_reads_die_with_the_forward(
             refs.append(weakref.ref(x.data))
         return real_dropout(x, p, rng)
 
+    def spy_gelu(x):
+        if inside:
+            refs.append(weakref.ref(x.data))
+        return real_gelu(x)
+
     def spy(real):
         def method(*args, **kwargs):
             inside.append(real)
@@ -675,12 +686,13 @@ def test_forward_values_no_backward_reads_die_with_the_forward(
     monkeypatch.setattr(tz.Tensor, "__add__", spy_add)
     monkeypatch.setattr(tz, "index_rows", spy_index_rows)
     monkeypatch.setattr(tz, "dropout", spy_dropout)
+    monkeypatch.setattr(tz, "gelu", spy_gelu)
     model.embed, model.encode = spy(model.embed), spy(model.encode)
     total = ls.combine_losses(
         ls.batch_losses(model, batch, rng=np.random.default_rng(5)), task_set)
     # embed: three tables gathered, three sums and a dropout; each layer
-    # two residual sums and two dropouts
-    assert len(refs) == 7 + 4 * cfg.layers
+    # two residual sums, two dropouts and a gelu
+    assert len(refs) == 7 + 5 * cfg.layers
     assert [i for i, ref in enumerate(refs) if ref() is not None] == []
     total.backward()
     assert np.isfinite(total.item())

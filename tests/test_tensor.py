@@ -167,6 +167,24 @@ def test_backward_accumulates_without_zeroing():
     assert w.grad == pytest.approx(8.0)
 
 
+def test_a_parameter_has_its_leaf_node_from_construction():
+    for p in (tz.parameter(np.ones(3)), Tensor(np.ones(3), requires_grad=True)):
+        assert p.requires_grad and p.node is not None
+        assert p.node.parents == () and p.node.backward is None
+        assert p.node.data is p.data and p.grad is None
+    c = tz.constant(np.ones(3))
+    assert not c.requires_grad and c.node is None
+    assert Tensor.__slots__ == ("data", "node")
+
+
+def test_a_constant_takes_no_gradient():
+    c = tz.constant(np.ones(3))
+    c.grad = None    # nothing to clear
+    with pytest.raises(ValueError, match="takes no gradient"):
+        c.grad = np.ones(3)
+    assert c.node is None and c.grad is None
+
+
 def test_backward_rejects_non_scalar():
     w = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(tz.ShapeError, match="scalar"):
@@ -177,7 +195,7 @@ def test_backward_rejects_non_scalar():
 
 def spy_identity(x, check):
     """x passed on through a node whose backward calls check() first."""
-    node = tz._node(x)
+    node = x.node
 
     def backward(g):
         check()
@@ -543,14 +561,35 @@ def test_check_gradients_replays_nothing_once_an_op_takes_a_generator(
     assert want.max_error < 1e-6
 
 
+def test_check_gradients_detaches_every_node_and_puts_it_back():
+    # the recording and the differences run with no parameter node, so
+    # they build no graph, and the check returns the same node objects,
+    # frozen tensors (no node) included
+    params = probe_params()
+    params["frozen"] = Tensor(np.ones(3), requires_grad=False)
+    nodes = {name: p.node for name, p in params.items()}
+    w = params["w"]
+    attached = []
+
+    def loss_fn():
+        attached.append(sum(p.node is not None for p in params.values()))
+        return (w * w).sum()
+
+    tz.check_gradients(loss_fn, params, max_entries=1)
+    # the analytic pass, the probe, the recording and w's two differences
+    assert attached == [5, 5, 0, 0, 0]
+    for name, p in params.items():
+        assert p.node is nodes[name], name
+
+
 @pytest.mark.parametrize("failing_call", [2, 3, 4, 5])
 def test_a_loss_that_raises_leaves_no_replay_behind(failing_call):
     # after the probe (2), the recording (3) or either difference (4, 5)
-    # raises, no replay is left running, every requires_grad is as it
-    # was, frozen tensors included, and every array is bit-identical
+    # raises, no replay is left running, every parameter has the node it
+    # had, frozen tensors included, and every array is bit-identical
     params = probe_params()
     params["frozen"] = Tensor(np.ones(3), requires_grad=False)
-    flags = {name: p.requires_grad for name, p in params.items()}
+    nodes = {name: p.node for name, p in params.items()}
     before = {name: p.data.copy() for name, p in params.items()}
     w = params["w"]
 
@@ -563,7 +602,8 @@ def test_a_loss_that_raises_leaves_no_replay_behind(failing_call):
     with pytest.raises(ArithmeticError, match="loss failed"):
         tz.check_gradients(loss_fn, params)
     assert tz._replay is None
-    assert {name: p.requires_grad for name, p in params.items()} == flags
+    for name, p in params.items():
+        assert p.node is nodes[name], name
     for name, p in params.items():
         assert p.data.tobytes() == before[name].tobytes(), name
 

@@ -413,6 +413,35 @@ def mlm_checkpoint(small_store, word_vocab_path, tmp_path_factory):
     return cfg.checkpoint_path
 
 
+def test_resume_copies_into_the_model_and_optimizer_arrays(
+        small_store, word_vocab_path, tmp_path, mlm_checkpoint, monkeypatch):
+    # a resume that takes no step leaves every parameter and moment array
+    # the one made with the model and the optimizer, with the checkpoint's
+    # bits in it
+    made = []
+    real_init = tz.Adam.__init__
+
+    def spy_init(optimizer, params, **kw):
+        real_init(optimizer, params, **kw)
+        made.append((optimizer, {k: p.data for k, p in params.items()},
+                     dict(optimizer.m), dict(optimizer.v)))
+
+    monkeypatch.setattr(tz.Adam, "__init__", spy_init)
+    tr.train(make_config(small_store, word_vocab_path, tmp_path,
+                         checkpoint_interval=5 * 192,
+                         resume_from=mlm_checkpoint))
+    [(optimizer, arrays, m, v)] = made
+    ck = tz.load_checkpoint(mlm_checkpoint)
+    for name, p in optimizer.params.items():
+        assert p.data is arrays[name] and p.node.data is p.data, name
+        assert optimizer.m[name] is m[name], name
+        assert optimizer.v[name] is v[name], name
+        for got, want in ((p.data, ck.params), (m[name], ck.adam_m),
+                          (v[name], ck.adam_v)):
+            assert got.tobytes() == want[name].tobytes(), name
+    assert optimizer.t == ck.adam_t
+
+
 @pytest.mark.parametrize("field, value", [
     ("total_tokens", 20 * 8 * 24), ("tasks", ["so", "mlm"]),
     ("strategy", "alt"), ("batch_size", 16), ("max_seq_len", 32),
