@@ -400,6 +400,13 @@ class CorpusReader:
             raise CorpusError(
                 "vocabulary hash mismatch: the store was built with a "
                 "different vocabulary file")
+        ids, n = self.token_ids, len(vocab)
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            at = int(np.flatnonzero((ids < 0) | (ids >= n))[0])
+            i = int(np.searchsorted(self.doc_starts, at, side="right")) - 1
+            raise CorpusError(
+                f"{self.source}: document {i} ({self.documents[i].id}): "
+                f"token id {ids[at]} outside the vocabulary's [0, {n})")
 
     def subset(self, indices) -> "CorpusReader":
         """A reader over a document subset (e.g. a held-out split)."""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_corpus_text, write_word_vocab
-from mtpretrain import tensor
+from mtpretrain import arrayfile, corpus, tensor
 from mtpretrain.cli import main, run_gradcheck
 
 
@@ -353,6 +353,41 @@ def test_train_conflicting_tasks_fails(capsys, small_store, word_vocab_path,
         "max_seq_len = 32\n")
     code, _, err = run(capsys, "train", "--config", str(cfg))
     assert code == 1 and err.startswith("error:")
+
+
+def test_train_refuses_a_store_id_outside_the_vocabulary(tmp_path,
+                                                         word_vocab_path,
+                                                         word_vocab):
+    # header and block sizes intact, one token id past the vocabulary:
+    # the store is refused at load with a typed error naming the store,
+    # the document and the id, before any batch is built
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "mtpretrain", *argv],
+                              capture_output=True, text=True)
+
+    text = tmp_path / "docs.txt"
+    text.write_text(synthetic_corpus_text(seed=3, n_docs=6))
+    store = tmp_path / "store.mtpc"
+    assert cli("prepare", "--input", str(text), "--vocab",
+               str(word_vocab_path), "--out", str(store)).returncode == 0
+    header, blocks = arrayfile.read(store, corpus.STORE_MAGIC,
+                                    corpus.STORE_VERSION, corpus.CorpusError)
+    blocks = [b.copy() for b in blocks]
+    starts = corpus.load_corpus(store).doc_starts
+    bad = len(word_vocab) + 5
+    blocks[3][starts[3] + 1] = bad    # the token block, document 3
+    store.write_bytes(arrayfile.pack(corpus.STORE_MAGIC, corpus.STORE_VERSION,
+                                     header, blocks))
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"corpus = {store}\nvocab = {word_vocab_path}\n"
+                   "total_tokens = 512\ntasks = tlp\nbatch_size = 8\n"
+                   f"max_seq_len = 32\ncheckpoint_path = {tmp_path / 'm'}\n")
+    proc = cli("train", "--config", str(cfg))
+    assert proc.returncode == 1 and proc.stderr.startswith("error:"), \
+        proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"{store}: document 3 " in proc.stderr
+    assert f"token id {bad} outside" in proc.stderr
 
 
 def test_module_entry_point():
