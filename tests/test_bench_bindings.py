@@ -57,12 +57,16 @@ def test_quick_benchmark_run_is_correct(workload):
     assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
 
 
-def test_traced_quick_run_walks_the_tape():
+@pytest.mark.parametrize("workload", ["so-pretrain", "token-mix",
+                                      "gradcheck-15"])
+def test_traced_quick_run_walks_the_tape(workload):
     # the traced run walks the graph from each loss through the tensor's
-    # and its nodes' attributes, which no untraced run reads
+    # and its nodes' attributes, which no untraced run reads; on
+    # gradcheck-15 that is the analytic pass's graph, made before the
+    # check detaches the parameters' nodes
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "run.py"), "--workload",
-         "so-pretrain", "--quick", "--seconds", "0.1", "--seed", "3",
+         workload, "--quick", "--seconds", "0.1", "--seed", "3",
          "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
