@@ -232,7 +232,7 @@ class Model:
         for name, shape in param_shapes(config):
             if name.endswith(".gamma"):
                 values = np.ones(shape)
-            elif name.endswith(("bias", ".beta")):
+            elif not tz.decays(name):
                 values = np.zeros(shape)
             else:
                 values = truncated_normal(rng, shape)

@@ -913,7 +913,7 @@ def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
 
 # ------------------------------------------------------------------ Adam
 
-DECAY_EXEMPT_SUFFIXES = (".bias", ".gamma", ".beta")
+DECAY_EXEMPT_SUFFIXES = ("bias", ".gamma", ".beta")
 
 
 def decays(name: str) -> bool:

@@ -106,6 +106,17 @@ def test_initialization_conventions():
             assert np.abs(p.data).max() <= 0.04, name
 
 
+def test_decay_exempts_exactly_the_constant_initialized_parameters():
+    # Adam's weight decay skips every bias and norm parameter, the ones
+    # initialized to 0 or 1, the vocabulary biases included
+    model, _ = small_model()
+    exempt = {name for name in model.params if not tz.decays(name)}
+    constant = {name for name, p in model.params.items()
+                if np.all(p.data == 0.0) or np.all(p.data == 1.0)}
+    assert exempt == constant
+    assert {"heads.mlm.vocab_bias", "heads.sbo.vocab_bias"} <= exempt
+
+
 def test_init_deterministic_given_rng_seed():
     m1, _ = small_model(seed=3)
     m2, _ = small_model(seed=3)
