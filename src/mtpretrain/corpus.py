@@ -400,9 +400,9 @@ class CorpusReader:
             raise CorpusError(
                 "vocabulary hash mismatch: the store was built with a "
                 "different vocabulary file")
-        ids, n = self.token_ids, len(vocab)
-        if ids.size and (ids.min() < 0 or ids.max() >= n):
-            at = int(np.flatnonzero((ids < 0) | (ids >= n))[0])
+        ids, n = self.token_ids.view(np.uint32), len(vocab)   # as stored
+        if ids.size and ids.max() >= n:
+            at = int(np.flatnonzero(ids >= n)[0])
             i = int(np.searchsorted(self.doc_starts, at, side="right")) - 1
             raise CorpusError(
                 f"{self.source}: document {i} ({self.documents[i].id}): "

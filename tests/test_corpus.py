@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from mtpretrain import arrayfile
 from mtpretrain import corpus as cp
 from mtpretrain import tokenizer as tk
 
@@ -470,6 +471,21 @@ def test_store_vocab_mismatch(tmp_path, word_vocab):
         _write_other_vocab(tmp_path / "other_vocab.txt"))
     with pytest.raises(cp.CorpusError, match="hash mismatch"):
         reader.check_vocab(other)
+
+
+def test_store_token_id_is_checked_as_stored(small_store, word_vocab):
+    # the reader casts the token block to int32, where an id past its
+    # range reads as negative; the refusal names the id as stored
+    header, blocks = arrayfile.read(small_store, cp.STORE_MAGIC,
+                                    cp.STORE_VERSION, cp.CorpusError)
+    blocks = [b.copy() for b in blocks]
+    blocks[3][7] = 2 ** 32 - 1    # the token block, document 0
+    reader = cp.CorpusReader(header["doc_ids"],
+                             bytes.fromhex(header["vocab_hash"]), blocks,
+                             "bad.mtpc")
+    with pytest.raises(cp.CorpusError, match=r"bad\.mtpc: document 0 .*"
+                                             r"token id 4294967295 outside"):
+        reader.check_vocab(word_vocab)
 
 
 def _write_other_vocab(path):
