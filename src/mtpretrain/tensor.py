@@ -857,8 +857,7 @@ def gelu(x: Tensor) -> Tensor:
     half += 1.0
     half *= 0.5
     node = x.node
-    if node is not None:
-        # the derivative, the one array the backward reads:
+    if node is not None:    # the derivative, all the backward reads:
         # half + x * half * (1 - half) * 2c (1 + 3 * 0.044715 x^2)
         d = xd * xd
         d *= 3.0 * GELU_CUBIC
@@ -1005,22 +1004,23 @@ def check_gradients(loss_fn: Callable[[], Tensor], params: "dict[str, Tensor]",
     loss_fn raises.
 
     The differences are replayed against one recorded forward. After the
-    probe, every parameter's node is detached until the check ends (the same
-    node objects put back, also when loss_fn raises), so no later forward
-    builds a graph, and loss_fn runs once with each op call's arguments and
-    output recorded. A difference names the parameter it moves, and its k-th
-    op call returns the recording's k-th output, without running the op,
+    probe, every parameter's node is detached until the check ends
+    (restored also when loss_fn raises), so no later forward builds a
+    graph, and loss_fn runs once with each op call's arguments and output
+    recorded. A difference names the parameter it moves, and its k-th op
+    call returns the recording's k-th output, without running the op,
     only if it is the same op with the same keyword names, each tensor
     argument is the recorded object itself (a recorded output, or a
-    parameter other than the moved one), each other tensor (a constant the
-    loss made) and each array holds the bytes of a copy taken at recording,
-    and each other value has the same type and compares equal. Any other
-    call runs the op. An op's output is a pure function of its arguments, so
-    every difference is bit-identical to a full forward, and only the ops
-    the moved entry reaches run again. An op that receives an
-    `np.random.Generator` turns the replay off for the check, since a
-    skipped draw would shift the stream. The analytic gradients are kept as
-    the analytic pass's backward left them; an unreached parameter's is 0.
+    parameter other than the moved one), each other tensor (a constant
+    the loss made) and each array holds the bytes of a copy taken at
+    recording, and each other value has the same type and compares
+    equal. Any other call runs the op. An op's output is a pure function
+    of its arguments, so every difference is bit-identical to a full
+    forward, and only the ops the moved entry reaches run again. An op
+    that receives an `np.random.Generator` turns the replay off for the
+    check, since a skipped draw would shift the stream. The analytic
+    gradients are kept as the analytic backward left them, and each
+    parameter gets back its own node; an unreached parameter's is 0.
     """
     global _replay
     if max_entries is not None and max_entries < 1:

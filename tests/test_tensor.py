@@ -604,7 +604,6 @@ def test_a_loss_that_raises_leaves_no_replay_behind(failing_call):
     assert tz._replay is None
     for name, p in params.items():
         assert p.node is nodes[name], name
-    for name, p in params.items():
         assert p.data.tobytes() == before[name].tobytes(), name
 
 
