@@ -6,8 +6,8 @@ central differences have enough headroom.
 
 Every op records one node on the tape. `linear` (x @ W + b), `layer_norm`,
 `gelu`, `softmax`, `dropout`, `cross_entropy`, `vocab_cross_entropy`
-(the cross-entropy of logits against a tied vocabulary table, formed a
-row chunk at a time and never kept) and `attention` (multi-head scaled
+(the cross-entropy of logits against a tied vocabulary table, formed
+VOCAB_CHUNK_ROWS rows at a time and never kept) and `attention` (multi-head scaled
 dot-product attention from flat query, key and value rows to flat
 context rows, keeping its inputs, its probabilities and a boolean
 dropout mask) are single nodes, each with a closed-form backward pass;
@@ -93,7 +93,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-6
 GRADCHECK_STEP = 1e-5  # central-difference step of check_gradients
-VOCAB_CHUNK_ROWS = 256  # rows of the logit block vocab_cross_entropy holds
+VOCAB_CHUNK_ROWS = 64  # rows of the logit block vocab_cross_entropy holds
 # glibc's mallopt parameters and the values pinned for them: freed heap
 # memory is kept up to the trim threshold, and blocks below the mmap
 # threshold come from the heap, not from their own mapping
@@ -659,6 +659,8 @@ def vocab_cross_entropy(states: Tensor, table: Tensor, bias: Tensor,
     logits, its loss terms and its logit gradient for an upstream of 1,
     and reduces the gradient at once into those of states, table and
     bias. The backward pass only scales the three by its upstream.
+    The table's and bias's gradients are sums over the chunks, so once n
+    exceeds VOCAB_CHUNK_ROWS the chunk size is part of their bits.
     """
     s, w, b = states.data, table.data, bias.data
     if s.ndim != 2 or w.ndim != 2 or s.shape[1] != w.shape[1] \
@@ -931,6 +933,12 @@ class Adam:
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self, lr: float) -> None:
+        # a parameter keeps one array for its whole life (its node holds
+        # only a weak reference to it): refuse the step before any update
+        for name, p in self.params.items():
+            if p.node.data is not p.data:
+                raise ValueError(f"parameter {name!r}: its array was "
+                                 "rebound; fill it in place instead")
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1 ** self.t

@@ -85,6 +85,14 @@ class TrainConfig:
             raise ValueError(
                 f"total_tokens {self.total_tokens} below one batch "
                 f"({batch_tokens})")
+        if not 0 <= self.warmup_frac <= 1:
+            raise ValueError(f"warmup_frac {self.warmup_frac} outside [0, 1]")
+        if not 0 <= self.base_lr < float("inf"):
+            raise ValueError(f"base_lr {self.base_lr} is not a finite "
+                             "value >= 0")
+        if self.checkpoint_interval < 0:
+            raise ValueError(f"checkpoint_interval {self.checkpoint_interval}"
+                             " is negative")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "tasks": list(self.tasks)}

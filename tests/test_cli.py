@@ -295,6 +295,20 @@ def test_train_and_probe_round_trip(capsys, train_config, small_store,
     assert "gap:" in out
 
 
+@pytest.mark.parametrize("line", ["warmup_frac = 2", "base_lr = -0.1",
+                                  "checkpoint_interval = -5"])
+def test_train_refuses_a_config_that_trains_silently_wrong(capsys,
+                                                           train_config,
+                                                           line):
+    cfg, ck = train_config
+    cfg.write_text(cfg.read_text() + line + "\n")
+    code, out, err = run(capsys, "train", "--config", str(cfg))
+    field = line.split()[0]
+    assert code == 1 and not out
+    assert err.startswith("error:") and field in err
+    assert not ck.exists()
+
+
 def test_resuming_a_finished_run_takes_no_step(capsys, small_store,
                                               word_vocab_path, tmp_path):
     ck, metrics = tmp_path / "model.mtpt", tmp_path / "metrics.jsonl"

@@ -1,6 +1,8 @@
 """The fused tape nodes against primitive-op chains, and gradient-buffer
 ownership: a buffer handed to two parents must not be shared."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -327,6 +329,53 @@ def test_vocab_cross_entropy_matches_linear_and_cross_entropy(n, scale):
         lambda: composed_vocab_ce(states, table, bias, targets),
         inputs, scale)
     assert_same_loss_and_grads(got, want)
+
+
+def token_mix_vocab_inputs(seed):
+    """float32 states, table, bias and targets at token-mix's shape: 490
+    masked rows scored against a 2,009-word table of width 16, which
+    spans eight row blocks."""
+    tz.set_default_dtype("float32")   # the float64_mode fixture resets it
+    rng = np.random.default_rng(seed)
+    n, vocab, hidden = 490, 2009, 16
+    return (param(rng, n, hidden), param(rng, vocab, hidden, scale=0.5),
+            param(rng, vocab, scale=0.1), rng.integers(0, vocab, size=n))
+
+
+@pytest.mark.parametrize("scale", [1.0, -2.5])
+def test_vocab_cross_entropy_matches_the_oracle_in_float32(scale):
+    # float32 sums over 2,009 words in a different order: a gradient may
+    # differ from the oracle's by 1e-5 of its largest entry (~80 float32
+    # epsilons; the errors seen are under 7e-7), the loss by 1e-6 of itself
+    states, table, bias, targets = token_mix_vocab_inputs(43)
+    inputs = [states, table, bias]
+    got = loss_and_grads(
+        lambda: tz.vocab_cross_entropy(states, table, bias, targets),
+        inputs, scale)
+    want = loss_and_grads(
+        lambda: composed_vocab_ce(states, table, bias, targets),
+        inputs, scale)
+    assert got[0] == pytest.approx(want[0], rel=1e-6, abs=0)
+    for k, (g, w) in enumerate(zip(got[1], want[1])):
+        assert g.dtype == np.float32
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-5 * np.abs(w).max(),
+                                   err_msg=f"input {k}")
+
+
+def test_vocab_cross_entropy_scratch_stays_under_one_mib():
+    # one logit block of 64 rows is 0.5 MiB at V=2,009 in float32; the
+    # whole peak past the three gradients the node keeps stays under 1 MiB
+    states, table, bias, targets = token_mix_vocab_inputs(44)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = tz.vocab_cross_entropy(states, table, bias, targets)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    loss.backward()
+    kept = sum(t.grad.nbytes for t in (states, table, bias))
+    assert peak - kept <= 1 << 20, (peak, kept)
 
 
 def tied_vocab_loss(ce, emb, w, table, bias, ids, targets):

@@ -296,7 +296,7 @@ def test_mlm_logits_tied_to_token_table():
     # ids 10..19 are not in the input: only the output projection reads
     # their rows, so their gradient is the tie's alone
     assert np.abs(table.grad[10:]).sum(axis=1).min() > 0
-    table.data = table.data * 2.0
+    table.data *= 2.0
     after = ls.batch_losses(model, batch)["mlm"]
     assert after.item() != pytest.approx(before.item())
 

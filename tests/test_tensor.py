@@ -664,6 +664,22 @@ def test_adam_skips_params_without_grads():
     assert w.data < 1.0
 
 
+def test_adam_refuses_a_rebound_parameter_array():
+    w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    u = Tensor(np.array([3.0]), requires_grad=True)
+    opt = tz.Adam({"w.weight": w, "u.weight": u}, weight_decay=0.0)
+    ((w * w).sum() + u.sum()).backward()
+    opt.step(lr=0.1)
+    w.data *= 0.5    # filled in place: the node still sees its array
+    opt.step(lr=0.1)
+    u.data = u.data * 2.0
+    before = w.data.copy()
+    with pytest.raises(ValueError, match="'u.weight'"):
+        opt.step(lr=0.1)
+    np.testing.assert_array_equal(w.data, before)   # no update at all
+    assert opt.t == 2
+
+
 # ----------------------------------------------------------------- schedule
 
 def test_lr_endpoints():

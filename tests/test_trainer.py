@@ -91,6 +91,30 @@ def test_config_accepts_only_inline_batches():
                            prefetch=bad)
 
 
+MINIMAL_CONFIG = "corpus=a\nvocab=b\ntotal_tokens=99999\n"
+
+
+@pytest.mark.parametrize("line, field", [
+    ("warmup_frac = -0.5", "warmup_frac"),
+    ("warmup_frac = 2", "warmup_frac"),
+    ("warmup_frac = nan", "warmup_frac"),
+    ("base_lr = -0.1", "base_lr"),
+    ("base_lr = inf", "base_lr"),
+    ("base_lr = nan", "base_lr"),
+    ("checkpoint_interval = -5", "checkpoint_interval"),
+])
+def test_config_refuses_values_that_train_silently_wrong(line, field):
+    with pytest.raises(ValueError, match=field):
+        tr.parse_config_text(MINIMAL_CONFIG + line)
+
+
+def test_config_accepts_the_edges_of_its_ranges():
+    # a zero base_lr is legal: the benchmark's self-test trains with it
+    for text in ("warmup_frac = 0\nbase_lr = 0\ncheckpoint_interval = 0",
+                 "warmup_frac = 1"):
+        tr.parse_config_text(MINIMAL_CONFIG + text)
+
+
 def test_load_config_from_file(tmp_path):
     path = tmp_path / "train.cfg"
     path.write_text("corpus=a\nvocab=b\ntotal_tokens=32768\nseed=3\n")
