@@ -184,6 +184,8 @@ def lilliefors_test(samples,
     n = x.size
     if n < 4:
         raise AnalysisError(f"need at least 4 samples, got {n}")
+    if n_simulations < 1:
+        raise AnalysisError(f"need at least 1 simulation, got {n_simulations}")
     observed = lilliefors_statistic(x)
     rng = np.random.default_rng(LILLIEFORS_SEED)
     sims = rng.standard_normal((n_simulations, n))

@@ -102,17 +102,6 @@ def combine_losses(losses: "dict[str, Tensor]", task_set) -> Tensor:
     return total
 
 
-def selected_token_ce(grid: Tensor, labels, weights) -> Tensor:
-    """Cross-entropy over the (B, L, k) grid cells with positive weight."""
-    b, seq, k = grid.shape
-    flat = grid.reshape(b * seq, k)
-    w = np.asarray(weights).reshape(-1)
-    sel = np.nonzero(w > 0)[0]
-    logits = tz.index_rows(flat, sel)
-    targets = np.asarray(labels).reshape(-1)[sel]
-    return loss_token_ce(logits, targets)
-
-
 def batch_losses(model, batch, rng=None) -> "dict[str, Tensor]":
     """Full forward pass: embed, encode, then each task's head, which
     returns the task's loss.

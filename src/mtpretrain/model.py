@@ -81,7 +81,8 @@ def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02):
 # A head takes (model, task, rows, batch, pooled), where rows are the
 # encoder's flat output, whose slots `slot_rows` locates, and pooled is the
 # tanh pooler output for heads that read it. It runs the task's layers and
-# returns the task's loss as a scalar Tensor.
+# returns the task's loss as a scalar Tensor. A head that reads some slots
+# gathers them in one `tz.index_rows` call, over an array `slot_rows` gives.
 
 def _mlm(model, task, rows, batch, pooled):
     pos = batch.labels["mlm"]["positions"]
@@ -93,12 +94,13 @@ def _mlm(model, task, rows, batch, pooled):
 
 def _sbo(model, task, rows, batch, pooled):
     """Reads the left and the right boundary of each masked span."""
-    lab, b = batch.labels["mlm"], len(batch.input_ids)
-    left, right = (tz.index_rows(rows, slot_rows(rows, b, *lab[side].T))
-                   for side in ("left", "right"))
-    states = tz.gelu(model._dense(tz.concat([left, right], axis=-1),
-                                  "heads.sbo.dense"))
-    return _tied_vocab_ce(model, task, states, batch)
+    lab = batch.labels["mlm"]
+    sides = np.stack([lab["left"], lab["right"]], axis=1)  # (n, 2, (r, c))
+    states = tz.index_rows(rows, slot_rows(rows, len(batch.input_ids),
+                                           sides[..., 0], sides[..., 1]))
+    states = model._dense(states.reshape(len(sides), 2 * rows.shape[1]),
+                          "heads.sbo.dense")
+    return _tied_vocab_ce(model, task, tz.gelu(states), batch)
 
 
 def _tied_vocab_ce(model, task, states, batch):
@@ -114,16 +116,21 @@ def _tied_vocab_ce(model, task, states, batch):
 
 
 def _token_regression(model, task, rows, batch, pooled):
-    lab = batch.labels[task]
-    preds = model._dense(rows, f"heads.{task}").reshape(batch.input_ids.shape)
-    return ls.loss_regression(preds, lab["values"], lab["weights"])
+    """Reads every slot, with the label grids cut to the rows' width."""
+    lab, (b, w) = batch.labels[task], batch.input_ids.shape
+    preds = model._dense(rows, f"heads.{task}").reshape(b, w)
+    return ls.loss_regression(preds, lab["values"][:, :w],
+                              lab["weights"][:, :w])
 
 
 def _token_class(model, task, rows, batch, pooled):
+    """Reads the slots with positive weight."""
     lab = batch.labels[task]
-    grid = model._dense(rows, f"heads.{task}").reshape(
-        *batch.input_ids.shape, HEADS[task].outputs)
-    return ls.selected_token_ce(grid, lab["labels"], lab["weights"])
+    r, c = np.nonzero(lab["weights"] > 0)
+    logits = model._dense(rows, f"heads.{task}")
+    return ls.loss_token_ce(
+        tz.index_rows(logits, slot_rows(rows, len(batch.input_ids), r, c)),
+        lab["labels"][r, c])
 
 
 def _tgs(model, task, rows, batch, pooled):
@@ -131,9 +138,10 @@ def _tgs(model, task, rows, batch, pooled):
     lab = batch.labels["tgs"]
     starts = lab["starts"]
     valid = np.nonzero(starts >= 0)[0]
-    base = slot_rows(rows, len(starts), valid, starts[valid])
-    parts = [tz.index_rows(rows, base + j) for j in range(3)]
-    logits = model._dense(tz.concat(parts, axis=-1), "heads.tgs")
+    states = tz.index_rows(rows, slot_rows(
+        rows, len(starts), valid[:, None], starts[valid, None] + np.arange(3)))
+    logits = model._dense(states.reshape(len(valid), 3 * rows.shape[1]),
+                          "heads.tgs")
     return ls.loss_token_ce(logits, lab["labels"][valid])
 
 

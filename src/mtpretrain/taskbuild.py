@@ -68,9 +68,6 @@ POS, ID, CORRUPT = 0, 1, 2
 SPECIAL, FRESH = -1, -2
 # corruption ops, in the order their draws index them
 INSERT, REPLACE, PERMUTE = 0, 1, 2
-# the tasks whose labels are (B, L) grids, one cell per slot; every other
-# label is per row or a column inside its row
-GRID_TASKS = ("tf", "tfidf", "tlp", "cap", "tcp")
 
 
 class TaskBuildError(ValueError):
@@ -102,23 +99,20 @@ class TrainingBatch:
 
 def trim(batch: TrainingBatch) -> TrainingBatch:
     """The batch cut to w, the length of its longest row: views over
-    columns [0, w) of the input grids and the label grids, every other
-    label as it is. A batch whose longest row fills it comes back as is.
+    columns [0, w) of the four input grids, the labels as they are. A
+    batch whose longest row fills it comes back as is.
 
     Batches keep their (B, max_seq_len) shape, which the token accounting
     counts; the forward and backward run on the cut, since the columns
-    past w hold only padding."""
+    past w hold only padding. No label cell at or past w is nonzero, so a
+    head reads its label grids at the slots it picks, or cuts them to w."""
     w = int(batch.attention_mask.sum(axis=1).max())
     if w == batch.input_ids.shape[1]:
         return batch
-    labels = dict(batch.labels)
-    for task in GRID_TASKS:
-        if task in labels:
-            labels[task] = {k: grid[:, :w] for k, grid in labels[task].items()}
     return replace(batch, input_ids=batch.input_ids[:, :w],
                    type_ids=batch.type_ids[:, :w],
                    attention_mask=batch.attention_mask[:, :w],
-                   special_mask=batch.special_mask[:, :w], labels=labels)
+                   special_mask=batch.special_mask[:, :w])
 
 
 def slot_rows(rows, b: int, r, c=0) -> np.ndarray:
@@ -541,10 +535,12 @@ def assemble_batch(reader, vocab, task_set, batch_size: int, max_seq_len: int,
     """
     if batch_size < 1:
         raise TaskBuildError(f"batch size must be at least 1, got {batch_size}")
+    if seed < 0:
+        raise TaskBuildError(f"seed must be non-negative, got {seed}")
     names = [canonical_task(t) for t in task_set]
     validate_compatibility(names)
     if rng is None:
-        rng = np.random.default_rng([abs(int(seed)), int(step), 11])
+        rng = np.random.default_rng([int(seed), int(step), 11])
     name_set = set(names)
 
     rows, pair_labels, continuation = _draw_rows(reader, name_set, rng,

@@ -90,6 +90,8 @@ class TrainConfig:
         if not 0 <= self.base_lr < float("inf"):
             raise ValueError(f"base_lr {self.base_lr} is not a finite "
                              "value >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} is negative")
         if self.checkpoint_interval < 0:
             raise ValueError(f"checkpoint_interval {self.checkpoint_interval}"
                              " is negative")
@@ -260,6 +262,9 @@ def train(config: TrainConfig) -> TrainResult:
     started = time.monotonic()
 
     def write_checkpoint(step_index: int) -> None:
+        # the log first: a resume takes none of the steps this one holds
+        if metrics_fh is not None:
+            metrics_fh.flush()
         tz.save_checkpoint(ckpt_path, model.params, optimizer,
                            config={"model": model.config.to_dict(),
                                    "train": config.to_dict()},
@@ -288,8 +293,6 @@ def train(config: TrainConfig) -> TrainResult:
                     "lr": record.lr, "losses": record.losses,
                     "wall": round(record.wall, 3)}) + "\n")
             if tokens_seen - last_checkpoint >= interval:
-                if metrics_fh is not None:
-                    metrics_fh.flush()
                 write_checkpoint(step.index)
                 last_checkpoint = tokens_seen
         if records:

@@ -189,6 +189,12 @@ def test_analyze_refuses_a_repeated_label(capsys, tmp_path):
     assert err.strip() == f"error: {path}:4: label 'base' repeats line 2"
 
 
+def test_analyze_refuses_zero_simulations(capsys):
+    code, out, err = run(capsys, "analyze", "--simulations", "0")
+    assert code == 1 and not out
+    assert err.strip() == "error: need at least 1 simulation, got 0"
+
+
 # --------------------------------------------------------------- gradcheck
 
 def test_gradcheck_passes_at_small_scale(capsys):
@@ -306,6 +312,15 @@ def test_train_refuses_a_config_that_trains_silently_wrong(capsys,
     field = line.split()[0]
     assert code == 1 and not out
     assert err.startswith("error:") and field in err
+    assert not ck.exists()
+
+
+def test_train_refuses_a_negative_seed(capsys, train_config):
+    cfg, ck = train_config
+    cfg.write_text(cfg.read_text() + "seed = -3\n")
+    code, out, err = run(capsys, "train", "--config", str(cfg))
+    assert code == 1 and not out
+    assert err.strip() == "error: seed -3 is negative"
     assert not ck.exists()
 
 

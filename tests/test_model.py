@@ -727,6 +727,60 @@ def test_empty_row_union_runs_and_gives_no_gradient(float64_mode,
     assert all(p.grad is None for p in model.params.values())
 
 
+def test_every_head_gathers_its_slots_through_slot_rows_in_one_call(
+        small_reader, word_vocab, monkeypatch):
+    # while a head runs, every index_rows call on a table with the encoder
+    # rows' leading size (the rows, or a dense output over them) takes an
+    # array that slot_rows returned; past the [CLS] rows of
+    # Model.cls_rows, a head makes at most one such call
+    from mtpretrain import model as md
+    from mtpretrain.cli import GRADCHECK_SETS
+    from mtpretrain.taskbuild import assemble_batch, slot_rows, trim
+    model, _ = small_model(vocab=len(word_vocab), seq=24)
+    real_index_rows, real_cls_rows = tz.index_rows, Model.cls_rows
+    returned, gathers, in_cls, n_rows = [], [], [], []
+
+    def spy_slot_rows(*args):
+        returned.append(slot_rows(*args))
+        return returned[-1]
+
+    def spy_index_rows(table, indices):
+        if table.shape[0] == n_rows[-1]:
+            gathers.append((indices, bool(in_cls)))
+        return real_index_rows(table, indices)
+
+    def spy_cls_rows(self, rows, b):
+        in_cls.append(True)
+        try:
+            return real_cls_rows(self, rows, b)
+        finally:
+            in_cls.pop()
+
+    gatherers = set()
+    for k, task_set in enumerate(GRADCHECK_SETS):
+        batch = trim(assemble_batch(small_reader, word_vocab, task_set, 8,
+                                    24, seed=4, step=k))
+        rows = model.encode(model.embed(batch), batch.attention_mask)
+        pooled = model.pool(rows, len(batch.input_ids))
+        n_rows.append(rows.shape[0])
+        with monkeypatch.context() as m:
+            m.setattr(md, "slot_rows", spy_slot_rows)
+            m.setattr(ls, "slot_rows", spy_slot_rows)
+            m.setattr(tz, "index_rows", spy_index_rows)
+            m.setattr(Model, "cls_rows", spy_cls_rows)
+            for task in task_set:
+                returned.clear()
+                gathers.clear()
+                model.head_forward(task, rows, batch, pooled)
+                assert all(any(idx is out for out in returned)
+                           for idx, _ in gathers), task
+                slots = [idx for idx, cls in gathers if not cls]
+                assert len(slots) <= 1, task
+                if slots:
+                    gatherers.add(task)
+    assert gatherers == {"mlm", "sbo", "cap", "tcp", "tgs", "fs"}
+
+
 # ------------------------------------------------ golden training bits
 
 # sha256 over each gradcheck set's task losses and every parameter's

@@ -118,6 +118,13 @@ def test_explicit_rng_matches_seed_step_derivation(small_reader, word_vocab):
     assert np.array_equal(a.input_ids, b.input_ids)
 
 
+def test_negative_seed_is_refused(small_reader, word_vocab):
+    with pytest.raises(tb.TaskBuildError,
+                       match="seed must be non-negative, got -3"):
+        tb.assemble_batch(small_reader, word_vocab, ("mlm",), 4, 32,
+                          seed=-3, step=0)
+
+
 # ------------------------------------------------------------ token labels
 
 def test_tf_tfidf_values_copied_from_store(small_reader, word_vocab):
@@ -519,14 +526,16 @@ def test_trim_cuts_inputs_and_label_grids_to_views(small_reader, word_vocab,
         full, part = getattr(batch, name), getattr(cut, name)
         assert part.shape == (8, w) and np.shares_memory(part, full), name
         assert np.array_equal(part, full[:, :w]), name
-    for task, lab in batch.labels.items():
-        if task in tb.GRID_TASKS:
-            for key, grid in lab.items():
-                assert cut.labels[task][key].shape == (8, w), (task, key)
-                assert np.shares_memory(cut.labels[task][key], grid)
-                assert not grid[:, w:].any(), (task, key)
-        else:
-            assert cut.labels[task] is lab, task
+    # the labels stay as assembled: no (B, L) label grid has a nonzero
+    # cell at or past w, so the heads read them uncut
+    assert cut.labels is batch.labels
+    grids = {(task, key): grid for task, lab in batch.labels.items()
+             if isinstance(lab, dict)
+             for key, grid in lab.items() if grid.shape == (8, 40)}
+    assert {task for task, _ in grids} \
+        == {"tf", "tfidf", "tlp", "cap", "tcp"} & set(task_set)
+    for where, grid in grids.items():
+        assert not grid[:, w:].any(), where
     if "mlm" in batch.labels:
         assert batch.labels["mlm"]["right"][:, 1].max() < w
     if "tgs" in batch.labels:

@@ -108,6 +108,12 @@ def test_config_refuses_values_that_train_silently_wrong(line, field):
         tr.parse_config_text(MINIMAL_CONFIG + line)
 
 
+def test_config_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="seed -3 is negative"):
+        tr.parse_config_text(MINIMAL_CONFIG + "seed = -3")
+    assert tr.parse_config_text(MINIMAL_CONFIG + "seed = 0").seed == 0
+
+
 def test_config_accepts_the_edges_of_its_ranges():
     # a zero base_lr is legal: the benchmark's self-test trains with it
     for text in ("warmup_frac = 0\nbase_lr = 0\ncheckpoint_interval = 0",
@@ -413,6 +419,51 @@ def test_resume_after_process_killed_in_checkpoint_write(
     assert [row["losses"] for row in rows] == [r.losses for r in full.records]
     assert [r.step for r in resumed.records] == list(range(3, 10))
     assert_same_checkpoint(full.checkpoint_path, resumed.checkpoint_path)
+
+
+# One training run in a child process that dies by os._exit as soon as
+# the checkpoint of the given step is written.
+KILLED_AFTER_CHECKPOINT_CHILD = """
+import json, os, sys
+from mtpretrain import tensor as tz, trainer as tr
+
+config, kill_step = json.loads(sys.argv[1])
+real_save = tz.save_checkpoint
+
+
+def save(path, *args, step, **kwargs):
+    real_save(path, *args, step=step, **kwargs)
+    if step == kill_step:
+        os._exit(3)
+
+
+tz.save_checkpoint = save
+tr.train(tr.TrainConfig(**config))
+"""
+
+
+def test_resume_after_process_killed_once_the_final_checkpoint_lands(
+        small_store, word_vocab_path, tmp_path):
+    # twenty steps with a checkpoint after step 14 and the final one after
+    # step 19; the process dies once the final one is written, so the log
+    # must already hold every step that checkpoint holds
+    metrics = tmp_path / "metrics.jsonl"
+    cfg = make_config(small_store, word_vocab_path, tmp_path,
+                      total_tokens=20 * 192, checkpoint_interval=15 * 192,
+                      metrics_path=str(metrics))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(tr.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", KILLED_AFTER_CHECKPOINT_CHILD,
+         json.dumps([cfg.to_dict(), 19])],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert tz.load_checkpoint(cfg.checkpoint_path).train_state["step"] == 19
+
+    cfg.resume_from = cfg.checkpoint_path
+    assert tr.train(cfg).records == []
+    assert [json.loads(line)["step"]
+            for line in metrics.read_text().splitlines()] == list(range(20))
 
 
 def test_failed_metrics_rewrite_keeps_the_old_log(tmp_path,
